@@ -32,6 +32,7 @@ from repro.core.reduce import ReduceMixin, ReduceStats
 from repro.core.sampling import filter_width
 from repro.core.similarity import SimilarityConfig, SimilarityMixin
 from repro.core.trying import all_colored
+from repro.obs import trace as obs_trace
 from repro.results import ColoringResult, PhaseResult
 
 
@@ -166,12 +167,16 @@ def _run_randomized(
     palette = delta * delta + 1
 
     # Step 0: low-degree graphs go to the deterministic algorithm.
-    if (
-        allow_deterministic_fallback
-        and delta * delta < constants.small_graph_threshold(n)
-    ):
+    threshold = constants.small_graph_threshold(n)
+    if allow_deterministic_fallback and delta * delta < threshold:
         from repro.det.det_d2color import deterministic_d2_color
 
+        obs_trace.event(
+            "core.step0_fallback",
+            n=n,
+            delta_sq=delta * delta,
+            threshold=threshold,
+        )
         result = deterministic_d2_color(
             graph, delta=delta, policy=policy
         )

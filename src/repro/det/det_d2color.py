@@ -8,6 +8,10 @@ The three-stage pipeline of Appendix B, run back to back:
    O(Δ⁴) → q ∈ (4Δ², 8Δ²) colors in O(Δ²) rounds (Theorem B.4);
 3. :func:`repro.det.color_reduction.color_reduction_d2`
    q → Δ²+1 colors in O(Δ²) rounds (Theorem B.2).
+
+Each stage runs inside an obs span (``det.linial``,
+``det.locally_iterative``, ``det.color_reduction``) annotated with its
+rounds, messages and bits.
 """
 
 from __future__ import annotations
@@ -20,7 +24,20 @@ from repro.congest.policy import BandwidthPolicy
 from repro.det.color_reduction import color_reduction_d2
 from repro.det.linial import linial_d2_coloring
 from repro.det.locally_iterative import locally_iterative_d2_coloring
+from repro.obs import trace as obs_trace
 from repro.results import ColoringResult
+
+
+def _stage(name: str, run) -> ColoringResult:
+    """Run one pipeline stage inside its obs span."""
+    with obs_trace.span(name) as sp:
+        result = run()
+        sp.annotate(
+            rounds=result.rounds,
+            messages=result.metrics.total_messages,
+            bits=result.metrics.total_bits,
+        )
+    return result
 
 
 def deterministic_d2_color(
@@ -41,24 +58,33 @@ def deterministic_d2_color(
             rounds=0,
         )
 
-    linial = linial_d2_coloring(graph, delta=delta, policy=policy)
-    iterative = locally_iterative_d2_coloring(
-        graph,
-        color_in=linial.coloring,
-        palette_in=linial.palette_size,
-        delta=delta,
-        policy=policy,
-        stop_early=stop_early,
+    linial = _stage(
+        "det.linial",
+        lambda: linial_d2_coloring(graph, delta=delta, policy=policy),
+    )
+    iterative = _stage(
+        "det.locally_iterative",
+        lambda: locally_iterative_d2_coloring(
+            graph,
+            color_in=linial.coloring,
+            palette_in=linial.palette_size,
+            delta=delta,
+            policy=policy,
+            stop_early=stop_early,
+        ),
     )
     target = delta * delta + 1
     if iterative.palette_size > target:
-        reduced = color_reduction_d2(
-            graph,
-            color_in=iterative.coloring,
-            palette_in=iterative.palette_size,
-            target=target,
-            delta=delta,
-            policy=policy,
+        reduced = _stage(
+            "det.color_reduction",
+            lambda: color_reduction_d2(
+                graph,
+                color_in=iterative.coloring,
+                palette_in=iterative.palette_size,
+                target=target,
+                delta=delta,
+                policy=policy,
+            ),
         )
         final_coloring = reduced.coloring
         reduction_phase = reduced

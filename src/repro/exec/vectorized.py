@@ -31,9 +31,17 @@ Coverage is per program class, not per call site:
   — the whole bounded 3q-round schedule, halting included (these are
   the try-phase stages of ``deterministic-d2`` and
   ``eps-d2-coloring``);
+- :class:`LinialProgram` — the whole fixed schedule of Theorem B.1
+  on G or G², per-part conflicts included (the first stage of
+  ``deterministic-d2`` and of the Linial-using ``eps-d2-coloring`` /
+  ``g_coloring`` paths);
+- :class:`ColorReductionProgram` — the whole fixed schedule of
+  Theorem B.2 (the last stage of ``deterministic-d2``);
 - :class:`RandomizedD2Program` — the ``c0·log n`` random-trials
   section of ``improved-d2color``/``basic-d2color``; similarity,
-  reduce, learn-palette and finish still run as generators.
+  reduce, learn-palette and finish still run as generators.  Their
+  Step-0 fallback is the ``deterministic-d2`` chain, so on low-Δ
+  graphs they run with zero generator programs.
 
 Everything else — and every run a kernel cannot replay exactly
 (custom ``stop_when`` monitors, ``avoid_known`` candidate selection,
@@ -47,6 +55,8 @@ safe to request.  The guarantees are enforced by
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from typing import Callable, Dict, Optional, Type
 
 from repro.baselines.luby import (
@@ -64,11 +74,14 @@ from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthMode
 from repro.core.d2color import RandomizedD2Program
 from repro.core.trying import TAG_ADOPT, TAG_TRY, TAG_VERDICT, all_colored
+from repro.det.color_reduction import ColorReductionProgram
+from repro.det.linial import LinialProgram
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec.base import ExecutionBackend
 from repro.exec.fastpath import PAUSED, GeneratorLoop
 from repro.obs import trace as obs_trace
+from repro.util.primes import is_prime
 
 try:  # numpy/scipy are required deps, but degrade gracefully without
     import numpy as np
@@ -90,10 +103,12 @@ KERNELS: Dict[Type, Callable] = {}
 #: spec-name half of :func:`kernel_coverage`.  Coverage through this
 #: table may be partial per run: ``improved-d2color``/``basic-d2color``
 #: kernelize their random-trials section (the rest stays generator
-#: work), ``deterministic-d2``/``eps-d2-coloring`` kernelize their
-#: locally-iterative try-phase stage, and Step-0 deterministic
-#: fallbacks of the randomized specs run other program classes
-#: entirely.
+#: work), and ``deterministic-d2``/``eps-d2-coloring`` are listed
+#: under their locally-iterative stage although their Linial stage has
+#: a kernel too (so does ``deterministic-d2``'s color reduction, but
+#: not ``eps-d2-coloring``'s per-part one).  The Step-0 fallback of the
+#: randomized specs is the ``deterministic-d2`` chain: on low-Δ graphs
+#: they run no :class:`RandomizedD2Program` and no generator at all.
 SPEC_PROGRAMS: Dict[str, Type] = {}
 
 
@@ -757,6 +772,551 @@ def _part_locally_iterative_kernel(
     return _poly_phase_kernel(
         network, max_rounds=max_rounds, stop_when=stop_when,
         raise_on_timeout=raise_on_timeout, with_parts=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# Linial (Theorem B.1) and color reduction (Theorem B.2): fixed-length
+# schedules of broadcasts and bit-packed relays.  Every node runs every
+# round and halts on the resume after the last one, so the round count
+# is known up front and only the traffic and the recoloring need work.
+
+#: Elements per ``(pairs, q)`` temporary of the Linial kernel.
+_BLOCK_ELEMS = 1 << 20
+
+
+class _Traffic:
+    """Message/bit totals of a fixed-schedule kernel run (bits are
+    only sized under metered policies)."""
+
+    __slots__ = ("metered", "messages", "bits", "max_bits")
+
+    def __init__(self, metered):
+        self.metered = metered
+        self.messages = 0
+        self.bits = 0
+        self.max_bits = 0
+
+    def add(self, messages, sizes=None, copies=None):
+        """Count ``messages``; metered runs also pass each distinct
+        payload's bit size and how many messages carry it (one each
+        when ``copies`` is None)."""
+        self.messages += int(messages)
+        if not (self.metered and messages):
+            return
+        if copies is None:
+            self.bits += int(sizes.sum())
+        else:
+            self.bits += int((sizes * copies).sum())
+        self.max_bits = max(self.max_bits, int(sizes.max()))
+
+
+def _loop_rank(network, csr):
+    """Each dense index's position in ``graph.nodes`` — the order the
+    generator loop resumes senders in, hence every inbox's order — or
+    None when that is the dense (sorted-label) order itself."""
+    nodes = list(network.graph.nodes)
+    if nodes == list(csr.order):
+        return None
+    rank = np.empty(csr.n, dtype=np.int64)
+    rank[[csr.index[v] for v in nodes]] = np.arange(csr.n)
+    return rank
+
+
+def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
+                   groups, rank_of):
+    """Meter one bit-packed relay; False if a list outgrows it.
+
+    For ``rounds`` rounds every node u sends each neighbor v the next
+    ``per_message`` items of v's list — the items of u's *other*
+    neighbors in v's group (all of them when ``groups`` is None), in
+    u's inbox order — as one ``(tag,) + chunk`` message of ``head``
+    plus item ``weights`` bits.  A list longer than
+    ``rounds · per_message`` is truncated by the generators, which the
+    caller must decline.  Chunk composition (so ``max_message_bits``)
+    follows inbox order, which ``rank_of()`` supplies when it is not
+    the dense order.
+    """
+    indices = csr.g_indices
+    nnz = indices.size
+    if nnz == 0:
+        return True
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees)
+
+    def arrange(key):
+        """Row entries sorted by (group, ``key``); rows stay put."""
+        if key is None and groups is None:
+            return indices  # CSR rows are already index-sorted
+        keys = [indices if key is None else key[indices]]
+        if groups is not None:
+            keys.append(groups[indices])
+        keys.append(src)
+        return indices[np.lexsort(keys)]
+
+    # Each row sorted by (group, order): entry e is receiver v of
+    # sender src[e]; v's list is its group block minus v itself.
+    cols = arrange(None)
+    start = np.ones(nnz, dtype=bool)
+    start[1:] = src[1:] != src[:-1]
+    if groups is not None:
+        member = groups[cols]
+        start[1:] |= member[1:] != member[:-1]
+    block_start = np.flatnonzero(start)
+    block_of = np.cumsum(start) - 1
+    length = np.diff(np.append(block_start, nnz))[block_of] - 1
+    longest = int(length.max())
+    if longest > rounds * per_message:
+        return False
+    chunks = -(-length // per_message)
+    messages = int(chunks.sum())
+    if not traffic.metered or messages == 0:
+        traffic.messages += messages
+        return True
+    if longest > per_message:
+        rank = rank_of()
+        if rank is not None:
+            cols = arrange(rank)
+    w = weights[cols]
+    csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(w)))
+    base = block_start[block_of]
+    pos = np.arange(nnz, dtype=np.int64) - base
+    for k in range(-(-longest // per_message)):
+        lo = k * per_message
+        live = np.flatnonzero(length > lo)
+        p = pos[live]
+        b = base[live]
+        hi = np.minimum(lo + per_message, length[live])
+        # List item i sits at block position i (i < p) or i + 1.
+        sizes = (
+            head
+            + csum[b + hi + (hi > p)]
+            - csum[b + lo + (lo >= p)]
+            - np.where((lo < p) & (hi > p), w[live], 0)
+        )
+        traffic.add(sizes.size, sizes)
+    return True
+
+
+def _row_positions(indptr, rows):
+    """Flat CSR positions of ``rows``' entries, concatenated, and the
+    segment indptr over them."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    seg = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lens)))
+    pos = np.arange(seg[-1], dtype=np.int64) - np.repeat(
+        seg[:-1] - starts, lens
+    )
+    return pos, seg
+
+
+def _row_mex(values, seg):
+    """Per segment, the smallest non-negative int absent from it."""
+    rows = seg.size - 1
+    lens = np.diff(seg)
+    bound = int(lens.max(initial=0)) + 1  # a row of L values has mex <= L
+    owner = np.repeat(np.arange(rows, dtype=np.int64), lens)
+    keep = (values >= 0) & (values < bound)
+    keys = np.unique(owner[keep] * bound + values[keep])
+    row, value = keys // bound, keys % bound
+    rank = np.arange(keys.size) - np.searchsorted(row, row)
+    # Sorted distinct values match their rank exactly on a prefix.
+    return np.bincount(
+        row, weights=value == rank, minlength=rows
+    ).astype(np.int64)
+
+
+def _horner(digits, rows, x, q):
+    """``p_v(x) mod q`` for nodes ``rows``, broadcast against ``x``;
+    ``digits`` holds the base-q coefficient rows (low to high)."""
+    acc = digits[-1][rows]
+    for k in range(digits.shape[0] - 2, -1, -1):
+        acc = acc * x
+        acc += digits[k][rows]
+        acc %= q
+    return np.broadcast_to(acc, np.broadcast_shapes(rows.shape, x.shape))
+
+
+def _poly_table(digits, nodes, xs, q):
+    """The ``(nodes, q)`` table of ``p_v(x)``, in the narrowest dtype
+    holding ``[0, q)`` (lookups dominate the Linial step)."""
+    return _horner(digits, nodes[:, None], xs, q).astype(
+        np.min_scalar_type(q - 1)
+    )
+
+
+def _linial_step(colors, d, q, indptr, indices, same_part):
+    """One Linial recoloring, or None if some node finds no free pair.
+
+    Color c is the polynomial p_c whose coefficients are the d + 1
+    base-q digits of c, evaluated by Horner at every x in F_q.  A
+    conflicting color covers the x where its polynomial agrees with
+    p_c, and the new color is ``x·q + p_c(x)`` at the first uncovered
+    x: the smallest element of A(c) ``_new_color`` picks.  Rows go in
+    blocks, so the ``(pairs, q)`` temporaries (and the evaluation
+    table, when all n rows of it would not fit) stay near
+    ``_BLOCK_ELEMS``.
+    """
+    n = colors.size
+    digits = np.empty((d + 1, n), dtype=np.int64)
+    rest = colors.copy()
+    for k in range(d + 1):
+        digits[k] = rest % q
+        rest //= q
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    xs = np.arange(q, dtype=np.int64)
+    table = None
+    if n * q <= _BLOCK_ELEMS:
+        table = _poly_table(digits, np.arange(n), xs, q)
+    per_block = max(1, _BLOCK_ELEMS // q)
+    out = np.empty(n, dtype=np.int64)
+    r0 = 0
+    while r0 < n:
+        r1 = int(
+            np.searchsorted(indptr, indptr[r0] + per_block, side="right")
+        ) - 1
+        r1 = min(n, r0 + per_block, max(r1, r0 + 1))
+        lo, hi = indptr[r0], indptr[r1]
+        i, j = owner[lo:hi], indices[lo:hi]
+        keep = colors[i] != colors[j]
+        if same_part is not None:
+            keep &= same_part[lo:hi]
+        i, j = i[keep], j[keep]
+        if table is None:
+            need, at = np.unique(
+                np.concatenate((i, j)), return_inverse=True
+            )
+            values = _poly_table(digits, need, xs, q)
+            pair, x = np.nonzero(values[at[:i.size]] == values[at[i.size:]])
+        else:
+            pair, x = np.nonzero(table[i] == table[j])
+        covered = np.zeros((r1 - r0, q), dtype=bool)
+        covered[i[pair] - r0, x] = True
+        x = np.argmin(covered, axis=1)
+        if covered[np.arange(r1 - r0), x].any():
+            return None  # cover-freeness fails: the generator raises
+        rows = np.arange(r0, r1)
+        out[r0:r1] = x * q + _horner(digits, rows, x, q)
+        r0 = r1
+    return out
+
+
+def _is_int64_safe(value) -> bool:
+    return isinstance(value, int) and -_INT64_SAFE < value < _INT64_SAFE
+
+
+@register_kernel(LinialProgram)
+def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+    """Vectorized :class:`LinialProgram` (Theorem B.1), G and G²
+    variants, per-part conflicts included.
+
+    Each schedule step is one ``(C, color, part)`` broadcast, then (G²
+    only) ``relay_rounds`` bit-packed relay rounds, then the local
+    recoloring of :func:`_linial_step` over the same-part G (or G²)
+    rows.  Declines when the relay would truncate a list, on a metered
+    message over budget, on inputs the generators raise on, and on
+    ``max_rounds`` short of the halting resume.
+    """
+    if stop_when is not None:
+        return None
+    plan = network.plan()
+    csr = plan.csr
+    if csr.has_selfloops:
+        return None
+    n = csr.n
+    order = csr.order
+
+    if network.materialized:
+        programs = network.programs
+        rows = (
+            (
+                (p.schedule, p.relay, p.relay_rounds, p.per_message),
+                p.color,
+                p.part,
+            )
+            for p in map(programs.__getitem__, order)
+        )
+    else:
+        rows = (
+            (
+                (
+                    data.get("schedule"),
+                    data.get("relay"),
+                    data.get("relay_rounds"),
+                    data.get("per_message"),
+                ),
+                data.get("color_in", v),
+                data.get("part", 0),
+            )
+            for v, data in zip(order, map(plan.input_for, order))
+        )
+    config = None
+    colors, parts = [], []
+    for cfg, color, part in rows:
+        if config is None:
+            config = cfg
+        elif cfg != config:
+            return None  # non-uniform schedules
+        if not (_is_int64_safe(color) and _is_int64_safe(part)):
+            return None
+        colors.append(color)
+        parts.append(part)
+    colors = np.array(colors, dtype=np.int64)
+    parts = np.array(parts, dtype=np.int64)
+
+    schedule, relay, relay_rounds, per_message = config
+    try:
+        steps = [(d, q) for d, q, _m_new in schedule]
+        if relay:
+            packing = [
+                (per_message[k], relay_rounds[k])
+                for k in range(len(steps))
+            ]
+    except (TypeError, ValueError, IndexError):
+        return None  # the generator raises on these
+    for d, q in steps:
+        if not (
+            isinstance(d, int)
+            and isinstance(q, int)
+            and d >= 0
+            and 2 <= q < 2**31
+            and is_prime(q)
+        ):
+            return None
+    if relay and not all(
+        isinstance(p, int) and isinstance(r, int) and p >= 1
+        for p, r in packing
+    ):
+        return None
+    schedule_rounds = len(steps) + (
+        sum(max(0, r) for _p, r in packing) if relay else 0
+    )
+    if max_rounds <= schedule_rounds:
+        return None  # the halting resume would time out
+
+    traffic = _Traffic(network.policy.mode is not BandwidthMode.UNBOUNDED)
+    if relay:
+        indptr, indices = csr.g2_indptr, csr.g2_indices
+    else:
+        indptr, indices = csr.g_indptr, csr.g_indices
+    split = bool((parts != parts[0]).any())
+    same_part = None
+    if split:
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        same_part = parts[indices] == parts[owner]
+    part_bits = arrays.int_bits_array(parts) if traffic.metered else None
+    rank_of = functools.lru_cache(maxsize=None)(
+        lambda: _loop_rank(network, csr)
+    )
+
+    for k, (d, q) in enumerate(steps):
+        if int(colors.min()) < 0 or int(colors.max()) >= q ** (d + 1):
+            return None  # degree_le_polynomials raises
+        color_bits = (
+            arrays.int_bits_array(colors) if traffic.metered else None
+        )
+        traffic.add(
+            n, 14 + color_bits + part_bits if traffic.metered else None
+        )
+        if relay:
+            per_msg, rounds = packing[k]
+            if not _relay_traffic(
+                csr, traffic,
+                2 + color_bits if traffic.metered else None,
+                10, per_msg, max(0, rounds),
+                parts if split else None, rank_of,
+            ):
+                return None
+        colors = _linial_step(colors, d, q, indptr, indices, same_part)
+        if colors is None:
+            return None
+    if traffic.metered and traffic.max_bits > network._budget:
+        return None  # violations are reference's to count (or raise)
+
+    network.outputs.update(zip(order, colors.tolist()))
+
+    def writeback(programs):
+        for node, color in zip(order, colors.tolist()):
+            programs[node].color = color
+
+    if network.materialized:
+        writeback(network._programs)
+    else:
+        network._deferred_state.append(writeback)
+        network._vector_tables["color"] = _int_table(order, colors)
+    return _finish(
+        network, schedule_rounds, traffic.messages, traffic.bits,
+        traffic.max_bits, schedule_rounds + 1, False, False,
+        max_rounds, raise_on_timeout, halted=True,
+    )
+
+
+@register_kernel(ColorReductionProgram)
+def _color_reduction_kernel(
+    network, *, max_rounds, stop_when, raise_on_timeout
+):
+    """Vectorized :class:`ColorReductionProgram` (Theorem B.2).
+
+    After the ``(C, color)`` broadcast and the bit-packed gather, the
+    nodes recoloring in a phase are the strict G²-local maxima above
+    the target, so no two are d2-adjacent and a node recolors one
+    phase after the last of its higher-colored d2-neighbors (never, if
+    one of them never does or shares its color).  The kernel walks the
+    color levels top down: each level's phases come from a
+    ``row_max`` over its G² rows, and each recoloring node takes the
+    smallest color in ``[target]`` missing from its row — its
+    d2-neighbors above it have recolored by then and those below
+    cannot have.  Each recoloring costs one ``X`` broadcast plus one
+    ``F`` forward per G-neighbor.  All ``2·phases + 1 + gather_rounds``
+    rounds run; there is no early stop.
+    """
+    if stop_when is not None:
+        return None
+    plan = network.plan()
+    csr = plan.csr
+    if csr.has_selfloops:
+        return None
+    n = csr.n
+    order = csr.order
+    if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
+        return None  # node labels ride in the announcements
+
+    if network.materialized:
+        programs = network.programs
+        if any(
+            p.d2_colors or p.recolored_in_phase is not None
+            for p in programs.values()
+        ):
+            return None  # preseeded state: not a fresh run
+        rows = (
+            ((p.target, p.phases, p.gather_rounds, p.per_message), p.color)
+            for p in map(programs.__getitem__, order)
+        )
+    else:
+        rows = (
+            (
+                (
+                    data.get("target"),
+                    data.get("phases"),
+                    data.get("gather_rounds"),
+                    data.get("per_message"),
+                ),
+                data.get("color_in"),
+            )
+            for data in map(plan.input_for, order)
+        )
+    config = None
+    colors = []
+    for cfg, color in rows:
+        if config is None:
+            config = cfg
+        elif cfg != config:
+            return None  # non-uniform schedules
+        if not _is_int64_safe(color):
+            return None
+        colors.append(color)
+    colors = np.array(colors, dtype=np.int64)
+    target, phases, gather_rounds, per_message = config
+    if not (
+        all(
+            isinstance(v, int)
+            for v in (target, phases, gather_rounds, per_message)
+        )
+        and per_message >= 1
+        and _is_int64_safe(target)
+    ):
+        return None
+    phases = max(0, phases)
+    schedule_rounds = 1 + max(0, gather_rounds) + 2 * phases
+    if max_rounds <= schedule_rounds:
+        return None
+
+    traffic = _Traffic(network.policy.mode is not BandwidthMode.UNBOUNDED)
+    color_bits = arrays.int_bits_array(colors) if traffic.metered else None
+    traffic.add(n, 12 + color_bits if traffic.metered else None)
+    if not _relay_traffic(
+        csr, traffic, 2 + color_bits if traffic.metered else None, 10,
+        per_message, max(0, gather_rounds), None,
+        lambda: _loop_rank(network, csr),
+    ):
+        return None
+
+    g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
+    current = colors.copy()
+    # Phase each node recolors in; ``phases`` = never; -1 = not above
+    # the target or not reached yet (both read as "no constraint").
+    phase_of = np.full(n, -1, dtype=np.int64)
+    high = np.flatnonzero(colors >= target)
+    high = high[np.argsort(-colors[high], kind="stable")]
+    cuts = np.flatnonzero(np.diff(colors[high])) + 1
+    for level in np.split(high, cuts) if high.size else ():
+        pos, seg = _row_positions(g2_indptr, level)
+        nbrs = g2_indices[pos]
+        phase = arrays.row_max(phase_of[nbrs], seg, -1) + 1
+        tie = arrays.row_any(colors[nbrs] == colors[level[0]], seg)
+        phase[tie | (phase >= phases)] = phases
+        phase_of[level] = phase
+        win = np.flatnonzero(phase < phases)
+        if win.size == 0:
+            continue
+        wpos, wseg = _row_positions(g2_indptr, level[win])
+        fresh = _row_mex(current[g2_indices[wpos]], wseg)
+        if (fresh >= target).any():
+            return None  # no free color: the generator raises
+        current[level[win]] = fresh
+    recolored = np.where(
+        (colors >= target) & (phase_of < phases), phase_of, -1
+    )
+    won = np.flatnonzero(recolored >= 0)
+    copies = 1 + csr.degrees[won]
+    labels = np.asarray(order, dtype=np.int64)[won]
+    traffic.add(
+        int(copies.sum()),
+        16
+        + arrays.int_bits_array(labels)
+        + color_bits[won]
+        + arrays.int_bits_array(current[won])
+        if traffic.metered
+        else None,
+        copies,
+    )
+    if traffic.metered and traffic.max_bits > network._budget:
+        return None
+
+    network.outputs.update(zip(order, current.tolist()))
+    g_indptr, g_indices = csr.g_indptr, csr.g_indices
+
+    def d2_multiset(i):
+        # One count per adjacency plus one per 2-path, as announced.
+        row = g_indices[g_indptr[i]:g_indptr[i + 1]]
+        pos, _seg = _row_positions(g_indptr, row)
+        two = g_indices[pos]
+        seen = np.concatenate((row, two[two != i]))
+        return Counter(current[seen].tolist())
+
+    def recolored_table():
+        return {
+            node: (int(p) if p >= 0 else None)
+            for node, p in zip(order, recolored.tolist())
+        }
+
+    def writeback(programs):
+        table = recolored_table()
+        for i, node in enumerate(order):
+            program = programs[node]
+            program.color = int(current[i])
+            program.recolored_in_phase = table[node]
+            program.d2_colors = d2_multiset(i)
+
+    if network.materialized:
+        writeback(network._programs)
+    else:
+        network._deferred_state.append(writeback)
+        network._vector_tables["color"] = _int_table(order, current)
+        network._vector_tables["recolored_in_phase"] = recolored_table
+    return _finish(
+        network, schedule_rounds, traffic.messages, traffic.bits,
+        traffic.max_bits, schedule_rounds + 1, False, False,
+        max_rounds, raise_on_timeout, halted=True,
     )
 
 

@@ -9,6 +9,7 @@ adjacency artifact the kernels consume.
 """
 
 import pickle
+import random
 
 import networkx as nx
 import numpy as np
@@ -27,13 +28,17 @@ from repro.congest.errors import (
 )
 from repro.congest.message import int_bits
 from repro.congest.network import Network
-from repro.congest.policy import BandwidthPolicy
+from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.core.d2color import basic_d2_color, improved_d2_color
 from repro.core.trying import all_colored
+from repro.det.color_reduction import color_reduction_d2
 from repro.det.g_coloring import prime_between
+from repro.det.linial import linial_d2_coloring, linial_g_coloring
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
-from repro.exec import use_backend
+from repro.exec import get_backend, use_backend, vectorized
+from repro.exec.base import ExecutionBackend
+from repro.obs import NullRecorder, use_recorder
 from repro.util.primes import bertrand_prime
 from repro.exec.arrays import (
     build_csr,
@@ -437,6 +442,519 @@ class TestPolyPhaseKernels:
             stop_when=None,
             raise_on_timeout=False,
         )
+
+
+POLICIES = {
+    "track": BandwidthPolicy.track(),
+    "strict": BandwidthPolicy.strict(),
+    "unbounded": BandwidthPolicy.unbounded(),
+}
+
+#: Packs relay/gather chunks for a 40-bit budget but never meters one,
+#: so a decline under it can only come from the list lengths.
+_UNBOUNDED_40_BITS = BandwidthPolicy(
+    BandwidthMode.UNBOUNDED, beta=1, min_bits=40
+)
+
+
+class _Capturing(ExecutionBackend):
+    """Delegates to ``inner`` and keeps every network it runs."""
+
+    name = "capturing"
+
+    def __init__(self, inner):
+        self.inner = get_backend(inner)
+        self.networks = []
+
+    def execute(self, network, **kwargs):
+        self.networks.append(network)
+        return self.inner.execute(network, **kwargs)
+
+
+def _recipe(driver):
+    """A factory of fresh copies of the first network ``driver()``
+    runs (same graph, program, policy, Δ and inputs)."""
+    capture = _Capturing("fastpath")
+    with use_backend(capture):
+        try:
+            driver()
+        except Exception:  # noqa: BLE001 - the tests replay it
+            pass
+    net = capture.networks[0]
+    return lambda: Network(
+        net.graph,
+        net.program_factory,
+        policy=net.policy,
+        delta=net.delta,
+        inputs=net._inputs,
+    )
+
+
+def _fallback_causes(run):
+    """``run()``'s result and the ``exec.fallback`` causes it emitted."""
+    causes = []
+
+    class Rec(NullRecorder):
+        def event(self, name, attrs=None):
+            if name == "exec.fallback":
+                causes.append(attrs["cause"])
+
+    with use_recorder(Rec()):
+        result = run()
+    return result, causes
+
+
+def _shuffled(graph, seed):
+    """``graph`` with its nodes inserted in a shuffled order, so the
+    generator loop (and every inbox) runs in a non-sorted order."""
+    nodes = list(graph.nodes)
+    random.Random(seed).shuffle(nodes)
+    out = nx.Graph()
+    out.add_nodes_from(nodes)
+    out.add_edges_from(graph.edges)
+    return out
+
+
+def _assert_fixed_schedule_parity(make_network, state, prebuilt=False):
+    """vectorized ≡ fastpath on outputs, metrics and program ``state``
+    attributes — written back on a deferred materialization, or
+    directly when the nodes are ``prebuilt`` — with no fallback."""
+    fast_net, vec_net = make_network(), make_network()
+    if prebuilt:
+        vec_net.materialize()
+    fast = fast_net.run(backend="fastpath")
+    vec, causes = _fallback_causes(lambda: vec_net.run(backend="vectorized"))
+    assert causes == []
+    assert vec_net.materialized == prebuilt
+    assert vec.outputs == fast.outputs
+    assert vec.halted and fast.halted
+    assert _metrics_tuple(vec.metrics) == _metrics_tuple(fast.metrics)
+    assert vec_net.node_colors() == fast_net.node_colors()
+    for node in fast_net.programs:
+        fp, vp = fast_net.programs[node], vec_net.programs[node]
+        for attr in state:
+            assert getattr(vp, attr) == getattr(fp, attr), (node, attr)
+    assert vec_net._started == fast_net._started
+
+
+def _assert_declined(make_network, raises=None, **run_kwargs):
+    """The kernel declines (``kernel-declined``) and the fastpath
+    replay matches a plain fastpath run — errors included."""
+
+    def outcome(backend):
+        net = make_network()
+        try:
+            res = net.run(backend=backend, **run_kwargs)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return type(exc), str(exc)
+        return (
+            res.outputs,
+            _metrics_tuple(res.metrics),
+            res.halted,
+            {v: p.color for v, p in net.programs.items()},
+        )
+
+    vec, causes = _fallback_causes(lambda: outcome("vectorized"))
+    assert causes == ["kernel-declined"]
+    assert vec == outcome("fastpath")
+    if raises is not None:
+        assert vec[0] is raises
+
+
+_LINIAL = {"d2": linial_d2_coloring, "g": linial_g_coloring}
+
+
+def _wide_linial(graph, variant="d2", **kwargs):
+    """Linial on G² (or G) from a 10⁶-color input, so the schedule is
+    never empty (IDs of a small graph are already at the fixed
+    point)."""
+    return _LINIAL[variant](
+        graph,
+        color_in={v: 1000 * v + 7 for v in graph.nodes},
+        palette_in=10**6,
+        **kwargs,
+    )
+
+
+class TestLinialKernel:
+    """The plan-driven kernel behind Theorem B.1's Linial stage."""
+
+    @pytest.mark.parametrize("variant", sorted(_LINIAL))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_parity(self, variant, name, policy):
+        make = _recipe(
+            lambda: _wide_linial(
+                GRAPHS[name], variant, policy=POLICIES[policy]
+            )
+        )
+        assert make().plan().input_for(0)["schedule"]
+        _assert_fixed_schedule_parity(make, ("color",))
+
+    @pytest.mark.parametrize("name", ["gnp24", "petersen", "disconnected"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_parts_and_input_palette_parity(self, name, policy):
+        graph = GRAPHS[name]
+        parts = {v: v % 3 for v in graph.nodes}
+        make = _recipe(
+            lambda: _wide_linial(
+                graph,
+                policy=POLICIES[policy],
+                parts=parts,
+                conflict_degree=6,
+            )
+        )
+        assert len(make().plan().input_for(0)["schedule"]) >= 1
+        _assert_fixed_schedule_parity(make, ("color", "part"))
+
+    def test_prebuilt_nodes_parity(self):
+        graph = GRAPHS["gnp24"]
+        parts = {v: v % 2 for v in graph.nodes}
+        _assert_fixed_schedule_parity(
+            _recipe(lambda: _wide_linial(graph, parts=parts)),
+            ("color",),
+            prebuilt=True,
+        )
+
+    def test_empty_schedule(self):
+        # Palette already at the fixed point: zero rounds, the input
+        # colors come straight back.
+        graph = GRAPHS["gnp24"]
+        color_in = {v: v % 5 for v in graph.nodes}
+        make = _recipe(
+            lambda: linial_d2_coloring(
+                graph, color_in=color_in, palette_in=5
+            )
+        )
+        assert make().plan().input_for(0)["schedule"] == []
+        _assert_fixed_schedule_parity(make, ("color",))
+        assert make().run(backend="vectorized").outputs == color_in
+
+    def test_multi_chunk_relay_follows_inbox_order(self):
+        # Two-item relay chunks of variable-width colors: which items
+        # share a chunk, and so max_message_bits, follows the order the
+        # loop resumes senders in (graph.nodes), not the sorted order.
+        policy = BandwidthPolicy.track(beta=1, min_bits=100)
+        color_in = {v: (1 << (v % 23)) + v for v in range(24)}
+
+        def recipe(graph):
+            return _recipe(
+                lambda: linial_d2_coloring(
+                    graph, policy=policy, color_in=color_in,
+                    palette_in=1 << 23,
+                )
+            )
+
+        base = nx.gnp_random_graph(24, 0.25, seed=11)
+        shuffled = recipe(_shuffled(base, 0))
+        _assert_fixed_schedule_parity(shuffled, ("color",))
+        max_bits = lambda make: (  # noqa: E731
+            make().run(backend="vectorized").metrics.max_message_bits
+        )
+        assert max_bits(shuffled) != max_bits(recipe(base))
+
+    def test_declines_custom_stop_when(self):
+        _assert_declined(
+            _recipe(lambda: _wide_linial(GRAPHS["petersen"])),
+            stop_when=lambda net, rnd: rnd >= 1,
+            raise_on_timeout=False,
+        )
+
+    def test_declines_max_rounds_short_of_the_schedule(self):
+        make = _recipe(lambda: _wide_linial(GRAPHS["petersen"]))
+        rounds = make().run(backend="vectorized").rounds
+        assert rounds > 1
+        # The halting resume needs round index ``rounds`` to run.
+        for max_rounds in (1, rounds):
+            _assert_declined(
+                make, max_rounds=max_rounds, raise_on_timeout=False
+            )
+
+    def test_declines_self_loops(self):
+        graph = nx.cycle_graph(6)
+        graph.add_edge(2, 2)
+        _assert_declined(_recipe(lambda: linial_d2_coloring(graph)))
+
+    def test_declines_colors_outside_int64(self):
+        graph = GRAPHS["petersen"]
+        color_in = {v: 2**70 + v for v in graph.nodes}
+        _assert_declined(
+            _recipe(
+                lambda: linial_d2_coloring(
+                    graph, color_in=color_in, palette_in=2**71
+                )
+            )
+        )
+
+    def test_declines_relay_truncation(self):
+        # A declared Δ below the true max degree sizes the relay too
+        # short: the generators drop the tail of the star center's
+        # lists, which the kernel must not paper over.  (The conflict
+        # degree is set apart from Δ, so the full d2-neighborhood
+        # still leaves every node a free pair.)
+        _assert_declined(
+            _recipe(
+                lambda: _wide_linial(
+                    GRAPHS["star"],
+                    delta=1,
+                    conflict_degree=36,
+                    policy=_UNBOUNDED_40_BITS,
+                )
+            )
+        )
+
+    def test_declines_strict_budget_and_raises_identically(self):
+        _assert_declined(
+            _recipe(
+                lambda: _wide_linial(
+                    GRAPHS["gnp24"],
+                    policy=BandwidthPolicy.strict(beta=1, min_bits=16),
+                )
+            ),
+            raises=BandwidthExceededError,
+        )
+
+    def test_input_outside_the_polynomial_family_raises_identically(self):
+        # One color above the declared palette, past q^(d+1): no
+        # degree-d polynomial stands for it, and the generator raises.
+        graph = GRAPHS["gnp24"]
+        make = _recipe(lambda: _wide_linial(graph))
+        d, q, _m = make().plan().input_for(0)["schedule"][0]
+        color_in = {v: 1000 * v + 7 for v in graph.nodes}
+        color_in[0] = q ** (d + 1) + 5
+        _assert_declined(
+            _recipe(
+                lambda: linial_d2_coloring(
+                    graph, color_in=color_in, palette_in=10**6
+                )
+            ),
+            raises=ValueError,
+        )
+
+    def test_no_free_pair_raises_identically(self):
+        graph = GRAPHS["petersen"]
+        color_in = {v: v * 99991 for v in graph.nodes}
+        _assert_declined(
+            _recipe(
+                lambda: linial_d2_coloring(
+                    graph, color_in=color_in, palette_in=10**6,
+                    conflict_degree=1,
+                )
+            ),
+            raises=AssertionError,
+        )
+
+    def test_blocked_evaluation_table_matches(self, monkeypatch):
+        # n·q above the block budget: the per-block evaluation tables
+        # must pick the same pairs as the whole-graph one.
+        make = _recipe(lambda: _wide_linial(GRAPHS["gnp24"]))
+        whole = make().run(backend="vectorized")
+        monkeypatch.setattr(vectorized, "_BLOCK_ELEMS", 64)
+        blocked = make().run(backend="vectorized")
+        assert blocked.outputs == whole.outputs
+        assert _metrics_tuple(blocked.metrics) == _metrics_tuple(
+            whole.metrics
+        )
+
+
+def _reduction_inputs(graph):
+    """A valid d2-coloring (all colors distinct) with a palette of 3n,
+    to reduce down to Δ²+1."""
+    delta = max((d for _, d in graph.degree), default=0)
+    target = delta * delta + 1
+    color_in = {
+        v: 3 * i + i % 3 for i, v in enumerate(sorted(graph.nodes))
+    }
+    return color_in, max(3 * len(color_in), target), target
+
+
+class TestColorReductionKernel:
+    """The plan-driven kernel behind Theorem B.2's color reduction."""
+
+    STATE = ("color", "d2_colors", "recolored_in_phase")
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_parity(self, name, policy):
+        graph = GRAPHS[name]
+        color_in, palette_in, target = _reduction_inputs(graph)
+        _assert_fixed_schedule_parity(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph,
+                    color_in=color_in,
+                    palette_in=palette_in,
+                    target=target,
+                    policy=POLICIES[policy],
+                )
+            ),
+            self.STATE,
+        )
+
+    def test_prebuilt_nodes_parity(self):
+        graph = GRAPHS["gnp24"]
+        color_in, palette_in, target = _reduction_inputs(graph)
+        _assert_fixed_schedule_parity(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, color_in, palette_in, target=target
+                )
+            ),
+            self.STATE,
+            prebuilt=True,
+        )
+
+    def test_ties_block_both_nodes_forever(self):
+        # An invalid input: two d2-neighbors share the top color, so
+        # neither is ever a strict local maximum, nor is anything
+        # below them in a chain.
+        graph = nx.path_graph(6)
+        color_in = {0: 9, 1: 3, 2: 9, 3: 8, 4: 7, 5: 6}
+        _assert_fixed_schedule_parity(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, color_in=color_in, palette_in=10, target=5
+                )
+            ),
+            self.STATE,
+        )
+
+    def test_multi_chunk_gather_follows_inbox_order(self):
+        policy = BandwidthPolicy.track(beta=1, min_bits=120)
+
+        def recipe(graph):
+            return _recipe(
+                lambda: color_reduction_d2(
+                    graph,
+                    color_in={v: (1 << (v % 9)) + v for v in graph},
+                    palette_in=1 << 9,
+                    target=24,
+                    policy=policy,
+                )
+            )
+
+        base = nx.gnp_random_graph(24, 0.25, seed=11)
+        shuffled = recipe(_shuffled(base, 2))
+        _assert_fixed_schedule_parity(shuffled, self.STATE)
+        max_bits = lambda make: (  # noqa: E731
+            make().run(backend="vectorized").metrics.max_message_bits
+        )
+        assert max_bits(shuffled) != max_bits(recipe(base))
+
+    def test_declines_custom_stop_when(self):
+        graph = GRAPHS["petersen"]
+        color_in, palette_in, target = _reduction_inputs(graph)
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, color_in, palette_in, target=target
+                )
+            ),
+            stop_when=lambda net, rnd: False,
+            raise_on_timeout=False,
+        )
+
+    def test_declines_max_rounds_short_of_the_schedule(self):
+        graph = GRAPHS["petersen"]
+        color_in, palette_in, target = _reduction_inputs(graph)
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, color_in, palette_in, target=target
+                )
+            ),
+            max_rounds=5,
+            raise_on_timeout=False,
+        )
+
+    def test_declines_self_loops(self):
+        graph = nx.cycle_graph(6)
+        graph.add_edge(3, 3)
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, {v: v for v in graph}, 6, target=5
+                )
+            )
+        )
+
+    def test_declines_colors_outside_int64(self):
+        graph = nx.path_graph(4)
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, {v: 2**70 + v for v in graph}, 10, target=5
+                )
+            )
+        )
+
+    def test_declines_gather_truncation(self):
+        graph = GRAPHS["star"]
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph,
+                    {v: v + 7 for v in graph},
+                    14,
+                    target=7,
+                    delta=1,
+                    policy=_UNBOUNDED_40_BITS,
+                )
+            )
+        )
+
+    def test_declines_strict_budget_and_raises_identically(self):
+        graph = GRAPHS["gnp24"]
+        color_in, palette_in, target = _reduction_inputs(graph)
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, color_in, palette_in, target=target,
+                    policy=BandwidthPolicy.strict(beta=1, min_bits=16),
+                )
+            ),
+            raises=BandwidthExceededError,
+        )
+
+    def test_no_free_color_raises_identically(self):
+        # A target at or below a recoloring node's d2-degree leaves
+        # ``_smallest_free`` nothing to return.
+        graph = GRAPHS["petersen"]
+        _assert_declined(
+            _recipe(
+                lambda: color_reduction_d2(
+                    graph, {v: v for v in graph}, 10, target=3
+                )
+            ),
+            raises=AssertionError,
+        )
+
+
+class TestStep0Fallback:
+    def test_improved_step0_runs_without_generator_programs(self):
+        # Tier-1 guard of the det-fallback path: Δ² = 16 is below the
+        # Step-0 threshold on rr4-2048, so improved-d2color runs the
+        # whole deterministic chain — on kernels only.
+        from repro import registry
+        from repro.verify.checker import check_d2_coloring
+        from repro.workloads import instance_cache
+
+        instance = instance_cache().get("rr4-2048", 0)
+        capture = _Capturing("vectorized")
+        result, causes = _fallback_causes(
+            lambda: registry.get_algorithm("improved-d2color").run_on(
+                instance, seed=0, backend=capture
+            )
+        )
+        assert result.params["deterministic_fallback"]
+        assert causes == []
+        assert len(capture.networks) == 3
+        assert not any(net.materialized for net in capture.networks)
+        palette = instance.delta ** 2 + 1
+        report = check_d2_coloring(
+            instance.graphlike(), result.coloring, palette_size=palette
+        )
+        assert report.valid, report.explain()
 
 
 class TestRandomizedD2Kernel:

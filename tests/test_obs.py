@@ -338,6 +338,69 @@ class TestTracingNeverPerturbs:
         assert "exec.run" in names or "exec.kernel" in names
 
 
+class TestPaperPhaseSpans:
+    """The deterministic chain traces one span per paper stage, and
+    Step 0 of the randomized algorithms is an event."""
+
+    def _sweep(self):
+        cells = grid_cells(
+            specs=[
+                algo_registry.get_algorithm(name)
+                for name in ("improved-d2color", "deterministic-d2")
+            ],
+            # Δ² below c2·log2 n on both, so improved takes Step 0.
+            scenarios=[
+                get_workload(name) for name in ("path16", "high-girth3_24")
+            ],
+            seeds=(SEED,),
+        )
+        return SweepBackend(executor="serial", inner="vectorized").run_grid(
+            cells
+        )
+
+    def test_stage_spans_step0_events_and_identical_fingerprints(
+        self, tmp_path
+    ):
+        plain = self._sweep()
+        path = str(tmp_path / "t.jsonl")
+        rec = TraceRecorder(path)
+        with use_recorder(rec):
+            live = self._sweep()
+        rec.close()
+        assert live.fingerprint() == plain.fingerprint()
+
+        records = read_trace(path)
+        assert validate_trace(records) == []
+        ends = [r for r in iter_spans(records) if r["phase"] in "EX"]
+        stages = [r for r in ends if r["name"].startswith("det.")]
+        assert {r["name"] for r in stages} == {
+            "det.linial",
+            "det.locally_iterative",
+            "det.color_reduction",
+        }
+        for r in stages:
+            assert set(r["attrs"]) == {"rounds", "messages", "bits"}
+        # Every cell is the deterministic chain, so the stage spans
+        # account for every round and message of the sweep.
+        cells = [r for r in ends if r["name"] == "sweep.cell"]
+        assert len(cells) == 4
+        for key in ("rounds", "messages", "bits"):
+            assert sum(r["attrs"][key] for r in stages) == sum(
+                r["attrs"][key] for r in cells
+            )
+
+        step0 = [
+            r
+            for r in records
+            if r["kind"] == "event" and r["name"] == "core.step0_fallback"
+        ]
+        assert len(step0) == 2  # the two improved-d2color cells
+        for r in step0:
+            attrs = r["attrs"]
+            assert attrs["delta_sq"] < attrs["threshold"]
+            assert attrs["n"] in (16, 24)
+
+
 # ----------------------------------------------------------------------
 # the metrics registry
 
