@@ -6,8 +6,7 @@ d2-coloring algorithm must satisfy and checks it on a shared corpus:
 - the corpus itself lives in :mod:`repro.workloads` (the ``"corpus"``
   tag slice of the declarative workload registry — regular, random,
   dense, Moore-tight, degenerate, adversarial, and the related-work
-  families); :mod:`repro.conformance.scenarios` remains as a thin
-  compatibility shim over it;
+  families), re-exported here;
 - :mod:`repro.conformance.runner` — the differential runner executing
   every :data:`repro.registry.ALGORITHMS` spec on every applicable
   scenario, validating with :mod:`repro.verify.checker` against the
@@ -29,17 +28,11 @@ from repro.conformance.runner import (
     evaluate_pair,
     run_conformance,
 )
-from repro.conformance.scenarios import (
-    Scenario,
-    build_corpus,
-    build_large_corpus,
-    corpus_names,
-)
+from repro.workloads import build_corpus, build_large_corpus, corpus_names
 
 __all__ = [
     "ConformanceRecord",
     "ConformanceReport",
-    "Scenario",
     "build_corpus",
     "build_large_corpus",
     "coloring_fingerprint",

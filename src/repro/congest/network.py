@@ -257,12 +257,9 @@ class NetworkPlan:
         """O(1)-retained-state per-node draw streams (see
         :class:`LazyDraws`) — what kernels use instead of
         :meth:`rngs` so an unmaterialized million-node run never
-        holds a million ``random.Random`` objects."""
-        if self._rngs is not None:
-            # Streams already exist: lazy draws must advance them.
-            lazy = LazyDraws(self.rng_seeds())
-            lazy._kept = dict(enumerate(self._rngs))
-            return lazy
+        holds a million ``random.Random`` objects.  Kernels only run
+        on unmaterialized networks, so :meth:`rngs` has not built the
+        streams yet."""
         if self._lazy is None:
             self._lazy = LazyDraws(self.rng_seeds())
         return self._lazy

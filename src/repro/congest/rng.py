@@ -62,14 +62,9 @@ def derive_ints(
 
 
 def derive_uniforms(seed: Any, label: Any, items: Union[int, Iterable[Any]]):
-    """Bulk uniform floats in [0, 1): ``derive_ints`` scaled by 2⁻⁶⁴.
+    """Bulk uniform floats in [0, 1): ``derive_ints`` scaled by 2⁻⁶⁴,
+    as a numpy float64 array."""
+    import numpy as np
 
-    Returns a numpy float64 array when numpy is importable, else a
-    plain list — callers in the array engine always have numpy.
-    """
     ints = derive_ints(seed, label, items)
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - container always has numpy
-        return [i / 2.0**64 for i in ints]
     return np.asarray(ints, dtype=np.float64) / np.float64(2.0**64)

@@ -72,11 +72,15 @@ class RandomizedD2Program(
         self.similarity = None
         self.free_colors = None
         self.phase_log = []
+        #: The phase this node is in (set on entry).  A run that ends
+        #: before the phase completes books its unlogged rounds to it.
+        self.phase = "trials" if self.variant == "improved" else "similarity"
 
     # ------------------------------------------------------------------
 
     def _tracked(self, name: str, sub):
         """Delegate to a sub-protocol while counting its rounds."""
+        self.phase = name
         rounds = 0
         try:
             outbox = sub.send(None)
@@ -134,6 +138,7 @@ class RandomizedD2Program(
             self.free_colors = yield from self._tracked(
                 "learn-palette", self.learn_palette(self.learn_config)
             )
+            self.phase = "finish"
             yield from self.finish_coloring(
                 self.free_colors, self.palette, self.forward_per_round
             )
@@ -144,6 +149,7 @@ class RandomizedD2Program(
             )
             yield from self._trials_or_prefix()
             yield from self._tracked("reduce-ladder", self._ladder())
+            self.phase = "final-reduce"
             yield from self._final_reduce_forever()
 
 
@@ -237,18 +243,18 @@ def _run_randomized(
             "similarity_exact": sim_config.exact,
         },
     )
-    # Per-phase rounds (identical schedule at every node up to the
-    # open-ended final phase, whose cost is the remainder).
+    # Per-phase rounds (identical schedule at every node).  The phase
+    # running when the run ended — the open-ended final one, or one
+    # the stop monitor or max_rounds cut short — gets the remainder.
     sample_program = network.programs[next(iter(network.programs))]
     logged = 0
     for name, rounds in sample_program.phase_log:
         result.phases.append(PhaseResult(name, rounds))
         logged += rounds
-    final_name = (
-        "finish" if variant == "improved" else "final-reduce"
-    )
     result.phases.append(
-        PhaseResult(final_name, max(0, run.metrics.rounds - logged))
+        PhaseResult(
+            sample_program.phase, max(0, run.metrics.rounds - logged)
+        )
     )
     return result
 

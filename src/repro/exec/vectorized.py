@@ -43,11 +43,14 @@ Coverage is per program class, not per call site:
   Step-0 fallback is the ``deterministic-d2`` chain, so on low-Δ
   graphs they run with zero generator programs.
 
-Everything else — and every run a kernel cannot replay exactly
-(custom ``stop_when`` monitors, ``avoid_known`` candidate selection,
-self-loop graphs, metered payloads that could exceed the budget,
-values that could leave int64, preseeded program state) — falls back
-to ``fastpath`` automatically, so ``backend="vectorized"`` is always
+Kernels read their input from the plan only.  A network whose Python
+nodes already exist may hold program state no plan input describes,
+so it goes straight to the generator loop (fallback cause
+``materialized``).  Everything else — and every run a kernel cannot
+replay exactly (custom ``stop_when`` monitors, ``avoid_known``
+candidate selection, self-loop graphs, metered payloads that could
+exceed the budget, values that could leave int64) — falls back to
+``fastpath`` automatically, so ``backend="vectorized"`` is always
 safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
 ``tests/test_exec_vectorized.py``.
@@ -58,6 +61,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from typing import Callable, Dict, Optional, Type
+
+import numpy as np
 
 from repro.baselines.luby import (
     _STATE_DOMINATED,
@@ -78,18 +83,11 @@ from repro.det.color_reduction import ColorReductionProgram
 from repro.det.linial import LinialProgram
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
+from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
 from repro.exec.fastpath import PAUSED, GeneratorLoop
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
-
-try:  # numpy/scipy are required deps, but degrade gracefully without
-    import numpy as np
-
-    from repro.exec import arrays
-except ImportError:  # pragma: no cover - container always has numpy
-    np = None
-    arrays = None
 
 #: Values any node ever sends stay strictly inside int64 under this
 #: bound, and every array comparison is exact.
@@ -154,58 +152,41 @@ class VectorizedBackend(ExecutionBackend):
         record_rounds: bool = False,
     ):
         rec = obs_trace.recorder()
-        fallback_cause = None
-        if np is not None and not record_rounds and not network._started:
-            kernel = None
-            if network.materialized:
-                if len(network._generators) == len(network.programs):
-                    classes = {
-                        type(program)
-                        for program in network.programs.values()
-                    }
-                    if len(classes) == 1:
-                        kernel = KERNELS.get(classes.pop())
-                    else:
-                        fallback_cause = "mixed-programs"
-                else:
-                    fallback_cause = "partial-generators"
-            elif isinstance(network.program_factory, type):
-                # Unmaterialized + class factory: dispatch without
-                # building a single Python node.
-                kernel = KERNELS.get(network.program_factory)
-            if kernel is not None:
-                trace_t0 = rec.clock() if rec is not None else 0.0
-                result = kernel(
-                    network,
-                    max_rounds=max_rounds,
-                    stop_when=stop_when,
-                    raise_on_timeout=raise_on_timeout,
-                )
-                if result is not None:
-                    if rec is not None:
-                        rec.complete(
-                            "exec.kernel",
-                            trace_t0,
-                            {
-                                "kernel": kernel.__name__,
-                                "rounds": result.metrics.rounds,
-                                "messages": result.metrics.total_messages,
-                                "bits": result.metrics.total_bits,
-                            },
-                        )
-                    return result
-                fallback_cause = "kernel-declined"
-            elif fallback_cause is None:
-                fallback_cause = "no-kernel"
-        elif fallback_cause is None:
-            if np is None:
-                fallback_cause = "no-numpy"
-            elif record_rounds:
-                fallback_cause = "record-rounds"
-            else:
-                fallback_cause = "already-started"
+        factory = network.program_factory
+        kernel = KERNELS.get(factory) if isinstance(factory, type) else None
+        if record_rounds:
+            cause = "record-rounds"
+        elif network._started:
+            cause = "already-started"
+        elif network.materialized:
+            # Built programs may hold state no plan input describes.
+            cause = "materialized"
+        elif kernel is None:
+            cause = "no-kernel"
+        else:
+            trace_t0 = rec.clock() if rec is not None else 0.0
+            result = kernel(
+                network,
+                max_rounds=max_rounds,
+                stop_when=stop_when,
+                raise_on_timeout=raise_on_timeout,
+            )
+            if result is not None:
+                if rec is not None:
+                    rec.complete(
+                        "exec.kernel",
+                        trace_t0,
+                        {
+                            "kernel": kernel.__name__,
+                            "rounds": result.metrics.rounds,
+                            "messages": result.metrics.total_messages,
+                            "bits": result.metrics.total_bits,
+                        },
+                    )
+                return result
+            cause = "kernel-declined"
         if rec is not None:
-            rec.event("exec.fallback", {"cause": fallback_cause})
+            rec.event("exec.fallback", {"cause": cause})
         from repro.exec import get_backend
 
         return get_backend("fastpath").execute(
@@ -217,8 +198,49 @@ class VectorizedBackend(ExecutionBackend):
         )
 
 
-def _finish(network, rounds, total_messages, total_bits,
-            max_message_bits, executed, stopped_early, timed_out,
+class _Traffic:
+    """Message/bit totals of a kernel run (bits are only sized under
+    metered policies)."""
+
+    __slots__ = ("metered", "messages", "bits", "max_bits")
+
+    def __init__(self, network):
+        self.metered = network.policy.mode is not BandwidthMode.UNBOUNDED
+        self.messages = 0
+        self.bits = 0
+        self.max_bits = 0
+
+    def add(self, messages, sizes=None, copies=None):
+        """Count ``messages``; metered runs also pass each distinct
+        payload's bit size (one int when they all share it) and how
+        many messages carry it (one each when ``copies`` is None).
+        ``max_bits`` only sees payloads actually sent."""
+        messages = int(messages)
+        self.messages += messages
+        if not (self.metered and messages):
+            return
+        if isinstance(sizes, int):
+            self.bits += messages * sizes
+            biggest = sizes
+        elif copies is None:
+            self.bits += int(sizes.sum())
+            biggest = sizes.max()
+        else:
+            self.bits += int((sizes * copies).sum())
+            biggest = sizes[copies > 0].max()
+        self.max_bits = max(self.max_bits, int(biggest))
+
+
+def _publish(network, writeback, **tables):
+    """Publish a kernel run's end-state without building a node:
+    ``writeback(programs)`` runs if the network materializes later,
+    and ``tables`` (``{attr: () -> {node: value}}``) serve
+    ``node_colors()``/``node_table()`` until then."""
+    network._deferred_state.append(writeback)
+    network._vector_tables.update(tables)
+
+
+def _finish(network, rounds, traffic, executed, stopped_early, timed_out,
             max_rounds, raise_on_timeout, halted=False):
     """Shared tail: mirror reference's started flag, timeout raise,
     and result assembly."""
@@ -232,9 +254,9 @@ def _finish(network, rounds, total_messages, total_bits,
         )
     metrics = RunMetrics(
         rounds=rounds,
-        total_messages=total_messages,
-        total_bits=total_bits,
-        max_message_bits=max_message_bits,
+        total_messages=traffic.messages,
+        total_bits=traffic.bits,
+        max_message_bits=traffic.max_bits,
         budget_bits=network._budget,
         violations=0,
         worst_violation_bits=0,
@@ -279,42 +301,30 @@ class _TryState:
         self.cand = np.full(n, -1, dtype=np.int64)
 
 
-class _Meter:
-    """Metering accumulators + precomputed payload base sizes."""
+#: Try-phase payload sizes: a ``(tag, candidate)`` try or adopt costs
+#: its base plus ``int_bits(candidate)``; a verdict is fixed-size.
+_TRY_BASE = bit_size((TAG_TRY, 0)) - 1
+_ADOPT_BASE = bit_size((TAG_ADOPT, 0)) - 1
+_VERDICT_BITS = bit_size((TAG_VERDICT, True))
 
-    __slots__ = ("metered", "try_base", "adopt_base", "verdict_bits",
-                 "total_messages", "total_bits", "max_message_bits")
 
-    def __init__(self, metered):
-        self.metered = metered
-        self.try_base = bit_size((TAG_TRY, 0)) - 1
-        self.adopt_base = bit_size((TAG_ADOPT, 0)) - 1
-        self.verdict_bits = bit_size((TAG_VERDICT, True))
-        self.total_messages = 0
-        self.total_bits = 0
-        self.max_message_bits = 0
-
-    def fits(self, worst_value, budget) -> bool:
-        """Whether the worst-case try/verdict/adopt payload stays in
-        budget (else the run must replay via fastpath so STRICT
-        violations raise at the exact reference round)."""
-        if not self.metered:
-            return True
-        worst = int_bits(int(worst_value))
-        return (
-            max(
-                self.try_base + worst,
-                self.adopt_base + worst,
-                self.verdict_bits,
-            )
-            <= budget
-        )
+def _try_phases_fit(network, worst_value) -> bool:
+    """Whether the worst-case try/verdict/adopt payload stays in
+    budget (else the run must replay via fastpath so STRICT violations
+    raise at the exact reference round)."""
+    if network.policy.mode is BandwidthMode.UNBOUNDED:
+        return True
+    worst = int_bits(int(worst_value))
+    return (
+        max(_TRY_BASE + worst, _ADOPT_BASE + worst, _VERDICT_BITS)
+        <= network._budget
+    )
 
 
 def _run_try_phases(
     csr,
     st: "_TryState",
-    meter: "_Meter",
+    traffic: _Traffic,
     draw,
     *,
     start_round: int,
@@ -334,6 +344,7 @@ def _run_try_phases(
     """
     rec = obs_trace.recorder()
     trace_t0 = rec.clock() if rec is not None else 0.0
+    messages0, bits0 = traffic.messages, traffic.bits
     colors = st.colors
     announced = st.announced
     adopt_iter = st.adopt_iter
@@ -342,10 +353,7 @@ def _run_try_phases(
     g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
     deg = csr.degrees
     d2_deg = csr.d2_degrees
-    metered = meter.metered
-    try_base = meter.try_base
-    adopt_base = meter.adopt_base
-    verdict_bits = meter.verdict_bits
+    metered = traffic.metered
 
     adopt_idx = np.empty(0, dtype=np.int64)
     pending_verdicts = 0
@@ -378,15 +386,14 @@ def _run_try_phases(
                     (r - start_round) // 3, live_idx
                 )
             send_deg = deg[live_idx]
-            msgs = int(send_deg.sum())
-            pending_verdicts = msgs
-            meter.total_messages += msgs
-            if metered and msgs:
-                pb = try_base + arrays.int_bits_array(cand[live_idx])
-                meter.total_bits += int((send_deg * pb).sum())
-                biggest = int(pb[send_deg > 0].max())
-                if biggest > meter.max_message_bits:
-                    meter.max_message_bits = biggest
+            pending_verdicts = int(send_deg.sum())
+            traffic.add(
+                pending_verdicts,
+                _TRY_BASE + arrays.int_bits_array(cand[live_idx])
+                if metered
+                else None,
+                send_deg,
+            )
             # The phase's adoption outcome, decided on the state every
             # verdict server will hold in round B (colors/announced
             # only change at k == 2, never between here and there).
@@ -407,23 +414,16 @@ def _run_try_phases(
                 (cand >= 0) & ~(conflict_g | conflict_2)
             )
         elif k == 1:
-            meter.total_messages += pending_verdicts
-            if metered and pending_verdicts:
-                meter.total_bits += pending_verdicts * verdict_bits
-                if verdict_bits > meter.max_message_bits:
-                    meter.max_message_bits = verdict_bits
+            traffic.add(pending_verdicts, _VERDICT_BITS)
         else:
             send_deg = deg[adopt_idx]
-            msgs = int(send_deg.sum())
-            meter.total_messages += msgs
-            if metered and msgs:
-                pb = adopt_base + arrays.int_bits_array(
-                    cand[adopt_idx]
-                )
-                meter.total_bits += int((send_deg * pb).sum())
-                biggest = int(pb[send_deg > 0].max())
-                if biggest > meter.max_message_bits:
-                    meter.max_message_bits = biggest
+            traffic.add(
+                send_deg.sum(),
+                _ADOPT_BASE + arrays.int_bits_array(cand[adopt_idx])
+                if metered
+                else None,
+                send_deg,
+            )
             colors[adopt_idx] = cand[adopt_idx]
             announced[adopt_idx] = True
             adopt_iter[adopt_idx] = r
@@ -438,6 +438,8 @@ def _run_try_phases(
                 "end_round": r,
                 "rounds": rounds,
                 "status": break_status,
+                "messages": traffic.messages - messages0,
+                "bits": traffic.bits - bits0,
             },
         )
     return r, rounds, break_status
@@ -484,7 +486,7 @@ def _int_table(order, values):
 @register_kernel(TrialProgram, specs=("trial", "trial-slack"))
 def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     """Vectorized :class:`TrialProgram` — runs off the
-    :class:`NetworkPlan`; no Python nodes unless already built."""
+    :class:`NetworkPlan`; builds no Python node."""
     if stop_when is not None and stop_when is not all_colored:
         return None
     plan = network.plan()
@@ -496,62 +498,32 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     palettes = np.empty(n, dtype=np.int64)
     colors = np.full(n, -1, dtype=np.int64)
-    if network.materialized:
-        programs = network.programs
-        for i, node in enumerate(order):
-            program = programs[node]
-            if program.avoid_known or program.nbr_colors:
-                return None
-            palette = program.palette
+    for i, node in enumerate(order):
+        data = plan.input_for(node)
+        if data.get("avoid_known", False):
+            return None
+        palette = data.get("palette")
+        if (
+            not isinstance(palette, int)
+            or palette <= 0
+            or palette >= _INT64_SAFE
+        ):
+            return None  # incl. missing key: constructor decides
+        palettes[i] = palette
+        color = data.get("color")
+        if color is not None:
             if (
-                not isinstance(palette, int)
-                or palette <= 0
-                or palette >= _INT64_SAFE
+                not isinstance(color, int)
+                or color < 0
+                or color >= _INT64_SAFE
             ):
-                return None
-            palettes[i] = palette
-            color = program.color
-            if color is not None:
-                if (
-                    not isinstance(color, int)
-                    or color < 0
-                    or color >= _INT64_SAFE
-                ):
-                    return None  # negative breaks the -1 sentinel
-                colors[i] = color
-        rngs = [programs[v].ctx.rng for v in order]
-        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
-    else:
-        for i, node in enumerate(order):
-            data = plan.input_for(node)
-            if data.get("avoid_known", False):
-                return None
-            palette = data.get("palette")
-            if (
-                not isinstance(palette, int)
-                or palette <= 0
-                or palette >= _INT64_SAFE
-            ):
-                return None  # incl. missing key: constructor decides
-            palettes[i] = palette
-            color = data.get("color")
-            if color is not None:
-                if (
-                    not isinstance(color, int)
-                    or color < 0
-                    or color >= _INT64_SAFE
-                ):
-                    return None
-                colors[i] = color
-        # Lazy per-node streams: a million-node run never holds a
-        # million Random objects (see NetworkPlan.lazy_draws).
-        draw_one = plan.lazy_draws().randrange
-
-    metered = network.policy.mode is not BandwidthMode.UNBOUNDED
-    meter = _Meter(metered)
-    if not meter.fits(int(palettes.max()) - 1, network._budget):
+                return None  # negative breaks the -1 sentinel
+            colors[i] = color
+    if not _try_phases_fit(network, int(palettes.max()) - 1):
         return None  # could violate: replay exactly via fastpath
-
+    # Lazy per-node streams: a million-node run never holds a million
+    # Random objects (see NetworkPlan.lazy_draws).
+    draw_one = plan.lazy_draws().randrange
     phases_tried = np.zeros(n, dtype=np.int64)
 
     def draw(_phase, live_idx):
@@ -561,9 +533,10 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             for i in live_idx.tolist()
         ]
 
+    traffic = _Traffic(network)
     st = _TryState(n, colors)
     r, rounds, status = _run_try_phases(
-        csr, st, meter, draw,
+        csr, st, traffic, draw,
         start_round=0, end_round=None, max_rounds=max_rounds,
         check_stop=stop_when is not None, idle_forever=True,
     )
@@ -580,17 +553,13 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             program.phases_tried = int(phases_tried[i])
             program.nbr_colors = nbr_tables(i)
 
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _color_table(order, colors)
-        network._vector_tables["phases_tried"] = _int_table(
-            order, phases_tried
-        )
+    _publish(
+        network, writeback,
+        color=_color_table(order, colors),
+        phases_tried=_int_table(order, phases_tried),
+    )
     return _finish(
-        network, rounds, meter.total_messages, meter.total_bits,
-        meter.max_message_bits, r, status == "stopped",
+        network, rounds, traffic, r, status == "stopped",
         status == "timeout", max_rounds, raise_on_timeout,
     )
 
@@ -620,54 +589,30 @@ def _poly_phase_kernel(
     b = np.empty(n, dtype=np.int64)
     offset = np.zeros(n, dtype=np.int64)
     qs = set()
-    if network.materialized:
-        programs = network.programs
-        for i, node in enumerate(order):
-            program = programs[node]
+    for i, node in enumerate(order):
+        data = plan.input_for(node)
+        q = data.get("q")
+        color_in = data.get("color_in")
+        if (
+            not isinstance(q, int)
+            or q <= 0
+            or q * q >= _INT64_SAFE
+            or not isinstance(color_in, int)
+            or not 0 <= color_in < q * q
+        ):
+            return None  # constructor raises on the real run
+        qs.add(q)
+        a[i] = color_in // q
+        b[i] = color_in % q
+        if with_parts:
+            part = data.get("part")
             if (
-                program.color is not None
-                or program.nbr_colors
-                or program.blocked_phases
+                not isinstance(part, int)
+                or part < 0
+                or part * q >= _INT64_SAFE
             ):
-                return None  # preseeded state: not a fresh run
-            q = program.q
-            if not isinstance(q, int) or q <= 0 or q * q >= _INT64_SAFE:
                 return None
-            qs.add(q)
-            if not (0 <= program.poly.a < q and 0 <= program.poly.b < q):
-                return None  # hand-built Poly1 outside F_q
-            a[i] = program.poly.a
-            b[i] = program.poly.b
-            if with_parts:
-                off = program.offset
-                if not isinstance(off, int) or not 0 <= off < _INT64_SAFE:
-                    return None
-                offset[i] = off
-    else:
-        for i, node in enumerate(order):
-            data = plan.input_for(node)
-            q = data.get("q")
-            color_in = data.get("color_in")
-            if (
-                not isinstance(q, int)
-                or q <= 0
-                or q * q >= _INT64_SAFE
-                or not isinstance(color_in, int)
-                or not 0 <= color_in < q * q
-            ):
-                return None  # constructor raises on the real run
-            qs.add(q)
-            a[i] = color_in // q
-            b[i] = color_in % q
-            if with_parts:
-                part = data.get("part")
-                if (
-                    not isinstance(part, int)
-                    or part < 0
-                    or part * q >= _INT64_SAFE
-                ):
-                    return None
-                offset[i] = part * q
+            offset[i] = part * q
     if len(qs) != 1:
         return None  # mixed q: phase schedules diverge per node
     q = qs.pop()
@@ -675,9 +620,7 @@ def _poly_phase_kernel(
     if worst_candidate >= _INT64_SAFE:
         return None
 
-    metered = network.policy.mode is not BandwidthMode.UNBOUNDED
-    meter = _Meter(metered)
-    if not meter.fits(worst_candidate, network._budget):
+    if not _try_phases_fit(network, worst_candidate):
         return None
 
     def draw(phase, live_idx):
@@ -685,11 +628,12 @@ def _poly_phase_kernel(
             (a[live_idx] + b[live_idx] * phase) % q + offset[live_idx]
         )
 
+    traffic = _Traffic(network)
     st = _TryState(n)
     colors, adopt_iter = st.colors, st.adopt_iter
     end_round = 3 * q
     r, rounds, status = _run_try_phases(
-        csr, st, meter, draw,
+        csr, st, traffic, draw,
         start_round=0, end_round=end_round, max_rounds=max_rounds,
         check_stop=stop_when is not None,
     )
@@ -736,17 +680,13 @@ def _poly_phase_kernel(
                     int(adopt_phase[i]) if success_known[i] else None
                 )
 
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _color_table(order, colors)
-        network._vector_tables["blocked_phases"] = _int_table(
-            order, blocked
-        )
+    _publish(
+        network, writeback,
+        color=_color_table(order, colors),
+        blocked_phases=_int_table(order, blocked),
+    )
     return _finish(
-        network, rounds, meter.total_messages, meter.total_bits,
-        meter.max_message_bits, r, status == "stopped",
+        network, rounds, traffic, r, status == "stopped",
         status == "timeout", max_rounds, raise_on_timeout,
         halted=halted,
     )
@@ -783,32 +723,6 @@ def _part_locally_iterative_kernel(
 
 #: Elements per ``(pairs, q)`` temporary of the Linial kernel.
 _BLOCK_ELEMS = 1 << 20
-
-
-class _Traffic:
-    """Message/bit totals of a fixed-schedule kernel run (bits are
-    only sized under metered policies)."""
-
-    __slots__ = ("metered", "messages", "bits", "max_bits")
-
-    def __init__(self, metered):
-        self.metered = metered
-        self.messages = 0
-        self.bits = 0
-        self.max_bits = 0
-
-    def add(self, messages, sizes=None, copies=None):
-        """Count ``messages``; metered runs also pass each distinct
-        payload's bit size and how many messages carry it (one each
-        when ``copies`` is None)."""
-        self.messages += int(messages)
-        if not (self.metered and messages):
-            return
-        if copies is None:
-            self.bits += int(sizes.sum())
-        else:
-            self.bits += int((sizes * copies).sum())
-        self.max_bits = max(self.max_bits, int(sizes.max()))
 
 
 def _loop_rank(network, csr):
@@ -1025,30 +939,19 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    if network.materialized:
-        programs = network.programs
-        rows = (
+    rows = (
+        (
             (
-                (p.schedule, p.relay, p.relay_rounds, p.per_message),
-                p.color,
-                p.part,
-            )
-            for p in map(programs.__getitem__, order)
+                data.get("schedule"),
+                data.get("relay"),
+                data.get("relay_rounds"),
+                data.get("per_message"),
+            ),
+            data.get("color_in", v),
+            data.get("part", 0),
         )
-    else:
-        rows = (
-            (
-                (
-                    data.get("schedule"),
-                    data.get("relay"),
-                    data.get("relay_rounds"),
-                    data.get("per_message"),
-                ),
-                data.get("color_in", v),
-                data.get("part", 0),
-            )
-            for v, data in zip(order, map(plan.input_for, order))
-        )
+        for v, data in zip(order, map(plan.input_for, order))
+    )
     config = None
     colors, parts = [], []
     for cfg, color, part in rows:
@@ -1093,7 +996,7 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     if max_rounds <= schedule_rounds:
         return None  # the halting resume would time out
 
-    traffic = _Traffic(network.policy.mode is not BandwidthMode.UNBOUNDED)
+    traffic = _Traffic(network)
     if relay:
         indptr, indices = csr.g2_indptr, csr.g2_indices
     else:
@@ -1138,15 +1041,10 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         for node, color in zip(order, colors.tolist()):
             programs[node].color = color
 
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _int_table(order, colors)
+    _publish(network, writeback, color=_int_table(order, colors))
     return _finish(
-        network, schedule_rounds, traffic.messages, traffic.bits,
-        traffic.max_bits, schedule_rounds + 1, False, False,
-        max_rounds, raise_on_timeout, halted=True,
+        network, schedule_rounds, traffic, schedule_rounds + 1, False,
+        False, max_rounds, raise_on_timeout, halted=True,
     )
 
 
@@ -1180,30 +1078,18 @@ def _color_reduction_kernel(
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
         return None  # node labels ride in the announcements
 
-    if network.materialized:
-        programs = network.programs
-        if any(
-            p.d2_colors or p.recolored_in_phase is not None
-            for p in programs.values()
-        ):
-            return None  # preseeded state: not a fresh run
-        rows = (
-            ((p.target, p.phases, p.gather_rounds, p.per_message), p.color)
-            for p in map(programs.__getitem__, order)
-        )
-    else:
-        rows = (
+    rows = (
+        (
             (
-                (
-                    data.get("target"),
-                    data.get("phases"),
-                    data.get("gather_rounds"),
-                    data.get("per_message"),
-                ),
-                data.get("color_in"),
-            )
-            for data in map(plan.input_for, order)
+                data.get("target"),
+                data.get("phases"),
+                data.get("gather_rounds"),
+                data.get("per_message"),
+            ),
+            data.get("color_in"),
         )
+        for data in map(plan.input_for, order)
+    )
     config = None
     colors = []
     for cfg, color in rows:
@@ -1230,7 +1116,7 @@ def _color_reduction_kernel(
     if max_rounds <= schedule_rounds:
         return None
 
-    traffic = _Traffic(network.policy.mode is not BandwidthMode.UNBOUNDED)
+    traffic = _Traffic(network)
     color_bits = arrays.int_bits_array(colors) if traffic.metered else None
     traffic.add(n, 12 + color_bits if traffic.metered else None)
     if not _relay_traffic(
@@ -1307,16 +1193,14 @@ def _color_reduction_kernel(
             program.recolored_in_phase = table[node]
             program.d2_colors = d2_multiset(i)
 
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _int_table(order, current)
-        network._vector_tables["recolored_in_phase"] = recolored_table
+    _publish(
+        network, writeback,
+        color=_int_table(order, current),
+        recolored_in_phase=recolored_table,
+    )
     return _finish(
-        network, schedule_rounds, traffic.messages, traffic.bits,
-        traffic.max_bits, schedule_rounds + 1, False, False,
-        max_rounds, raise_on_timeout, halted=True,
+        network, schedule_rounds, traffic, schedule_rounds + 1, False,
+        False, max_rounds, raise_on_timeout, halted=True,
     )
 
 
@@ -1349,8 +1233,8 @@ def _randomized_d2_kernel(
     One documented deviation: when the run stops or times out *inside*
     the trials window of the ``basic`` variant, the deferred similarity
     tail never executes, so ``program.similarity`` stays ``None`` (the
-    phase log is patched and colors/metrics/rounds still match
-    reference exactly).
+    phase log and the current phase are patched, and colors, metrics
+    and rounds still match reference exactly).
     """
     if stop_when is not None and stop_when is not all_colored:
         return None
@@ -1361,34 +1245,15 @@ def _randomized_d2_kernel(
     n = csr.n
     order = csr.order
 
-    configs = set()
-    if network.materialized:
-        for program in network.programs.values():
-            if (
-                program.color is not None
-                or program.nbr_colors
-                or program.phase_log
-            ):
-                return None  # not a fresh run
-            configs.add(
-                (
-                    program.palette,
-                    program.variant,
-                    program.initial_trials,
-                    program.sim_config,
-                )
-            )
-    else:
-        for node in order:
-            data = plan.input_for(node)
-            configs.add(
-                (
-                    data.get("palette"),
-                    data.get("variant"),
-                    data.get("initial_trials"),
-                    data.get("sim_config"),
-                )
-            )
+    configs = {
+        (
+            data.get("palette"),
+            data.get("variant"),
+            data.get("initial_trials"),
+            data.get("sim_config"),
+        )
+        for data in map(plan.input_for, order)
+    }
     if len(configs) != 1:
         return None
     palette, variant, trials, sim_config = configs.pop()
@@ -1403,9 +1268,7 @@ def _randomized_d2_kernel(
     if not isinstance(trials, int) or trials <= 0:
         return None
 
-    metered = network.policy.mode is not BandwidthMode.UNBOUNDED
-    meter = _Meter(metered)
-    if not meter.fits(palette - 1, network._budget):
+    if not _try_phases_fit(network, palette - 1):
         return None
 
     # Identical at every node by construction (see SimilarityMixin).
@@ -1442,19 +1305,20 @@ def _randomized_d2_kernel(
             rngs[i].randrange(palette) for i in live_idx.tolist()
         ]
 
-    meter.total_messages = loop.total_messages
-    meter.total_bits = loop.total_bits
-    meter.max_message_bits = loop.max_message_bits
+    traffic = _Traffic(network)
+    traffic.messages = loop.total_messages
+    traffic.bits = loop.total_bits
+    traffic.max_bits = loop.max_message_bits
     st = _TryState(n)
     colors, adopt_iter = st.colors, st.adopt_iter
     r, rounds, status = _run_try_phases(
-        csr, st, meter, draw,
+        csr, st, traffic, draw,
         start_round=prologue, end_round=window_end,
         max_rounds=max_rounds, check_stop=stop_when is not None,
     )
-    loop.total_messages = meter.total_messages
-    loop.total_bits = meter.total_bits
-    loop.max_message_bits = meter.max_message_bits
+    loop.total_messages = traffic.messages
+    loop.total_bits = traffic.bits
+    loop.max_message_bits = traffic.max_bits
     loop.rounds += rounds
     loop.round_index = r
     if r > 0:
@@ -1474,14 +1338,23 @@ def _randomized_d2_kernel(
         program.color = c if c >= 0 else None
         program.nbr_colors = nbr_tables(i)
 
-    if status != "done":
-        # Stopped or timed out mid-window.  Reference programs logged
-        # the similarity phase at the boundary resume (round
-        # ``prologue``) — patch it in iff that round actually ran; the
-        # trials entry is only logged once the section completes.
-        if variant == "basic" and r > prologue:
-            for program in programs.values():
+    def enter_trials():
+        """Replay what the boundary resume (round ``prologue``) logs
+        when the run ends before the generators reach it: ``basic``
+        programs complete similarity there, and every program enters
+        the trials section (whose entry is only logged once the
+        section completes)."""
+        for program in programs.values():
+            program._kernel_prefix = None
+            if variant == "basic":
                 program.phase_log.append(("similarity", prologue))
+            program.phase = "trials"
+
+    if status != "done":
+        # Stopped or timed out mid-window, after the boundary resume
+        # iff a round of the window ran.
+        if r > prologue:
+            enter_trials()
         loop.stopped_early = status == "stopped"
         if status == "timeout" and raise_on_timeout:
             raise NonterminationError(max_rounds, set(loop.running))
@@ -1502,16 +1375,10 @@ def _randomized_d2_kernel(
         stop_when=stop_when,
         raise_on_timeout=raise_on_timeout,
     )
-    sample = next(iter(programs.values()))
-    if sample._kernel_prefix is not None:
+    if next(iter(programs.values()))._kernel_prefix is not None:
         # The run ended right at the window boundary, before the
-        # deferred resume consumed the prefix.  Reference programs at
-        # that point logged the similarity phase (basic) but not the
-        # trials entry; clear the dangling hook and match.
-        for program in programs.values():
-            program._kernel_prefix = None
-            if variant == "basic":
-                program.phase_log.append(("similarity", prologue))
+        # deferred resume consumed the prefix.
+        enter_trials()
     return loop.result()
 
 
@@ -1541,19 +1408,7 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    ks = set()
-    if network.materialized:
-        programs = network.programs
-        for v in order:
-            ks.add(programs[v].k)
-        if any(programs[v].state != _STATE_LIVE for v in order):
-            return None  # resumed/preseeded state: not a fresh run
-        rngs = [programs[v].ctx.rng for v in order]
-        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
-    else:
-        for v in order:
-            ks.add(plan.input_for(v).get("k"))
-        draw_one = plan.lazy_draws().randrange
+    ks = {plan.input_for(v).get("k") for v in order}
     if len(ks) != 1:
         return None
     k = ks.pop()
@@ -1563,15 +1418,15 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     if (n**3 - 1) * n + max_label >= _INT64_SAFE:
         return None  # rank arithmetic could leave int64
 
-    mode = network.policy.mode
-    metered = mode is not BandwidthMode.UNBOUNDED
-    budget = network._budget
+    traffic = _Traffic(network)
+    metered = traffic.metered
     rank_base = bit_size((_TAG_RANK, 0)) - 1
     dom_base = rank_base  # both tags are 1-char strings
     if metered:
         worst = rank_base + 1 + int_bits((n**3 - 1) * n + max_label)
-        if max(worst, dom_base + int_bits(k)) > budget:
+        if max(worst, dom_base + int_bits(k)) > network._budget:
             return None
+    draw_one = plan.lazy_draws().randrange
 
     g_indptr, g_indices = csr.g_indptr, csr.g_indices
     labels = np.array(order, dtype=np.int64)
@@ -1585,9 +1440,6 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     NEG = np.int64(-_INT64_SAFE)
 
     phases = 0
-    total_messages = 0
-    total_bits = 0
-    max_message_bits = 0
     rounds = 0
     stopped_early = False
     timed_out = False
@@ -1634,12 +1486,7 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 remaining = max_rounds - r
                 full, part = divmod(remaining, period)
                 phases += full + (1 if part else 0)
-                flood = full * k + min(part, k)
-                total_messages += flood * n
-                if metered and flood:
-                    total_bits += flood * n * idle_bits
-                    if idle_bits > max_message_bits:
-                        max_message_bits = idle_bits
+                traffic.add((full * k + min(part, k)) * n, idle_bits)
                 rounds += remaining
                 r = max_rounds
                 timed_out = True
@@ -1654,13 +1501,10 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             best = own.copy()
         if pos < k:
             # flood round: every node broadcasts (K, best)
-            total_messages += n
-            if metered:
-                pb = rank_base + arrays.int_bits_array(best)
-                total_bits += int(pb.sum())
-                biggest = int(pb.max())
-                if biggest > max_message_bits:
-                    max_message_bits = biggest
+            traffic.add(
+                n,
+                rank_base + arrays.int_bits_array(best) if metered else None,
+            )
             inflight = ("rank", best.copy())
         else:
             if pos == k:
@@ -1668,14 +1512,12 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 state[joined] = IN_MIS
                 hops = np.where(joined, k, 0).astype(np.int64)
             senders = hops > 0
-            count = int(senders.sum())
-            total_messages += count
-            if metered and count:
-                pb = dom_base + arrays.int_bits_array(hops[senders])
-                total_bits += int(pb.sum())
-                biggest = int(pb.max())
-                if biggest > max_message_bits:
-                    max_message_bits = biggest
+            traffic.add(
+                senders.sum(),
+                dom_base + arrays.int_bits_array(hops[senders])
+                if metered
+                else None,
+            )
             inflight = ("dom", np.where(senders, hops, 0))
         rounds += 1
         r += 1
@@ -1689,19 +1531,14 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             program.state = names[int(state[i])]
             program.phases = phases
 
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["state"] = lambda: {
-            node: names[int(s)]
-            for node, s in zip(order, state.tolist())
-        }
-        network._vector_tables["phases"] = lambda: {
-            node: phases for node in order
-        }
+    _publish(
+        network, writeback,
+        state=lambda: {
+            node: names[int(s)] for node, s in zip(order, state.tolist())
+        },
+        phases=lambda: {node: phases for node in order},
+    )
     return _finish(
-        network, rounds, total_messages, total_bits,
-        max_message_bits, r, stopped_early, timed_out,
+        network, rounds, traffic, r, stopped_early, timed_out,
         max_rounds, raise_on_timeout,
     )

@@ -1150,8 +1150,8 @@ def e21_backends(
     """
     import time
 
-    from repro.conformance.scenarios import build_large_corpus
     from repro.exec import SweepBackend, grid_cells
+    from repro.workloads import build_large_corpus
 
     table = ExperimentTable(
         "E21",

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
-
-try:  # numpy is a required dep, but degrade gracefully without
-    import numpy as np
-except ImportError:  # pragma: no cover - container always has numpy
-    np = None
+import numpy as np
 
 #: Color values outside this magnitude decline the array fast path
 #: (int64 comparisons would be inexact).
@@ -90,7 +86,7 @@ def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
     """Array fast path over CSR rows; ``None`` declines the check
     (self-loops, unsupported ``k``, or colors int64 can't compare
     exactly), in which case the caller falls back to BFS."""
-    if np is None or csr.has_selfloops:
+    if csr.has_selfloops:
         return None
     if k == 1:
         indptr, indices = csr.g_indptr, csr.g_indices

@@ -14,8 +14,7 @@ workloads live:
   derived artifacts (G² adjacency, Δ, d2-degree tables) so they are
   computed once and shared across every spec × backend × seed cell.
 
-``repro.conformance.scenarios`` is a thin compatibility shim over
-this package.  See ``docs/WORKLOADS.md``.
+See ``docs/WORKLOADS.md``.
 """
 
 from repro.workloads.cache import (

@@ -662,7 +662,7 @@ class InstanceCache:
         An unregistered *name* still resolves if a prebuilt
         registered instance was :meth:`install`-ed under it (the
         worker-pool path).  An unregistered *spec object* (e.g. a
-        ``Scenario``-shim ad-hoc spec) is content-interned instead of
+        :func:`~repro.workloads.adhoc` spec) is content-interned instead of
         keyed by name, so two ad-hoc specs sharing a name can never
         alias each other's graphs.
         """

@@ -6,9 +6,9 @@ it addressable everywhere by name: conformance corpora, sweep grids,
 shard manifests, benches, and examples all reference workloads by key
 instead of embedding graphs.
 
-This supersedes ``repro.conformance.scenarios.Scenario`` (kept as a
-thin compatibility shim over this registry) and the ad-hoc instance
-lists that used to live in ``repro.graphs.instances``.
+This supersedes the old ``Scenario`` records (see :func:`adhoc` for
+their constructor shape) and the ad-hoc instance lists that used to
+live in ``repro.graphs.instances``.
 
 Registering a workload (see also docs/WORKLOADS.md)::
 

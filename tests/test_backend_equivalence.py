@@ -7,15 +7,16 @@ seed, ``reference``, ``fastpath``, and ``vectorized`` must produce
 the same coloring, the same round count, and — under a metered
 policy — bit-identical bandwidth metrics.  This suite is what lets
 every other layer treat ``backend=`` as a pure performance knob.
-(``vectorized`` covers both its kernels — trial, Luby — and its
-fastpath fallback for every other spec.)
+(``vectorized`` covers both its kernels and its fastpath fallback for
+every other spec.)
 """
 
 import pytest
 
 from repro import registry
-from repro.conformance.scenarios import build_corpus, corpus_names
 from repro.congest.policy import BandwidthPolicy
+from repro.obs import NullRecorder, use_recorder
+from repro.workloads import build_corpus, corpus_names
 
 SEED = 7
 
@@ -45,7 +46,9 @@ def _metrics_tuple(metrics):
     "spec", _SPECS, ids=[s.name for s in _SPECS]
 )
 def test_reference_fastpath_equivalent(spec, scenario, backend):
-    """Same outputs, rounds, and metered metrics on both backends."""
+    """Same outputs, rounds, and metered metrics on both backends —
+    and no registry driver hands ``vectorized`` a network whose nodes
+    are already built (kernels read the plan only)."""
     graph = scenario.graph(SEED)
     if not spec.applicable(graph):
         pytest.skip(f"{spec.name} does not support {scenario.name}")
@@ -54,7 +57,16 @@ def test_reference_fastpath_equivalent(spec, scenario, backend):
     reference = spec.run(
         graph, seed=SEED, policy=policy, backend="reference"
     )
-    fast = spec.run(graph, seed=SEED, policy=policy, backend=backend)
+    causes = []
+
+    class Rec(NullRecorder):
+        def event(self, name, attrs=None):
+            if name == "exec.fallback":
+                causes.append(attrs["cause"])
+
+    with use_recorder(Rec()):
+        fast = spec.run(graph, seed=SEED, policy=policy, backend=backend)
+    assert "materialized" not in causes
 
     assert reference.coloring == fast.coloring
     assert reference.rounds == fast.rounds

@@ -17,6 +17,7 @@ from repro.core.d2color import (
 )
 from repro.core.learn_palette import LearnPaletteConfig
 from repro.core.reduce import REDUCE_PHASE_ROUNDS
+from repro.exec import use_backend
 from repro.graphs.generators import (
     clique_clusters,
     random_regular,
@@ -244,6 +245,48 @@ class TestBasicPipeline:
             assert phases.index("similarity") < phases.index(
                 "trials"
             )
+
+
+def _phases(result):
+    return [(p.name, p.rounds) for p in result.phases]
+
+
+class TestPhaseAttribution:
+    """A run that ends inside a phase books its remaining rounds to
+    that phase, not to the open-ended final one — on the generator
+    loop and on the hybrid kernel alike."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_stop_inside_the_trials_window(self, backend):
+        graph = random_regular(4, 64, seed=1)
+        with use_backend(backend):
+            improved = improved_d2_color(
+                graph, seed=0, allow_deterministic_fallback=False
+            )
+            basic = basic_d2_color(
+                graph, seed=0, allow_deterministic_fallback=False
+            )
+        # All colored after 45 of the 3·24 trial rounds.
+        assert improved.params["initial_trials"] == 24
+        assert improved.complete and basic.complete
+        assert _phases(improved) == [("trials", 45)]
+        assert _phases(basic) == [("similarity", 2), ("trials", 45)]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_cutoff_inside_similarity(self, backend):
+        # G² of the Hoffman-Singleton graph is K_50 on 50 colors: the
+        # trials window cannot finish, so similarity always starts.
+        graph = hoffman_singleton()
+        window = 3 * Constants.practical().initial_trials(50)
+        with use_backend(backend):
+            result = improved_d2_color(
+                graph,
+                seed=8,
+                max_rounds=window + 2,
+                allow_deterministic_fallback=False,
+            )
+        assert result.rounds == window + 2
+        assert _phases(result) == [("trials", window), ("similarity", 2)]
 
 
 class TestReduceMechanics:

@@ -29,11 +29,22 @@ from repro.congest.errors import (
 from repro.congest.message import int_bits
 from repro.congest.network import Network
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
-from repro.core.d2color import basic_d2_color, improved_d2_color
+from repro.core.d2color import (
+    RandomizedD2Program,
+    basic_d2_color,
+    improved_d2_color,
+)
 from repro.core.trying import all_colored
-from repro.det.color_reduction import color_reduction_d2
+from repro.det.color_reduction import (
+    ColorReductionProgram,
+    color_reduction_d2,
+)
 from repro.det.g_coloring import prime_between
-from repro.det.linial import linial_d2_coloring, linial_g_coloring
+from repro.det.linial import (
+    LinialProgram,
+    linial_d2_coloring,
+    linial_g_coloring,
+)
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import get_backend, use_backend, vectorized
@@ -515,17 +526,15 @@ def _shuffled(graph, seed):
     return out
 
 
-def _assert_fixed_schedule_parity(make_network, state, prebuilt=False):
+def _assert_fixed_schedule_parity(make_network, state):
     """vectorized ≡ fastpath on outputs, metrics and program ``state``
-    attributes — written back on a deferred materialization, or
-    directly when the nodes are ``prebuilt`` — with no fallback."""
+    attributes — written back on a deferred materialization — with no
+    fallback."""
     fast_net, vec_net = make_network(), make_network()
-    if prebuilt:
-        vec_net.materialize()
     fast = fast_net.run(backend="fastpath")
     vec, causes = _fallback_causes(lambda: vec_net.run(backend="vectorized"))
     assert causes == []
-    assert vec_net.materialized == prebuilt
+    assert not vec_net.materialized
     assert vec.outputs == fast.outputs
     assert vec.halted and fast.halted
     assert _metrics_tuple(vec.metrics) == _metrics_tuple(fast.metrics)
@@ -606,15 +615,6 @@ class TestLinialKernel:
         )
         assert len(make().plan().input_for(0)["schedule"]) >= 1
         _assert_fixed_schedule_parity(make, ("color", "part"))
-
-    def test_prebuilt_nodes_parity(self):
-        graph = GRAPHS["gnp24"]
-        parts = {v: v % 2 for v in graph.nodes}
-        _assert_fixed_schedule_parity(
-            _recipe(lambda: _wide_linial(graph, parts=parts)),
-            ("color",),
-            prebuilt=True,
-        )
 
     def test_empty_schedule(self):
         # Palette already at the fixed point: zero rounds, the input
@@ -789,19 +789,6 @@ class TestColorReductionKernel:
                 )
             ),
             self.STATE,
-        )
-
-    def test_prebuilt_nodes_parity(self):
-        graph = GRAPHS["gnp24"]
-        color_in, palette_in, target = _reduction_inputs(graph)
-        _assert_fixed_schedule_parity(
-            _recipe(
-                lambda: color_reduction_d2(
-                    graph, color_in, palette_in, target=target
-                )
-            ),
-            self.STATE,
-            prebuilt=True,
         )
 
     def test_ties_block_both_nodes_forever(self):
@@ -1021,9 +1008,95 @@ class TestRandomizedD2Kernel:
         ]
 
 
+def _materialized_case(program_cls):
+    """``(make_network, state attrs, run kwargs)`` of a small TRACK run
+    of ``program_cls``, the kernel-covered program class."""
+    gnp = GRAPHS["gnp24"]
+    stop = {"max_rounds": 5_000, "stop_when": all_colored,
+            "raise_on_timeout": False}
+    color_in, palette_in, target = _reduction_inputs(gnp)
+    cases = {
+        TrialProgram: (
+            lambda: _trial_network(gnp, 3, policy=BandwidthPolicy.track()),
+            ("color", "phases_tried", "nbr_colors"),
+            stop,
+        ),
+        LubyDistanceKProgram: (
+            lambda: _luby_network(gnp, 3, policy=BandwidthPolicy.track()),
+            ("state", "phases"),
+            dict(stop, stop_when=_all_decided),
+        ),
+        LocallyIterativeProgram: (
+            lambda: _li_network(gnp, 1, policy=BandwidthPolicy.track())[1],
+            ("color", "blocked_phases", "nbr_colors", "succeeded_phase"),
+            stop,
+        ),
+        PartLocallyIterativeD2: (
+            lambda: _part_li_network(
+                gnp, 3, policy=BandwidthPolicy.track()
+            )[1],
+            ("color", "blocked_phases", "nbr_colors", "offset"),
+            stop,
+        ),
+        LinialProgram: (
+            _recipe(
+                lambda: _wide_linial(gnp, parts={v: v % 2 for v in gnp})
+            ),
+            ("color",),
+            {},
+        ),
+        ColorReductionProgram: (
+            _recipe(
+                lambda: color_reduction_d2(
+                    gnp, color_in, palette_in, target=target
+                )
+            ),
+            TestColorReductionKernel.STATE,
+            {},
+        ),
+        RandomizedD2Program: (
+            _recipe(
+                lambda: improved_d2_color(
+                    gnp, allow_deterministic_fallback=False
+                )
+            ),
+            ("color", "nbr_colors", "phase_log", "phase"),
+            stop,
+        ),
+    }
+    return cases[program_cls]
+
+
 class TestFallbacks:
     """Runs the kernels must decline still execute correctly (via
     fastpath) when ``backend="vectorized"`` is requested."""
+
+    @pytest.mark.parametrize(
+        "program_cls",
+        sorted(vectorized.KERNELS, key=lambda cls: cls.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_materialized_network_falls_back(self, program_cls):
+        # Kernels read the NetworkPlan only: a network whose Python
+        # nodes already exist runs on the generator loop, unchanged.
+        make, state, run_kwargs = _materialized_case(program_cls)
+        ref_net, vec_net = make(), make()
+        vec_net.materialize()
+        assert type(vec_net.programs[0]) is program_cls
+        ref = ref_net.run(backend="reference", **run_kwargs)
+        vec, causes = _fallback_causes(
+            lambda: vec_net.run(backend="vectorized", **run_kwargs)
+        )
+        assert causes == ["materialized"]
+        assert vec.outputs == ref.outputs
+        assert (vec.halted, vec.stopped_early) == (
+            ref.halted, ref.stopped_early
+        )
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        for node in ref_net.programs:
+            rp, vp = ref_net.programs[node], vec_net.programs[node]
+            for attr in state:
+                assert getattr(vp, attr) == getattr(rp, attr), (node, attr)
 
     def test_custom_stop_when_falls_back(self):
         _assert_trial_parity(

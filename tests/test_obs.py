@@ -401,6 +401,52 @@ class TestPaperPhaseSpans:
             assert attrs["n"] in (16, 24)
 
 
+class TestTryPhasesSpan:
+    """``kernel.try_phases`` carries the messages and bits of its
+    window, not just its rounds."""
+
+    @pytest.mark.parametrize("algorithm", ["trial", "improved"])
+    def test_window_traffic_matches_the_kernel_run(
+        self, algorithm, tmp_path
+    ):
+        from repro.baselines.trial import trial_d2_color
+        from repro.congest.policy import BandwidthPolicy
+        from repro.core.d2color import improved_d2_color
+        from repro.exec import use_backend
+        from repro.graphs.generators import random_regular
+
+        # Both runs end inside the try-phase window (improved's is its
+        # random trials), so the window carries all of the traffic.
+        graph = random_regular(4, 64, seed=1)
+        path = str(tmp_path / "t.jsonl")
+        rec = TraceRecorder(path)
+        with use_recorder(rec), use_backend("vectorized"):
+            if algorithm == "trial":
+                result = trial_d2_color(
+                    graph, seed=0, policy=BandwidthPolicy.track()
+                )
+            else:
+                result = improved_d2_color(
+                    graph,
+                    seed=0,
+                    policy=BandwidthPolicy.track(),
+                    allow_deterministic_fallback=False,
+                )
+        rec.close()
+        ends = [
+            r for r in iter_spans(read_trace(path)) if r["phase"] in "EX"
+        ]
+        [window] = [r for r in ends if r["name"] == "kernel.try_phases"]
+        [kernel] = [r for r in ends if r["name"] == "exec.kernel"]
+        assert window["attrs"]["rounds"] == result.rounds
+        assert result.metrics.total_messages > 0
+        assert result.metrics.total_bits > 0
+        for key in ("messages", "bits"):
+            assert window["attrs"][key] == kernel["attrs"][key]
+        assert window["attrs"]["messages"] == result.metrics.total_messages
+        assert window["attrs"]["bits"] == result.metrics.total_bits
+
+
 # ----------------------------------------------------------------------
 # the metrics registry
 

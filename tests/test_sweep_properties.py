@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import registry
-from repro.conformance.scenarios import build_corpus
+from repro.workloads import build_corpus
 from repro.exec import SweepBackend, SweepCell
 
 # Fast specs only: the property is about scheduling, not algorithms,

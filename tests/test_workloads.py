@@ -26,6 +26,7 @@ from repro.registry import get_algorithm
 from repro.verify.checker import check_d2_coloring
 from repro.workloads import (
     InstanceCache,
+    adhoc,
     build_corpus,
     build_large_corpus,
     get_workload,
@@ -33,7 +34,6 @@ from repro.workloads import (
     workload_names,
     workloads,
 )
-from repro.conformance.scenarios import Scenario
 
 #: The families this PR introduces; each name is a registered
 #: ``corpus``-tagged workload built by a new generator.
@@ -90,10 +90,10 @@ class TestRegistry:
         assert params["palette_slack"] == 2.0
         assert spec.params == tuple(sorted(params.items()))
 
-    def test_scenario_shim_builds_adhoc_specs(self):
+    def test_adhoc_builds_unregistered_specs(self):
         import networkx as nx
 
-        scenario = Scenario(
+        scenario = adhoc(
             "adhoc-path", lambda s: nx.path_graph(5), frozenset({"x"})
         )
         assert scenario.name == "adhoc-path"
@@ -303,15 +303,9 @@ class TestInstanceCache:
         """Two ad-hoc specs sharing a name never alias each other."""
         import networkx as nx
 
-        from repro.conformance.scenarios import Scenario
-
         cache = InstanceCache()
-        first = cache.get(
-            Scenario("x", lambda s: nx.path_graph(5)), 0
-        )
-        second = cache.get(
-            Scenario("x", lambda s: nx.cycle_graph(5)), 0
-        )
+        first = cache.get(adhoc("x", lambda s: nx.path_graph(5)), 0)
+        second = cache.get(adhoc("x", lambda s: nx.cycle_graph(5)), 0)
         assert first is not second
         assert first.digest() != second.digest()
         assert len(second.graph().edges) == 5  # really the cycle
