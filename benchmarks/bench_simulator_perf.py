@@ -10,7 +10,6 @@ Each row's best wall-clock is persisted to
 """
 
 import networkx as nx
-import pytest
 
 from repro.baselines.greedy import greedy_d2_coloring
 from repro.congest.network import run_protocol
@@ -33,9 +32,8 @@ def _record(row, benchmark, **extra):
     _PAYLOAD[row] = entry
 
 
-@pytest.mark.parametrize("backend", ["reference", "fastpath"])
-def test_simulator_round_throughput(benchmark, backend):
-    """1000 nodes x 20 broadcast rounds through each round engine."""
+def test_simulator_round_throughput(benchmark):
+    """1000 nodes x 20 broadcast rounds through the round loop."""
     graph = random_regular(6, 1000, seed=1)
 
     def proto(ctx):
@@ -44,14 +42,12 @@ def test_simulator_round_throughput(benchmark, backend):
         return None
 
     def run():
-        return run_protocol(
-            graph, FunctionProgram.factory(proto), backend=backend
-        )
+        return run_protocol(graph, FunctionProgram.factory(proto))
 
     result = benchmark(run)
     assert result.metrics.rounds == 20
     _record(
-        f"round_throughput[{backend}]", benchmark, n=1000, rounds=20
+        "round_throughput[reference]", benchmark, n=1000, rounds=20
     )
 
 

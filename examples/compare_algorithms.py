@@ -15,7 +15,7 @@ artifacts are built once however many algorithms run, and the
 validity check reuses the cached adjacency.
 
 The execution engine is selectable (see docs/BACKENDS.md): pass
-``--backend fastpath`` for the metering-light engine, or
+``--backend vectorized`` for the array engine, or
 ``--workers N`` to fan the whole comparison grid across a process
 pool via the sweep backend — results are identical either way.
 
@@ -80,7 +80,7 @@ def run_all_swept(instances, workers, backend=None):
     swept = SweepBackend(
         executor="process",
         max_workers=workers,
-        inner=backend or "fastpath",
+        inner=backend or "reference",
     ).run_grid(cells)
     rows = []
     for cell in swept.cells:
@@ -138,7 +138,7 @@ def main() -> None:
 
     if args.backend == "vectorized":
         # One warning up front (not one per instance) for every spec
-        # that has no array kernel and will run via fastpath.
+        # that has no array kernel and will run on the generator loop.
         from repro.exec.vectorized import kernel_coverage
 
         coverage = kernel_coverage()
@@ -151,7 +151,7 @@ def main() -> None:
             print(
                 "note: no vectorized kernel for "
                 + ", ".join(uncovered)
-                + " — these fall back to fastpath (see "
+                + " — these fall back to reference (see "
                 "docs/BACKENDS.md)",
                 file=sys.stderr,
             )

@@ -355,7 +355,7 @@ def run_conformance(
     contract checks off the per-cell G²-rebuild path.
 
     ``backend`` selects the execution engine (see ``docs/BACKENDS.md``):
-    a round-level engine name ("reference", "fastpath") runs the usual
+    a round-level engine name ("reference", "vectorized") runs the usual
     serial matrix on that engine; a
     :class:`~repro.exec.sweep.SweepBackend` (or the name "sweep") fans
     the whole registry × scenario grid across its worker pool — with

@@ -28,17 +28,6 @@ class RunMetrics:
     worst_violation_bits: int = 0
     per_round: list = field(default_factory=list)
 
-    def observe(self, bits: int) -> None:
-        self.total_messages += 1
-        self.total_bits += bits
-        if bits > self.max_message_bits:
-            self.max_message_bits = bits
-
-    def observe_violation(self, bits: int) -> None:
-        self.violations += 1
-        if bits > self.worst_violation_bits:
-            self.worst_violation_bits = bits
-
     @property
     def compliant(self) -> bool:
         """True when no message exceeded the bandwidth budget."""

@@ -14,10 +14,12 @@ output.  The run ends when every program has halted, when the optional
 ``stop_when`` monitor fires, or after ``max_rounds``.
 
 The round loop itself is pluggable: :meth:`Network.run` delegates to
-an execution backend from :mod:`repro.exec` (``reference`` by
-default; ``fastpath`` strips metering overhead on large instances).
-Backends differ only in mechanics — the delivered messages, outputs
-and round counts are identical.
+an execution backend from :mod:`repro.exec` — by default
+``reference``, whose :class:`~repro.exec.reference.GeneratorLoop`
+does the delivery and metering; ``vectorized`` replays whole program
+classes as array kernels.  Backends differ only in mechanics — the
+delivered messages, outputs, round counts and metrics are
+identical.
 
 Node materialization is *lazy*: building n ``NodeProgram`` objects, n
 ``random.Random`` streams and n generator frames is pure overhead for
@@ -55,14 +57,9 @@ from typing import (
 
 import networkx as nx
 
-from repro.congest.errors import (
-    BandwidthExceededError,
-    ProtocolViolationError,
-)
-from repro.congest.message import Broadcast, bit_size
-from repro.congest.metrics import RoundMetrics, RunMetrics
+from repro.congest.metrics import RunMetrics
 from repro.congest.node import NodeContext, NodeProgram
-from repro.congest.policy import BandwidthMode, BandwidthPolicy
+from repro.congest.policy import BandwidthPolicy
 from repro.congest.rng import derive_ints
 from repro.obs import trace as obs_trace
 
@@ -480,7 +477,7 @@ class Network:
 
         The round loop is driven by an execution backend from
         :mod:`repro.exec`: ``backend`` may be a name ("reference",
-        "fastpath", ...) or an
+        "vectorized", ...) or an
         :class:`~repro.exec.base.ExecutionBackend` instance; ``None``
         selects the ambient backend installed by
         :func:`repro.exec.use_backend` (default: ``reference``).  All
@@ -499,64 +496,6 @@ class Network:
             raise_on_timeout=raise_on_timeout,
             record_rounds=record_rounds,
         )
-
-    # ------------------------------------------------------------------
-
-    def _deliver(
-        self,
-        sender: int,
-        outbox: Any,
-        next_inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-        round_metrics: RoundMetrics,
-    ) -> None:
-        if outbox is None:
-            return
-        if isinstance(outbox, Broadcast):
-            payload = outbox.payload
-            bits = bit_size(payload)
-            self._meter(sender, "<all>", bits, metrics, round_metrics)
-            for receiver in self.contexts[sender].neighbors:
-                next_inboxes.setdefault(receiver, {})[sender] = payload
-            round_metrics.messages += len(self.contexts[sender].neighbors)
-            return
-        if not isinstance(outbox, dict):
-            raise ProtocolViolationError(
-                f"node {sender} yielded {type(outbox).__name__}; "
-                "expected dict or Broadcast"
-            )
-        if not outbox:
-            return
-        allowed = self._neighbor_sets[sender]
-        for receiver, payload in outbox.items():
-            if receiver not in allowed:
-                raise ProtocolViolationError(
-                    f"node {sender} sent to non-neighbor {receiver}"
-                )
-            bits = bit_size(payload)
-            self._meter(sender, receiver, bits, metrics, round_metrics)
-            next_inboxes.setdefault(receiver, {})[sender] = payload
-            round_metrics.messages += 1
-
-    def _meter(
-        self,
-        sender: int,
-        receiver: Any,
-        bits: int,
-        metrics: RunMetrics,
-        round_metrics: RoundMetrics,
-    ) -> None:
-        metrics.observe(bits)
-        round_metrics.bits += bits
-        if bits > round_metrics.max_message_bits:
-            round_metrics.max_message_bits = bits
-        if bits <= self._budget:
-            return
-        if self.policy.mode is BandwidthMode.STRICT:
-            raise BandwidthExceededError(sender, receiver, bits, self._budget)
-        if self.policy.mode is BandwidthMode.TRACK:
-            metrics.observe_violation(bits)
-        # UNBOUNDED: measured but never flagged.
 
 
 def run_protocol(

@@ -14,7 +14,8 @@ class BandwidthMode(enum.Enum):
     STRICT = "strict"
     #: Record the violation in the run metrics and deliver anyway.
     TRACK = "track"
-    #: No budget at all (LOCAL-model behaviour); sizes still measured.
+    #: No budget at all (LOCAL-model behaviour): messages are counted
+    #: but not sized, so ``total_bits``/``max_message_bits`` stay 0.
     UNBOUNDED = "unbounded"
 
 

@@ -59,12 +59,3 @@ def derive_ints(
         h.update(f"{item!r})".encode("utf-8"))
         append(from_bytes(h.digest()[:8], "big"))
     return out
-
-
-def derive_uniforms(seed: Any, label: Any, items: Union[int, Iterable[Any]]):
-    """Bulk uniform floats in [0, 1): ``derive_ints`` scaled by 2⁻⁶⁴,
-    as a numpy float64 array."""
-    import numpy as np
-
-    ints = derive_ints(seed, label, items)
-    return np.asarray(ints, dtype=np.float64) / np.float64(2.0**64)

@@ -5,15 +5,14 @@ semantics fixed by :class:`~repro.congest.network.Network`) from *how*
 it is executed.  Three engines ship by default:
 
 ``reference``
-    The original round-driven loop; semantic ground truth.
-``fastpath``
-    The same semantics with metering inlined and, under unbounded
-    policies, message sizing skipped — the engine for large instances.
+    The one generator round loop
+    (:class:`~repro.exec.reference.GeneratorLoop`, metering inlined);
+    semantic ground truth.
 ``vectorized``
     Struct-of-arrays numpy kernels over CSR-form G/G² adjacency for
-    the hottest program classes (trial/slack, Luby MIS), with
-    automatic fallback to ``fastpath`` for everything else — the
-    engine for the huge tier.
+    the hottest program classes (trial/slack, Luby MIS, the
+    deterministic chain), with automatic fallback to ``reference``
+    for everything else — the engine for the huge tier.
 ``sweep``
     A grid executor fanning algorithm × instance × seed cells across
     ``concurrent.futures`` workers, with deterministic aggregation.
@@ -29,12 +28,12 @@ shards across any number of worker processes/hosts via atomic lease
 files with heartbeats and crash reclaim (``python -m
 repro.exec.fleet work <dir>``).
 
-Select an engine per call (``network.run(backend="fastpath")``,
-``spec.run(graph, backend="fastpath")``) or ambiently::
+Select an engine per call (``network.run(backend="vectorized")``,
+``spec.run(graph, backend="vectorized")``) or ambiently::
 
     from repro.exec import use_backend
 
-    with use_backend("fastpath"):
+    with use_backend("vectorized"):
         result = improved_d2_color(graph, seed=1)
 
 See ``docs/BACKENDS.md`` for the architecture notes.
@@ -48,7 +47,6 @@ from repro.exec.base import (
     register_backend,
     use_backend,
 )
-from repro.exec.fastpath import FastpathBackend
 from repro.exec.fleet import (
     FleetStalledError,
     FleetTimeoutError,
@@ -84,15 +82,12 @@ from repro.exec.vectorized import VectorizedBackend
 
 #: The default engine instances, registered in order.
 REFERENCE = register_backend(ReferenceBackend())
-FASTPATH = register_backend(FastpathBackend())
 VECTORIZED = register_backend(VectorizedBackend())
 SWEEP = register_backend(SweepBackend())
 
 __all__ = [
     "CellResult",
     "ExecutionBackend",
-    "FASTPATH",
-    "FastpathBackend",
     "FleetStalledError",
     "FleetTimeoutError",
     "FleetWorkerReport",

@@ -136,7 +136,7 @@ class CSRAdjacency:
     memoized — building a graph no longer pays for its square.
     ``degrees`` and ``d2_degrees`` are the per-row counts.
     ``has_selfloops`` flags graphs the kernels refuse (they fall back
-    to fastpath).
+    to the generator loop).
     """
 
     __slots__ = (

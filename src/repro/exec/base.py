@@ -5,8 +5,8 @@ constructed :class:`~repro.congest.network.Network` to completion.
 The *semantics* of a run — which messages are sent, what every node
 outputs, how many rounds elapse — are fixed by the CONGEST model and
 must be identical across backends; a backend only chooses *how* the
-lockstep rounds are executed (straight loop, metering-free fast path,
-or a worker pool fanning out whole grids of runs).
+lockstep rounds are executed (the generator loop, array kernels, or a
+worker pool fanning out whole grids of runs).
 
 Selection is layered so existing entry points need no code changes:
 
@@ -36,10 +36,7 @@ class ExecutionBackend(ABC):
     """One engine for executing CONGEST networks.
 
     Subclasses must preserve run semantics exactly: same outputs, same
-    round counts, same error behaviour.  Deviations in *metering
-    detail* (e.g. the fast path not sizing messages under an
-    unbounded policy) must be documented on the subclass and are only
-    permitted where no contract depends on the metric.
+    round counts, same error behaviour, same metrics.
     """
 
     #: Registry key; also used in bench labels and reports.

@@ -563,7 +563,7 @@ def run_fleet(
     num_shards: int,
     checkpoint_dir: str,
     num_workers: int = 2,
-    inner: str = "fastpath",
+    inner: str = "reference",
     policy: Optional[ReclaimPolicy] = None,
     deadline: Optional[float] = None,
 ) -> SweepResult:

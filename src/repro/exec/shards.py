@@ -302,7 +302,7 @@ def grid_digest(cells: Sequence[SweepCell]) -> str:
 def compile_manifest(
     cells: Sequence[SweepCell],
     num_shards: int,
-    inner: str = "fastpath",
+    inner: str = "reference",
 ) -> ShardManifest:
     """Compile a grid into a deterministic shard manifest."""
     if num_shards < 1:
@@ -668,7 +668,7 @@ def run_sharded(
     cells: Sequence[SweepCell],
     num_shards: int,
     checkpoint_dir: str,
-    inner: str = "fastpath",
+    inner: str = "reference",
 ) -> SweepResult:
     """Convenience: compile, persist, run every shard here, merge.
 

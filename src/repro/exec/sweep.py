@@ -25,7 +25,7 @@ scheduling interleaving (property-tested in
 
 Single-network execution (the :class:`ExecutionBackend` duty) is
 delegated to the configured ``inner`` backend — by default
-``fastpath`` — so ``use_backend("sweep")`` is safe anywhere a
+``reference`` — so ``use_backend("sweep")`` is safe anywhere a
 round-level engine is expected.
 """
 
@@ -238,7 +238,7 @@ class SweepResult:
         ).encode("utf-8")
 
 
-def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
+def run_cell(cell: SweepCell, inner: str = "reference") -> CellResult:
     """Execute one cell (module-level, so process pools can pickle it).
 
     Exceptions become ``error`` fields rather than poisoning the whole
@@ -361,7 +361,7 @@ class SweepBackend(ExecutionBackend):
         self,
         max_workers: Optional[int] = None,
         executor: str = "process",
-        inner: str = "fastpath",
+        inner: str = "reference",
     ):
         if executor not in EXECUTORS:
             raise ValueError(

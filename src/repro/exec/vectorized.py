@@ -6,12 +6,11 @@ liveness, MIS state) and every round is a batch of array operations
 over the CSR-form G/G² adjacency from :mod:`repro.exec.arrays` —
 there is no per-node generator dispatch in the hot loop at all.
 
-Semantics are *identical* to ``reference``/``fastpath`` — same
-outputs, same round counts, same per-node RNG consumption (kernels
-draw from the very same per-node streams the generators would), and
-bit-identical ``RunMetrics`` under metered policies.  Like fastpath,
-UNBOUNDED runs skip message *sizing* (``total_bits``/
-``max_message_bits`` stay 0).
+Semantics are *identical* to ``reference`` — same outputs, same
+round counts, same per-node RNG consumption (kernels draw from the
+very same per-node streams the generators would), and bit-identical
+``RunMetrics`` under every policy (UNBOUNDED runs count messages but
+do not size them on either engine).
 
 Kernels run off the :class:`~repro.congest.network.NetworkPlan` —
 the CSR adjacency plus bulk-derived RNG streams — so a kernel-covered
@@ -21,7 +20,7 @@ at all: end-state is published through ``Network.node_colors()``/
 materializes them.  Hybrid kernels (the randomized d2-color pipeline)
 execute the array-friendly try-phase window as batched numpy work and
 drive the surrounding protocol sections through the resumable
-:class:`~repro.exec.fastpath.GeneratorLoop`.
+:class:`~repro.exec.reference.GeneratorLoop`.
 
 Coverage is per program class, not per call site:
 
@@ -50,7 +49,7 @@ so it goes straight to the generator loop (fallback cause
 replay exactly (custom ``stop_when`` monitors, ``avoid_known``
 candidate selection, self-loop graphs, metered payloads that could
 exceed the budget, values that could leave int64) — falls back to
-``fastpath`` automatically, so ``backend="vectorized"`` is always
+``reference`` automatically, so ``backend="vectorized"`` is always
 safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
 ``tests/test_exec_vectorized.py``.
@@ -85,7 +84,7 @@ from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
-from repro.exec.fastpath import PAUSED, GeneratorLoop
+from repro.exec.reference import PAUSED, GeneratorLoop
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
 
@@ -94,7 +93,7 @@ from repro.util.primes import is_prime
 _INT64_SAFE = 2**62
 
 #: Program class -> kernel.  A kernel returns a RunResult, or None to
-#: decline the run (fastpath then executes it).
+#: decline the run (the generator loop then executes it).
 KERNELS: Dict[Type, Callable] = {}
 
 #: Registry spec name -> the program class its hot network runs; the
@@ -127,7 +126,7 @@ def kernel_coverage() -> Dict[str, str]:
     plus ``{registry spec name: kernel name}`` for every spec whose
     hot network run is kernel-covered (see :data:`SPEC_PROGRAMS` for
     the partial-coverage caveats).  Specs absent from the table always
-    execute via fastpath.
+    execute on the generator loop.
     """
     table = {cls.__name__: fn.__name__ for cls, fn in KERNELS.items()}
     for spec_name, cls in SPEC_PROGRAMS.items():
@@ -138,7 +137,7 @@ def kernel_coverage() -> Dict[str, str]:
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Array-kernel executor with automatic fastpath fallback."""
+    """Array-kernel executor with automatic generator-loop fallback."""
 
     name = "vectorized"
 
@@ -189,7 +188,7 @@ class VectorizedBackend(ExecutionBackend):
             rec.event("exec.fallback", {"cause": cause})
         from repro.exec import get_backend
 
-        return get_backend("fastpath").execute(
+        return get_backend("reference").execute(
             network,
             max_rounds=max_rounds,
             stop_when=stop_when,
@@ -310,8 +309,8 @@ _VERDICT_BITS = bit_size((TAG_VERDICT, True))
 
 def _try_phases_fit(network, worst_value) -> bool:
     """Whether the worst-case try/verdict/adopt payload stays in
-    budget (else the run must replay via fastpath so STRICT violations
-    raise at the exact reference round)."""
+    budget (else the run must replay on the generator loop so STRICT
+    violations raise at the exact reference round)."""
     if network.policy.mode is BandwidthMode.UNBOUNDED:
         return True
     worst = int_bits(int(worst_value))
@@ -520,7 +519,7 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 return None  # negative breaks the -1 sentinel
             colors[i] = color
     if not _try_phases_fit(network, int(palettes.max()) - 1):
-        return None  # could violate: replay exactly via fastpath
+        return None  # could violate: replay exactly on the loop
     # Lazy per-node streams: a million-node run never holds a million
     # Random objects (see NetworkPlan.lazy_draws).
     draw_one = plan.lazy_draws().randrange

@@ -104,11 +104,6 @@ class WorkloadSpec:
         """Build the instance for ``seed`` (deterministic)."""
         return self.builder(seed, **self.param_dict())
 
-    # ``Scenario.build`` compatibility: the old dataclass exposed a
-    # ``seed -> graph`` callable field of this name.
-    def build(self, seed: int = 0) -> nx.Graph:
-        return self.graph(seed)
-
     def with_tags(self, *tags: str) -> "WorkloadSpec":
         """A copy of the spec with ``tags`` added."""
         return replace(self, tags=self.tags | frozenset(tags))

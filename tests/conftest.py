@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.exec import ExecutionBackend, get_backend
 from repro.graphs.generators import (
     caterpillar,
     clique_clusters,
@@ -50,3 +51,31 @@ def suite_params():
 @pytest.fixture(params=suite_params())
 def suite_graph(request, suite):
     return request.param, suite[request.param]
+
+
+class RecordingBackend(ExecutionBackend):
+    """``reference`` with per-round records forced on.
+
+    Keeps each run's records as ``[round_index, messages, bits,
+    max_message_bits]`` rows in :attr:`runs`.  Tests use it as the
+    ground-truth side of cross-engine comparisons: the plain
+    ``reference`` backend (records off, the loop's metering fast path)
+    and ``vectorized`` must match it exactly.
+    """
+
+    name = "reference-recording"
+
+    def __init__(self):
+        self.runs = []
+
+    def execute(self, network, *, record_rounds=False, **kwargs):
+        result = get_backend("reference").execute(
+            network, record_rounds=True, **kwargs
+        )
+        self.runs.append(
+            [
+                [r.round_index, r.messages, r.bits, r.max_message_bits]
+                for r in result.metrics.per_round
+            ]
+        )
+        return result

@@ -130,7 +130,9 @@ class TestBandwidthPolicyEdgeCases:
         huge = tuple(range(512))
         run = _run_star(_hub_broadcasts_once(huge), policy)
         assert run.metrics.compliant
-        assert run.metrics.max_message_bits == bit_size(huge)
+        # No budget, so nothing is sized: messages count, bits stay 0.
+        assert run.metrics.total_messages == 1
+        assert run.metrics.total_bits == run.metrics.max_message_bits == 0
 
     def test_exact_limit_payload_is_compliant(self):
         # A payload of exactly budget bits must not count as a

@@ -12,6 +12,15 @@ from repro.congest.network import Network, log2_ceil, run_protocol
 from repro.congest.node import FunctionProgram, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 
+from conftest import RecordingBackend
+
+#: The one round loop with per-round records on and off (its metering
+#: hot path, ``fastpath``).
+LOOP_MODES = [
+    pytest.param(RecordingBackend(), id="reference"),
+    pytest.param("reference", id="fastpath"),
+]
+
 
 def proto_factory(fn):
     return FunctionProgram.factory(fn)
@@ -189,7 +198,7 @@ class TestStopWhenFinalRound:
             ctx.data.get("done") for ctx in network.contexts.values()
         )
 
-    @pytest.mark.parametrize("backend", ["reference", "fastpath"])
+    @pytest.mark.parametrize("backend", LOOP_MODES)
     def test_monitor_on_final_round_is_stopped_early(self, backend):
         net = Network(nx.path_graph(3), proto_factory(self._proto))
         result = net.run(
@@ -201,7 +210,7 @@ class TestStopWhenFinalRound:
         assert not result.halted
         assert result.metrics.rounds == self.ROUNDS
 
-    @pytest.mark.parametrize("backend", ["reference", "fastpath"])
+    @pytest.mark.parametrize("backend", LOOP_MODES)
     def test_monitor_on_final_round_does_not_raise(self, backend):
         # Even with raise_on_timeout (the default), reaching the stop
         # condition on the final round must not raise.
@@ -214,7 +223,7 @@ class TestStopWhenFinalRound:
         )
         assert result.stopped_early
 
-    @pytest.mark.parametrize("backend", ["reference", "fastpath"])
+    @pytest.mark.parametrize("backend", LOOP_MODES)
     def test_true_timeout_still_raises(self, backend):
         # One round short: the monitor never fires, so the timeout
         # must still be a timeout.
@@ -226,7 +235,7 @@ class TestStopWhenFinalRound:
                 backend=backend,
             )
 
-    @pytest.mark.parametrize("backend", ["reference", "fastpath"])
+    @pytest.mark.parametrize("backend", LOOP_MODES)
     def test_true_timeout_soft_stop_not_stopped_early(self, backend):
         net = Network(nx.path_graph(3), proto_factory(self._proto))
         result = net.run(

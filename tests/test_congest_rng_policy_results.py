@@ -1,17 +1,15 @@
 """Tests for RNG derivation, bandwidth policy, and result types."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest.metrics import RunMetrics
+from repro.congest.network import Network
+from repro.congest.node import FunctionProgram
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
-from repro.congest.rng import (
-    derive_int,
-    derive_ints,
-    derive_rng,
-    derive_uniforms,
-)
+from repro.congest.rng import derive_int, derive_ints, derive_rng
 from repro.results import ColoringResult
 
 # Label values of every shape the simulator actually derives streams
@@ -72,16 +70,6 @@ class TestBulkRng:
             derive_int(seed, label, item) for item in items
         ]
 
-    @given(seed=_labels, label=_labels, n=st.integers(0, 32))
-    @settings(max_examples=50)
-    def test_derive_uniforms_scales_derive_ints(self, seed, label, n):
-        uniforms = derive_uniforms(seed, label, n)
-        ints = derive_ints(seed, label, n)
-        assert len(uniforms) == n
-        for value, raw in zip(uniforms, ints):
-            assert value == raw / 2.0**64
-            assert 0.0 <= value < 1.0
-
 
 class TestPolicy:
     def test_budget_scales_with_log_n(self):
@@ -107,14 +95,29 @@ class TestPolicy:
 
 
 class TestRunMetrics:
-    def test_observe_tracks_max(self):
-        metrics = RunMetrics()
-        metrics.observe(10)
-        metrics.observe(50)
-        metrics.observe(20)
+    def test_loop_tracks_max(self):
+        # One node sends a 10-, then a 50-, then a 20-bit payload:
+        # the run max spans rounds and the round records keep each.
+        def proto(ctx):
+            if ctx.node == 0:
+                for value in (2**9, 2**49, 2**19):
+                    yield {1: value}
+            else:
+                for _ in range(3):
+                    yield {}
+            return None
+
+        graph = nx.path_graph(2)
+        network = Network(graph, FunctionProgram.factory(proto))
+        metrics = network.run(record_rounds=True).metrics
         assert metrics.max_message_bits == 50
         assert metrics.total_messages == 3
         assert metrics.total_bits == 80
+        assert [r.max_message_bits for r in metrics.per_round] == [
+            10,
+            50,
+            20,
+        ]
 
     def test_merge_adds_rounds(self):
         a = RunMetrics(rounds=3, total_messages=5, budget_bits=64)
@@ -124,9 +127,8 @@ class TestRunMetrics:
         assert merged.total_messages == 12
 
     def test_compliance(self):
-        metrics = RunMetrics()
-        assert metrics.compliant
-        metrics.observe_violation(200)
+        assert RunMetrics().compliant
+        metrics = RunMetrics(violations=1, worst_violation_bits=200)
         assert not metrics.compliant
         assert metrics.worst_violation_bits == 200
 

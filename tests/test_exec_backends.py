@@ -13,8 +13,8 @@ from repro.congest.network import Network, run_protocol
 from repro.congest.node import FunctionProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.exec import (
-    FASTPATH,
     REFERENCE,
+    VECTORIZED,
     SweepBackend,
     SweepCell,
     available_backends,
@@ -25,7 +25,15 @@ from repro.exec import (
     use_backend,
 )
 
-ROUND_BACKENDS = ["reference", "fastpath", "vectorized"]
+from conftest import RecordingBackend
+
+#: The one loop with per-round records on (``reference``) and off
+#: (``fastpath``, its metering hot path), and the array engine.
+ROUND_BACKENDS = [
+    pytest.param(RecordingBackend(), id="reference"),
+    pytest.param("reference", id="fastpath"),
+    "vectorized",
+]
 
 
 def proto_factory(fn):
@@ -46,16 +54,16 @@ def _metrics_tuple(metrics):
 
 class TestSelection:
     def test_default_backends_registered(self):
-        assert set(available_backends()) >= {
-            "reference",
-            "fastpath",
-            "vectorized",
-            "sweep",
-        }
+        assert available_backends() == ("reference", "vectorized", "sweep")
 
     def test_get_backend_by_name_and_instance(self):
         assert get_backend("reference") is REFERENCE
-        assert get_backend(FASTPATH) is FASTPATH
+        assert get_backend(VECTORIZED) is VECTORIZED
+
+    def test_retired_fastpath_name_unknown(self):
+        # Retired engine name: no alias resolves it.
+        with pytest.raises(KeyError, match="fastpath"):
+            get_backend("fastpath")
 
     def test_unknown_backend_lists_known_names(self):
         with pytest.raises(KeyError, match="reference"):
@@ -66,11 +74,11 @@ class TestSelection:
 
     def test_use_backend_nests_and_restores(self):
         assert current_backend() is REFERENCE
-        with use_backend("fastpath"):
-            assert current_backend() is FASTPATH
+        with use_backend("vectorized"):
+            assert current_backend() is VECTORIZED
             with use_backend("reference"):
                 assert current_backend() is REFERENCE
-            assert current_backend() is FASTPATH
+            assert current_backend() is VECTORIZED
         assert current_backend() is REFERENCE
 
     def test_ambient_backend_drives_network_run(self):
@@ -79,11 +87,13 @@ class TestSelection:
             return ctx.node
 
         graph = nx.cycle_graph(5)
-        with use_backend("fastpath"):
+        recording = RecordingBackend()
+        with use_backend(recording):
             ambient = run_protocol(
                 graph, proto_factory(proto), policy=BandwidthPolicy.unbounded()
             )
-        # The fastpath signature: unbounded runs skip bit sizing.
+        assert len(recording.runs) == 1
+        # UNBOUNDED runs count messages but do not size them.
         assert ambient.metrics.total_bits == 0
         assert ambient.metrics.total_messages == 5
 
@@ -91,13 +101,14 @@ class TestSelection:
         spec = registry.get_algorithm("trial")
         graph = nx.cycle_graph(6)
         ref = spec.run(graph, seed=2, backend="reference")
-        fast = spec.run(graph, seed=2, backend=FASTPATH)
+        fast = spec.run(graph, seed=2, backend=VECTORIZED)
         assert ref.coloring == fast.coloring
 
 
 class TestFastpathParity:
     """Behavioural parity on hand-written protocols (edge cases the
-    registry algorithms do not exercise directly)."""
+    registry algorithms do not exercise directly), with the loop's
+    per-round records on and off and on the array engine."""
 
     @pytest.mark.parametrize("backend", ROUND_BACKENDS)
     def test_broadcast_counts_once(self, backend):
@@ -154,10 +165,10 @@ class TestFastpathParity:
 
         graph = nx.cycle_graph(6)
         ref = run_protocol(
-            graph, proto_factory(proto), backend="reference"
+            graph, proto_factory(proto), backend=RecordingBackend()
         )
         fast = run_protocol(
-            graph, proto_factory(proto), backend="fastpath"
+            graph, proto_factory(proto), backend="reference"
         )
         assert ref.outputs == fast.outputs
         assert _metrics_tuple(ref.metrics) == _metrics_tuple(
@@ -172,9 +183,12 @@ class TestFastpathParity:
             return None
 
         net = Network(nx.path_graph(2), proto_factory(proto))
-        result = net.run(record_rounds=True, backend="fastpath")
+        result = net.run(record_rounds=True, backend="vectorized")
         assert len(result.metrics.per_round) == result.metrics.rounds
-        assert result.metrics.per_round[0].messages == 2
+        first = result.metrics.per_round[0]
+        assert (first.round_index, first.messages) == (0, 2)
+        assert first.bits == result.metrics.total_bits
+        assert first.max_message_bits == result.metrics.max_message_bits
 
     @pytest.mark.parametrize("backend", ROUND_BACKENDS)
     def test_rounds_accounting_parity(self, backend):
@@ -268,7 +282,8 @@ class TestSweepBackend:
             policy=BandwidthPolicy.unbounded(),
             backend="sweep",
         )
-        # Inner engine is fastpath: unbounded runs skip bit sizing.
+        # Inner engine is reference: UNBOUNDED runs count messages
+        # but do not size them.
         assert result.metrics.total_bits == 0
         assert result.metrics.total_messages == 4
 

@@ -4,7 +4,7 @@
 the registry × corpus product; this module drills into the engine
 itself — exact parity on the awkward paths (round cutoffs, timeout
 fast-forwards, precoloring, program-state writeback), the automatic
-fastpath fallback for runs a kernel cannot replay, and the CSR
+generator-loop fallback for runs a kernel cannot replay, and the CSR
 adjacency artifact the kernels consume.
 """
 
@@ -184,8 +184,8 @@ class TestTrialKernel:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unbounded_observables_match_fastpath(self, seed):
-        # Under UNBOUNDED both engines skip sizing; they must agree
-        # with each other exactly (and with reference on outputs).
+        # Under UNBOUNDED neither engine sizes messages; they must
+        # agree exactly.
         graph = GRAPHS["gnp24"]
 
         def runs(backend):
@@ -198,7 +198,7 @@ class TestTrialKernel:
             )
             return res
 
-        fast, vec = runs("fastpath"), runs("vectorized")
+        fast, vec = runs("reference"), runs("vectorized")
         assert vec.outputs == fast.outputs
         assert _metrics_tuple(vec.metrics) == _metrics_tuple(
             fast.metrics
@@ -485,7 +485,7 @@ class _Capturing(ExecutionBackend):
 def _recipe(driver):
     """A factory of fresh copies of the first network ``driver()``
     runs (same graph, program, policy, Δ and inputs)."""
-    capture = _Capturing("fastpath")
+    capture = _Capturing("reference")
     with use_backend(capture):
         try:
             driver()
@@ -527,11 +527,11 @@ def _shuffled(graph, seed):
 
 
 def _assert_fixed_schedule_parity(make_network, state):
-    """vectorized ≡ fastpath on outputs, metrics and program ``state``
+    """vectorized ≡ reference on outputs, metrics and program ``state``
     attributes — written back on a deferred materialization — with no
     fallback."""
     fast_net, vec_net = make_network(), make_network()
-    fast = fast_net.run(backend="fastpath")
+    fast = fast_net.run(backend="reference")
     vec, causes = _fallback_causes(lambda: vec_net.run(backend="vectorized"))
     assert causes == []
     assert not vec_net.materialized
@@ -547,8 +547,8 @@ def _assert_fixed_schedule_parity(make_network, state):
 
 
 def _assert_declined(make_network, raises=None, **run_kwargs):
-    """The kernel declines (``kernel-declined``) and the fastpath
-    replay matches a plain fastpath run — errors included."""
+    """The kernel declines (``kernel-declined``) and the generator-loop
+    replay matches a plain reference run — errors included."""
 
     def outcome(backend):
         net = make_network()
@@ -565,7 +565,7 @@ def _assert_declined(make_network, raises=None, **run_kwargs):
 
     vec, causes = _fallback_causes(lambda: outcome("vectorized"))
     assert causes == ["kernel-declined"]
-    assert vec == outcome("fastpath")
+    assert vec == outcome("reference")
     if raises is not None:
         assert vec[0] is raises
 
@@ -1068,8 +1068,8 @@ def _materialized_case(program_cls):
 
 
 class TestFallbacks:
-    """Runs the kernels must decline still execute correctly (via
-    fastpath) when ``backend="vectorized"`` is requested."""
+    """Runs the kernels must decline still execute correctly (on the
+    generator loop) when ``backend="vectorized"`` is requested."""
 
     @pytest.mark.parametrize(
         "program_cls",
@@ -1277,7 +1277,7 @@ class TestInstanceCSRArtifact:
         vec_net = run("vectorized")
         after_vec = cache.stats.snapshot()
         assert not vec_net.materialized  # the plan-driven path ran
-        run("fastpath")
+        run("reference")
         after_fast = cache.stats.snapshot()
 
         vec_delta = {
@@ -1315,7 +1315,7 @@ class TestHugeTier:
 
         graph = instance_cache().get("gnp-huge-16384", 0).graph()
         spec = registry.get_algorithm("trial")
-        fast = spec.run(graph, seed=0, backend="fastpath")
+        fast = spec.run(graph, seed=0, backend="reference")
         vec = spec.run(graph, seed=0, backend="vectorized")
         assert vec.coloring == fast.coloring
         assert vec.rounds == fast.rounds

@@ -169,7 +169,7 @@ class TestResume:
 
 class TestManifest:
     def test_save_load_round_trip(self, tmp_path):
-        manifest = compile_manifest(small_grid(), 4, inner="fastpath")
+        manifest = compile_manifest(small_grid(), 4, inner="reference")
         path = manifest.save(str(tmp_path))
         loaded = ShardManifest.load(path)
         assert loaded == manifest
@@ -396,8 +396,8 @@ class TestVectorizedInner:
         self, tmp_path, unsharded
     ):
         """``inner="vectorized"`` shards merge byte-identical to the
-        fastpath-inner unsharded run (default policy is TRACK, where
-        the engines promise bit-identical metrics)."""
+        reference-inner unsharded run (the engines promise
+        bit-identical metrics)."""
         merged = run_sharded(
             small_grid(), 2, str(tmp_path), inner="vectorized"
         )

@@ -120,16 +120,25 @@ class TestChecker:
 
 class TestAudit:
     def test_compliant_report(self):
-        metrics = RunMetrics(budget_bits=100)
-        metrics.observe(50)
+        metrics = RunMetrics(
+            total_messages=1,
+            total_bits=50,
+            max_message_bits=50,
+            budget_bits=100,
+        )
         report = audit_bandwidth("algo", metrics)
         assert report.compliant
         assert report.headroom == 0.5
 
     def test_violating_report(self):
-        metrics = RunMetrics(budget_bits=100)
-        metrics.observe(150)
-        metrics.observe_violation(150)
+        metrics = RunMetrics(
+            total_messages=1,
+            total_bits=150,
+            max_message_bits=150,
+            budget_bits=100,
+            violations=1,
+            worst_violation_bits=150,
+        )
         report = audit_bandwidth("algo", metrics)
         assert not report.compliant
         assert report.headroom == 1.5

@@ -99,10 +99,6 @@ class TestRegistry:
         assert scenario.name == "adhoc-path"
         assert "x" in scenario.tags
         assert scenario.graph(3).number_of_nodes() == 5
-        # The historical field-call shape still works.
-        assert canonical(scenario.build(3)) == canonical(
-            scenario.graph(3)
-        )
 
     def test_named_instances_resolve_through_registry(self):
         # Old spellings from graphs.instances.named_instance.
@@ -443,7 +439,7 @@ class TestAliasLeakRegression:
 
     def test_prewarm_tags_survive_until_clear(self):
         cache = InstanceCache()
-        tag = ("shard-prebuild", "digest", "fastpath")
+        tag = ("shard-prebuild", "digest", "reference")
         assert not cache.was_prewarmed(tag)
         cache.mark_prewarmed(tag)
         assert cache.was_prewarmed(tag)
