@@ -21,16 +21,19 @@ classes as array kernels.  Backends differ only in mechanics — the
 delivered messages, outputs, round counts and metrics are
 identical.
 
-Node materialization is *lazy*: building n ``NodeProgram`` objects, n
-``random.Random`` streams and n generator frames is pure overhead for
-a run the vectorized backend executes entirely in arrays, so
-``__init__`` only validates and records the recipe.  The Python nodes
-are built on first access of :attr:`contexts`/:attr:`programs` (or
-explicitly via :meth:`materialize`); per-node RNG streams come from
-one bulk :func:`~repro.congest.rng.derive_ints` pass, bit-identical to
-the per-node derivation.  Kernels that never materialize publish
-observable end-state through :meth:`node_colors`/:meth:`node_table`
-and leave a deferred write-back that runs if nodes are built later.
+Node materialization is *lazy*: building n ``NodeProgram`` objects and
+n generator frames is pure overhead for a run the vectorized backend
+executes entirely in arrays, so ``__init__`` only validates and
+records the recipe.  The Python nodes are built on first access of
+:attr:`contexts`/:attr:`programs` (or explicitly via
+:meth:`materialize`).  Per-node randomness is the counter hash of
+:mod:`repro.congest.rng`, held by the :class:`NetworkPlan` as stream
+keys and counters: kernels draw from the plan's arrays, and each
+``NodeContext.rng`` is a :class:`~repro.congest.rng.CounterRandom`
+that continues its node's stream at the plan's counter.  Kernels
+that never materialize publish observable end-state through
+:meth:`node_colors`/:meth:`node_table` and leave a deferred
+write-back that runs if nodes are built later.
 One consequence: program-constructor errors (e.g. a missing input key)
 surface at first materialization — usually :meth:`run` — rather than
 at ``Network(...)`` construction.
@@ -43,7 +46,6 @@ early, e.g. once every node is colored, and is reported as such.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -56,11 +58,12 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
-from repro.congest.rng import derive_ints
+from repro.congest.rng import CounterRandom, node_keys, randrange_array
 from repro.obs import trace as obs_trace
 
 _EMPTY_INPUT: Dict[str, Any] = {}
@@ -96,58 +99,6 @@ class UniformInputs(Mapping):
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-
-class LazyDraws:
-    """Per-node ``randrange`` streams without n live RNG objects.
-
-    ``plan.rngs()`` keeps one ``random.Random`` per node (~2.5 KB
-    each — gigabytes at n = 2²⁰) even though a kernel run draws from
-    most nodes exactly once.  This draws on-stream at O(1) retained
-    state per *re-drawing* node: the first draw of a node creates its
-    ``Random``, draws, and discards it; a second draw recreates the
-    stream, replays the recorded first draw, and keeps the object
-    (few nodes ever reach a second draw at corpus densities).
-
-    Replay is exact for arbitrary per-draw bounds: only the first
-    draw is ever replayed, and its bound is recorded.
-    """
-
-    __slots__ = ("_seeds", "_counts", "_bounds", "_kept")
-
-    def __init__(self, seeds: List[int]):
-        self._seeds = seeds
-        self._counts: Dict[int, int] = {}
-        self._bounds: Dict[int, int] = {}
-        self._kept: Dict[int, random.Random] = {}
-
-    def randrange(self, i: int, bound: int) -> int:
-        """The next ``randrange(bound)`` of node index ``i`` —
-        bit-identical to ``plan.rngs()[i].randrange(bound)``."""
-        rng = self._kept.get(i)
-        if rng is None:
-            rng = random.Random(self._seeds[i])
-            count = self._counts.get(i, 0)
-            if count:
-                rng.randrange(self._bounds[i])
-                self._kept[i] = rng
-            else:
-                self._bounds[i] = bound
-            self._counts[i] = count + 1
-            return rng.randrange(bound)
-        self._counts[i] += 1
-        return rng.randrange(bound)
-
-    def rng(self, i: int) -> random.Random:
-        """The advanced stream of node index ``i`` (reconstructed and
-        retained if its only draws were discarded)."""
-        rng = self._kept.get(i)
-        if rng is None:
-            rng = random.Random(self._seeds[i])
-            if self._counts.get(i, 0):
-                rng.randrange(self._bounds[i])
-            self._kept[i] = rng
-        return rng
 
 
 @dataclass
@@ -195,71 +146,45 @@ class NetworkPlan:
 
     Everything a kernel needs without touching Python node objects:
     the CSR G/G² adjacency (shared with :meth:`Instance.csr`), the
-    dense node order, per-node input dicts, and the per-node RNG
-    streams — derived in one bulk hashing pass and *shared* with any
-    later materialization, so array draws and generator draws always
-    advance the same ``random.Random`` objects.
+    dense node order, per-node input dicts, and the per-node RNG state
+    of :mod:`repro.congest.rng` — uint64 stream keys (derived in one
+    vector pass) and counters.  Kernels draw through :meth:`randrange`;
+    materialization hands every ``NodeContext`` its key and current
+    counter, so generator draws continue where the kernel's stopped.
+    Once the network is materialized the contexts own the counters.
     """
 
-    __slots__ = ("network", "csr", "_seeds", "_rngs", "_lazy")
+    __slots__ = ("network", "csr", "counters", "_keys")
 
     def __init__(self, network: "Network", csr):
         self.network = network
         self.csr = csr
-        self._seeds: Optional[List[int]] = None
-        self._rngs: Optional[List[random.Random]] = None
-        self._lazy: Optional[LazyDraws] = None
+        self.counters = np.zeros(csr.n, dtype=np.uint64)
+        self._keys: Optional[np.ndarray] = None
 
     @property
     def order(self):
         """Dense node order (sorted labels) shared with the CSR."""
         return self.csr.order
 
-    def rng_seeds(self) -> List[int]:
-        """Per-node 64-bit RNG seeds, aligned with :attr:`order`."""
-        if self._seeds is None:
+    @property
+    def node_keys(self) -> np.ndarray:
+        """Per-node uint64 stream keys, aligned with :attr:`order`."""
+        if self._keys is None:
             rec = obs_trace.recorder()
             trace_t0 = rec.clock() if rec is not None else 0.0
-            self._seeds = derive_ints(
-                self.network._seed, "node", self.order
-            )
+            self._keys = node_keys(self.network._seed, self.order)
             if rec is not None:
                 rec.complete(
-                    "plan.bulk_rng",
-                    trace_t0,
-                    {"n": len(self._seeds)},
+                    "plan.bulk_rng", trace_t0, {"n": len(self._keys)}
                 )
-        return self._seeds
+        return self._keys
 
-    def rngs(self) -> List[random.Random]:
-        """Per-node RNG streams, aligned with :attr:`order`.
-
-        The same objects end up in ``contexts[v].rng`` if the network
-        materializes later, so kernel draws stay on-stream — draws
-        consumed through :meth:`lazy_draws` included (the lazy
-        scheme reconstructs each advanced stream exactly).
-        """
-        if self._rngs is None:
-            if self._lazy is not None:
-                self._rngs = [
-                    self._lazy.rng(i) for i in range(self.csr.n)
-                ]
-            else:
-                self._rngs = [
-                    random.Random(s) for s in self.rng_seeds()
-                ]
-        return self._rngs
-
-    def lazy_draws(self) -> LazyDraws:
-        """O(1)-retained-state per-node draw streams (see
-        :class:`LazyDraws`) — what kernels use instead of
-        :meth:`rngs` so an unmaterialized million-node run never
-        holds a million ``random.Random`` objects.  Kernels only run
-        on unmaterialized networks, so :meth:`rngs` has not built the
-        streams yet."""
-        if self._lazy is None:
-            self._lazy = LazyDraws(self.rng_seeds())
-        return self._lazy
+    def randrange(self, idx: np.ndarray, bounds) -> np.ndarray:
+        """Each node index in ``idx`` draws ``randrange`` of its bound
+        (``bounds``: an int or an array aligned with ``idx``) on its
+        own stream — what its generator program would have drawn."""
+        return randrange_array(self.node_keys, self.counters, idx, bounds)
 
     def input_for(self, node: int) -> Dict[str, Any]:
         """The (unmaterialized) input dict of ``node``; never copied,
@@ -349,21 +274,17 @@ class Network:
     def _build_nodes(self) -> None:
         graph = self.graph
         inputs = self._inputs
-        if self._plan is not None:
-            # Reuse the plan's RNG objects: kernel draws already
-            # advanced them, so generator draws continue on-stream.
-            rng_of = dict(zip(self._plan.order, self._plan.rngs()))
-        else:
-            nodes = list(graph.nodes)
-            rng_of = dict(
-                zip(
-                    nodes,
-                    (
-                        random.Random(s)
-                        for s in derive_ints(self._seed, "node", nodes)
-                    ),
-                )
+        # Each node continues its stream at the plan's counter, so
+        # generator draws follow any kernel draws on-stream.
+        plan = self.plan()
+        rng_of = {
+            node: CounterRandom(key, counter)
+            for node, key, counter in zip(
+                plan.order,
+                plan.node_keys.tolist(),
+                plan.counters.tolist(),
             )
+        }
         contexts: Dict[int, NodeContext] = {}
         programs: Dict[int, NodeProgram] = {}
         gens: Dict[int, Any] = {}

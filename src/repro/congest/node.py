@@ -23,11 +23,11 @@ embedded in a larger protocol.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from repro.congest.message import Broadcast
+from repro.congest.rng import CounterRandom
 
 
 @dataclass
@@ -44,7 +44,7 @@ class NodeContext:
     neighbors: Tuple[int, ...]
     n: int
     delta: int
-    rng: random.Random
+    rng: CounterRandom
     #: Per-node protocol input (e.g. an initial coloring); never shared.
     data: Dict[str, Any] = field(default_factory=dict)
 

@@ -1,27 +1,32 @@
-"""Deterministic per-node randomness.
+"""Deterministic randomness.
 
 Every randomized algorithm in this repository takes a single root seed.
-Each node (and each named random stream within a node) derives an
-independent :class:`random.Random` by hashing ``(seed, labels...)``.
-Same root seed => byte-identical run transcript, which the test suite
-asserts.
+Non-node streams (the splitting derandomizer, graph generators) hash
+``(seed, labels...)`` into a :class:`random.Random` (:func:`derive_rng`).
 
-:func:`derive_ints` is the bulk form: deriving one stream per node for
-an n-node network is a hot path (``Network`` construction and every
-vectorized kernel pay it), and hashing n independent ``repr`` strings
-through one shared prefix digest is several times faster than n calls
-of :func:`derive_int`.  The two are bit-identical by construction —
-``repr((seed, label, item))`` is exactly
-``"(" + repr(seed) + ", " + repr(label) + ", " + repr(item) + ")"``
-for a 3-tuple — and the equivalence is pinned by a hypothesis property
-test.
+Per-node randomness is one counter hash that every engine shares.
+Node *v* owns ``(key, counter)`` with
+``key = mix64(derive_int(seed, "node"), label_v)``; word *i* of its
+stream is ``mix64(key, i)`` (SplitMix64 seeded with ``key``).  Generator
+programs draw through :class:`CounterRandom`, array kernels through
+:func:`randrange_array`; the two are pinned equal by property tests, so
+a draw does not depend on which engine makes it, and generator draws
+simply continue at the counter the kernel draws left.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Iterable, List, Union
+from typing import Any
+
+import numpy as np
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_C1 = 0xBF58476D1CE4E5B9
+_C2 = 0x94D049BB133111EB
+_UNIT = 1.0 / (1 << 53)
 
 
 def derive_int(seed: Any, *labels: Any) -> int:
@@ -36,26 +41,101 @@ def derive_rng(seed: Any, *labels: Any) -> random.Random:
     return random.Random(derive_int(seed, *labels))
 
 
-def derive_ints(
-    seed: Any, label: Any, items: Union[int, Iterable[Any]]
-) -> List[int]:
-    """Bulk :func:`derive_int`: one 64-bit value per item.
+def mix64(key: int, i: int) -> int:
+    """Word ``i`` of the stream keyed ``key``: the SplitMix64 finalizer
+    of ``key + (i + 1)·γ`` (mod 2⁶⁴)."""
+    z = (key + (i + 1) * _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _C1) & _MASK
+    z = ((z ^ (z >> 27)) * _C2) & _MASK
+    return z ^ (z >> 31)
 
-    ``items`` is either a count n (equivalent to ``range(n)``) or an
-    iterable of per-item labels.  Bit-identical to
-    ``[derive_int(seed, label, item) for item in items]``.
+
+def mix64_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """:func:`mix64` elementwise over uint64 arrays (wrapping)."""
+    z = keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
+    return z ^ (z >> np.uint64(31))
+
+
+def node_keys(seed: Any, labels) -> np.ndarray:
+    """uint64 stream keys of the nodes ``labels``:
+    ``mix64(derive_int(seed, "node"), label mod 2⁶⁴)``."""
+    if isinstance(labels, range):
+        labels = np.arange(labels.start, labels.stop, labels.step)
+    try:
+        words = np.asarray(labels, dtype=np.int64).astype(np.uint64)
+    except OverflowError:  # labels beyond int64: reduce them in Python
+        words = np.array([label & _MASK for label in labels], np.uint64)
+    root = np.full(words.shape, derive_int(seed, "node"), np.uint64)
+    return mix64_array(root, words)
+
+
+class CounterRandom(random.Random):
+    """A node's stream as a :class:`random.Random`.  Only
+    :meth:`getrandbits` and :meth:`random` are overridden: the stdlib's
+    ``randrange``/``choice``/``sample``/``shuffle`` draw through
+    ``getrandbits`` (the base class's Mersenne Twister is never used).
     """
-    if isinstance(items, int):
-        items = range(items)
-    prefix = hashlib.sha256(
-        f"({seed!r}, {label!r}, ".encode("utf-8")
-    )
-    out: List[int] = []
-    append = out.append
-    copy = prefix.copy
-    from_bytes = int.from_bytes
-    for item in items:
-        h = copy()
-        h.update(f"{item!r})".encode("utf-8"))
-        append(from_bytes(h.digest()[:8], "big"))
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, key: int, counter: int = 0):
+        self.key = key
+        self.counter = counter
+        self.gauss_next = None
+
+    def getrandbits(self, k: int) -> int:
+        """The top ``k`` bits of the next word; ``k > 64`` takes the
+        top ``k`` bits of the next ⌈k/64⌉ words, concatenated."""
+        if 0 < k <= 64:
+            i = self.counter
+            self.counter = i + 1
+            return mix64(self.key, i) >> (64 - k)
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        words = -(-k // 64)
+        x = 0
+        for _ in range(words):
+            x = (x << 64) | self.getrandbits(64)
+        return x >> (64 * words - k)
+
+    def random(self) -> float:
+        """The top 53 bits of the next word, scaled into [0, 1)."""
+        i = self.counter
+        self.counter = i + 1
+        return (mix64(self.key, i) >> 11) * _UNIT
+
+
+def randrange_array(
+    keys: np.ndarray, counters: np.ndarray, idx: np.ndarray, bounds
+) -> np.ndarray:
+    """``randrange(bounds[j])`` on the stream of node ``idx[j]`` for
+    every ``j``, as int64; ``counters[idx]`` advances in place.
+
+    Equal to ``CounterRandom(keys[i], counters[i]).randrange(bound)``
+    per node, i.e. the stdlib's ``_randbelow_with_getrandbits``: draw
+    ``bound.bit_length()`` bits, and redraw — only the rejected nodes,
+    each on its next counter — while the draw is ``>= bound``.
+    ``idx`` must not repeat a node; bounds must lie in ``[1, 2⁶³)``.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), idx.shape)
+    shifts = np.full(idx.shape, 63, dtype=np.uint64)  # 64 - bit_length
+    rest = bounds.copy()
+    for step in (32, 16, 8, 4, 2, 1):
+        big = rest >= (1 << step)
+        shifts[big] -= np.uint64(step)
+        rest[big] >>= step
+    out = np.empty(idx.shape, dtype=np.int64)
+    todo = np.arange(idx.size)
+    while todo.size:
+        nodes = idx[todo]
+        draws = (
+            mix64_array(keys[nodes], counters[nodes]) >> shifts[todo]
+        ).astype(np.int64)
+        counters[nodes] += np.uint64(1)
+        ok = draws < bounds[todo]
+        out[todo[ok]] = draws[ok]
+        todo = todo[~ok]
     return out

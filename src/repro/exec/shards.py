@@ -50,7 +50,9 @@ from repro.exec.sweep import (
     run_cell,
 )
 
-MANIFEST_VERSION = 1
+#: 2: per-node randomness became the counter hash of repro.congest.rng.
+#: Part of every grid digest, so older checkpoints never resume.
+MANIFEST_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -289,12 +291,12 @@ class ShardManifest:
 
 
 def grid_digest(cells: Sequence[SweepCell]) -> str:
-    """Deterministic content address of a cell list (order matters:
-    submission order is part of the grid identity)."""
+    """Deterministic content address of the version and cell list
+    (order matters: submission order is part of the grid identity)."""
     import hashlib
 
     payload = json.dumps(
-        [cell_to_json(cell) for cell in cells], separators=(",", ":")
+        [MANIFEST_VERSION, *map(cell_to_json, cells)], separators=(",", ":")
     ).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 

@@ -7,19 +7,21 @@ over the CSR-form G/G² adjacency from :mod:`repro.exec.arrays` —
 there is no per-node generator dispatch in the hot loop at all.
 
 Semantics are *identical* to ``reference`` — same outputs, same
-round counts, same per-node RNG consumption (kernels draw from the
-very same per-node streams the generators would), and bit-identical
-``RunMetrics`` under every policy (UNBOUNDED runs count messages but
-do not size them on either engine).
+round counts, same per-node RNG consumption (kernels draw the very
+same counter-hash words the generators would, see
+:mod:`repro.congest.rng`), and bit-identical ``RunMetrics`` under
+every policy (UNBOUNDED runs count messages but do not size them on
+either engine).
 
 Kernels run off the :class:`~repro.congest.network.NetworkPlan` —
-the CSR adjacency plus bulk-derived RNG streams — so a kernel-covered
-run on an *unmaterialized* network never builds a Python node object
-at all: end-state is published through ``Network.node_colors()``/
-``node_table()`` and written back to programs only if somebody later
-materializes them.  Hybrid kernels (the randomized d2-color pipeline)
-execute the array-friendly try-phase window as batched numpy work and
-drive the surrounding protocol sections through the resumable
+the CSR adjacency plus per-node stream keys and counters — so a
+kernel-covered run on an *unmaterialized* network never builds a
+Python node object at all: end-state is published through
+``Network.node_colors()``/``node_table()`` and written back to
+programs only if somebody later materializes them.  Hybrid kernels
+(the randomized d2-color pipeline) execute the array-friendly
+try-phase window as batched numpy work and drive the surrounding
+protocol sections through the resumable
 :class:`~repro.exec.reference.GeneratorLoop`.
 
 Coverage is per program class, not per call site:
@@ -520,17 +522,11 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             colors[i] = color
     if not _try_phases_fit(network, int(palettes.max()) - 1):
         return None  # could violate: replay exactly on the loop
-    # Lazy per-node streams: a million-node run never holds a million
-    # Random objects (see NetworkPlan.lazy_draws).
-    draw_one = plan.lazy_draws().randrange
     phases_tried = np.zeros(n, dtype=np.int64)
 
     def draw(_phase, live_idx):
         phases_tried[live_idx] += 1
-        return [
-            draw_one(i, int(palettes[i]))
-            for i in live_idx.tolist()
-        ]
+        return plan.randrange(live_idx, palettes[live_idx])
 
     traffic = _Traffic(network)
     st = _TryState(n, colors)
@@ -1296,13 +1292,13 @@ def _randomized_d2_kernel(
     # --- the trials window, as arrays -----------------------------
     # Programs adopt no colors before their trials section, so the
     # window starts from a blank color state; draws continue on the
-    # very same per-node streams the prologue advanced.
+    # very same per-node streams the prologue advanced: the plan takes
+    # the programs' counters for the window and hands them back after.
     rngs = [programs[v].ctx.rng for v in order]
+    plan.counters[:] = [rng.counter for rng in rngs]
 
     def draw(_phase, live_idx):
-        return [
-            rngs[i].randrange(palette) for i in live_idx.tolist()
-        ]
+        return plan.randrange(live_idx, palette)
 
     traffic = _Traffic(network)
     traffic.messages = loop.total_messages
@@ -1315,6 +1311,8 @@ def _randomized_d2_kernel(
         start_round=prologue, end_round=window_end,
         max_rounds=max_rounds, check_stop=stop_when is not None,
     )
+    for rng, counter in zip(rngs, plan.counters.tolist()):
+        rng.counter = counter
     loop.total_messages = traffic.messages
     loop.total_bits = traffic.bits
     loop.max_message_bits = traffic.max_bits
@@ -1425,7 +1423,6 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         worst = rank_base + 1 + int_bits((n**3 - 1) * n + max_label)
         if max(worst, dom_base + int_bits(k)) > network._budget:
             return None
-    draw_one = plan.lazy_draws().randrange
 
     g_indptr, g_indices = csr.g_indptr, csr.g_indices
     labels = np.array(order, dtype=np.int64)
@@ -1492,11 +1489,9 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 break
             phases += 1
             own.fill(-1)
-            n3 = n**3
-            own[live_idx] = [
-                draw_one(i, n3) * n + int(labels[i])
-                for i in live_idx.tolist()
-            ]
+            own[live_idx] = (
+                plan.randrange(live_idx, n**3) * n + labels[live_idx]
+            )
             best = own.copy()
         if pos < k:
             # flood round: every node broadcasts (K, best)

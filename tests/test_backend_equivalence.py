@@ -8,7 +8,8 @@ the ``reference`` loop with per-round records on (the path
 ``tests/test_loop_golden.py`` pins); the columns are
 
 - ``fastpath`` — the ``reference`` backend as registered, records
-  off: the loop's metering hot path;
+  off: the loop's metering hot path (the id predates the retirement
+  of the separate ``fastpath`` engine and is kept for id stability);
 - ``vectorized`` — its kernels and its generator-loop fallback for
   every other spec.
 
@@ -32,7 +33,7 @@ SEED = 7
 _CORPUS = build_corpus()
 _SPECS = list(registry.ALGORITHMS)
 #: Column id -> backend run against the recording reference.
-_FAST_BACKENDS = {"fastpath": "reference", "vectorized": "vectorized"}
+_RECORDS_OFF_COLUMNS = {"fastpath": "reference", "vectorized": "vectorized"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,7 +60,7 @@ def _metrics_tuple(metrics):
 
 
 @pytest.mark.conformance
-@pytest.mark.parametrize("column", _FAST_BACKENDS)
+@pytest.mark.parametrize("column", _RECORDS_OFF_COLUMNS)
 @pytest.mark.parametrize(
     "scenario", _CORPUS, ids=corpus_names(_CORPUS)
 )
@@ -70,7 +71,7 @@ def test_reference_fastpath_equivalent(spec, scenario, column):
     """Same outputs, rounds, and metered metrics on both sides — and
     no registry driver hands ``vectorized`` a network whose nodes are
     already built (kernels read the plan only)."""
-    backend = _FAST_BACKENDS[column]
+    backend = _RECORDS_OFF_COLUMNS[column]
     graph = scenario.graph(SEED)
     if not spec.applicable(graph):
         pytest.skip(f"{spec.name} does not support {scenario.name}")
@@ -100,7 +101,7 @@ def test_reference_fastpath_equivalent(spec, scenario, column):
         )
 
 
-@pytest.mark.parametrize("column", _FAST_BACKENDS)
+@pytest.mark.parametrize("column", _RECORDS_OFF_COLUMNS)
 @pytest.mark.parametrize(
     "spec",
     [s for s in _SPECS if s.distributed],
@@ -109,7 +110,7 @@ def test_reference_fastpath_equivalent(spec, scenario, column):
 def test_unbounded_outputs_and_rounds_agree(spec, column):
     """UNBOUNDED means the same on every engine: messages are counted
     but not sized, so the full metrics agree (bits stay 0)."""
-    backend = _FAST_BACKENDS[column]
+    backend = _RECORDS_OFF_COLUMNS[column]
     scenario = _CORPUS[0]
     graph = scenario.graph(SEED)
     if not spec.applicable(graph):

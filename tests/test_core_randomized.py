@@ -266,11 +266,11 @@ class TestPhaseAttribution:
             basic = basic_d2_color(
                 graph, seed=0, allow_deterministic_fallback=False
             )
-        # All colored after 45 of the 3·24 trial rounds.
+        # All colored after 21 of the 3·24 trial rounds.
         assert improved.params["initial_trials"] == 24
         assert improved.complete and basic.complete
-        assert _phases(improved) == [("trials", 45)]
-        assert _phases(basic) == [("similarity", 2), ("trials", 45)]
+        assert _phases(improved) == [("trials", 21)]
+        assert _phases(basic) == [("similarity", 2), ("trials", 21)]
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_cutoff_inside_similarity(self, backend):

@@ -183,7 +183,7 @@ class TestTrialKernel:
         )
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_unbounded_observables_match_fastpath(self, seed):
+    def test_unbounded_observables_match_records_off(self, seed):
         # Under UNBOUNDED neither engine sizes messages; they must
         # agree exactly.
         graph = GRAPHS["gnp24"]
@@ -1309,7 +1309,7 @@ class TestInstanceCSRArtifact:
 
 @pytest.mark.slow
 class TestHugeTier:
-    def test_vectorized_matches_fastpath_on_huge_gnp(self):
+    def test_vectorized_matches_records_off_on_huge_gnp(self):
         from repro import registry
         from repro.workloads import instance_cache
 

@@ -185,6 +185,41 @@ class TestManifest:
         with pytest.raises(ValueError, match="digest"):
             ShardManifest.load(path)
 
+    def test_version_1_manifest_is_refused(self, tmp_path):
+        # Version-1 grids ran on per-node streams that no longer
+        # exist: resuming or merging their checkpoints would mix two
+        # definitions of randomness in one result.
+        from repro.exec import fleet
+
+        path = compile_manifest(small_grid(), 2).save(str(tmp_path))
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["version"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        with pytest.raises(ValueError, match="version 1"):
+            ShardManifest.load(path)
+        for command in ("work", "merge"):
+            with pytest.raises(ValueError, match="version 1"):
+                fleet.main([command, str(tmp_path)])
+
+    def test_checkpoints_of_another_version_never_resume(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec import shards
+
+        cells = small_grid()
+        monkeypatch.setattr(shards, "MANIFEST_VERSION", 1)
+        old = compile_manifest(cells, 1)
+        run_shard(old, 0, str(tmp_path))
+        monkeypatch.undo()
+        new = compile_manifest(cells, 1)
+        assert new.grid_digest != old.grid_digest
+        with pytest.raises(ShardIncompleteError):
+            merge_shards(new, str(tmp_path))
+        run = run_shard(new, 0, str(tmp_path))
+        assert (run.resumed, run.executed) == (0, len(cells))
+
     def test_workload_cells_serialize_by_key(self):
         cells = small_grid()
         assert all(cell.workload for cell in cells)
@@ -392,7 +427,7 @@ class TestAttributeCarryingCells:
 
 
 class TestVectorizedInner:
-    def test_sharded_vectorized_merge_matches_fastpath_run(
+    def test_sharded_vectorized_merge_matches_records_off_run(
         self, tmp_path, unsharded
     ):
         """``inner="vectorized"`` shards merge byte-identical to the
@@ -403,7 +438,7 @@ class TestVectorizedInner:
         )
         assert merged.fingerprint() == unsharded.fingerprint()
 
-    def test_vectorized_grid_matches_serial_fastpath(self, unsharded):
+    def test_vectorized_grid_matches_serial_records_off(self, unsharded):
         swept = SweepBackend(
             executor="serial", inner="vectorized"
         ).run_grid(small_grid())
