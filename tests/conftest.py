@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.core.constants import Constants
 from repro.exec import ExecutionBackend, get_backend
 from repro.graphs.generators import (
     caterpillar,
@@ -17,6 +18,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.instances import (
     cycle5,
+    hoffman_singleton,
     petersen,
     projective_plane_incidence,
 )
@@ -79,3 +81,38 @@ class RecordingBackend(ExecutionBackend):
             ]
         )
         return result
+
+
+#: Few initial trials, so many nodes are still live when the Reduce
+#: ladder starts and its queries, checks and proposals all run.
+_SHORT_TRIALS = Constants.practical().scaled(c0=0.5)
+
+#: ``basic`` cells stop here: past the ladder, inside final-reduce.
+LADDER_BASIC_MAX_ROUNDS = 800
+
+
+def ladder_cells():
+    """Name -> ``(graph, seed, driver kwargs)`` of runs whose Reduce
+    ladder (Sec. 2.2) is non-empty and has live nodes.
+
+    Hoffman–Singleton (Δ = 7, G² complete on Δ²+1 nodes) and PG(2,7)
+    incidence (n = 114, Δ = 8) are Δ²-tight; the random 7-regular
+    graph on 50 nodes has 4-cycles and triangles, so the XOR lottery
+    sees duplicate routes and direct-vs-relayed ties.
+    """
+    hs = hoffman_singleton()
+    pg7 = projective_plane_incidence(7)
+    rr7 = random_regular(7, 50, seed=1)
+    return {
+        "hs-s0": (hs, 0, {}),
+        "hs-s1": (hs, 1, {}),
+        "hs-short-s0": (hs, 0, {"constants": _SHORT_TRIALS}),
+        "hs-sampled-s0": (hs, 0, {"force_exact_similarity": False}),
+        "hs-sampled-short-s3": (
+            hs, 3,
+            {"force_exact_similarity": False, "constants": _SHORT_TRIALS},
+        ),
+        "pg7-s0": (pg7, 0, {}),
+        "pg7-short-s2": (pg7, 2, {"constants": _SHORT_TRIALS}),
+        "rr7-short-s0": (rr7, 0, {"constants": _SHORT_TRIALS}),
+    }
