@@ -10,9 +10,10 @@ Persisted for cross-PR tracking
 (``results/BENCH_e21_backends.json``): the per-backend wall-clock on
 the largest corpus workload, the vectorized-over-reference speedup on
 the trial kernel, a per-kernel speedup row (with a hard >= 2x floor)
-for each of the PR-8 kernels — the hybrid randomized d2-Color
-kernels and the locally-iterative / part-offset poly-phase kernels
-behind deterministic-d2 and eps-d2-coloring — and the
+for each of the PR-8 kernels — the randomized d2-Color kernels (on
+rr4 and on the Δ²-tight Hoffman–Singleton graph, whose similarity and
+Reduce ladder run as arrays) and the locally-iterative / part-offset
+poly-phase kernels behind deterministic-d2 and eps-d2-coloring — and the
 instance-cache effect on the sweep hot path — contract checks take the one cached G² adjacency per
 instance instead of rebuilding distance-2 adjacency per cell, which
 this bench asserts (one square build per instance, cells × specs
@@ -32,6 +33,7 @@ from repro.core.trying import all_colored
 from repro.det.g_coloring import prime_between
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
+from repro.graphs.instances import hoffman_singleton
 from repro.exec import (
     SweepBackend,
     available_backends,
@@ -145,12 +147,11 @@ def _distinct_colors(graph, bound, seed):
 
 @pytest.mark.parametrize("variant", ["improved", "basic"])
 def test_kernel_speedup_randomized_d2(benchmark, variant):
-    """The hybrid d2-Color kernel's margin over reference (best of 2).
+    """The d2-Color kernel's margin over reference (best of 2).
 
-    The random-trials section runs as array work; the
-    similarity/ladder epilogue resumes the generators.  Δ² < c2·log n
-    on this workload, so the deterministic fallback is disabled to
-    exercise the randomized pipeline itself.
+    Δ² < c2·log n on this workload, so the deterministic fallback is
+    disabled to exercise the randomized pipeline itself.  Every run
+    here ends inside the random trials, which run as array work.
     """
     workload = get_workload("rr4-huge-16384")
     graph = instance_cache().get(workload, 7).graph()
@@ -183,6 +184,57 @@ def test_kernel_speedup_randomized_d2(benchmark, variant):
     _PAYLOAD.setdefault("kernel_speedups", {})[f"{variant}-d2color"] = {
         "workload": workload.name,
         "n": graph.number_of_nodes(),
+        "reference_wall_seconds": ref_s,
+        "vectorized_wall_seconds": vec_s,
+        "speedup": round(speedup, 2),
+    }
+
+
+#: Hoffman–Singleton seeds per variant: G² is complete on Δ²+1 nodes,
+#: so similarity and the Reduce ladder always run (``basic`` seeds
+#: whose final-reduce ends within ~5k rounds).
+_TIGHT_SEEDS = {"improved": range(8), "basic": (1, 3)}
+
+
+@pytest.mark.parametrize("variant", ["improved", "basic"])
+def test_kernel_speedup_randomized_d2_tight(benchmark, variant):
+    """The d2-Color kernel's margin over reference on a Δ²-tight graph
+    (best of 2), Step-0 fallback left on: trials, similarity and every
+    Reduce-Phase run as arrays; ``improved`` resumes the generators
+    for LearnPalette and finish only."""
+    graph = hoffman_singleton()
+    color = improved_d2_color if variant == "improved" else basic_d2_color
+
+    def run(backend):
+        walls = []
+        results = None
+        for _ in range(2):
+            t0 = time.perf_counter()
+            with use_backend(backend):
+                results = [
+                    color(graph, seed=seed)
+                    for seed in _TIGHT_SEEDS[variant]
+                ]
+            walls.append(time.perf_counter() - t0)
+        return min(walls), results
+
+    ref_s, refs = run("reference")
+    vec_s, vecs = benchmark.pedantic(
+        lambda: run("vectorized"), iterations=1, rounds=1
+    )
+    for ref, vec in zip(refs, vecs):
+        assert not vec.params.get("deterministic_fallback")
+        assert vec.coloring == ref.coloring
+        assert vec.rounds == ref.rounds
+        assert vec.metrics == ref.metrics
+    speedup = ref_s / vec_s
+    assert speedup >= 2.0, (ref_s, vec_s)
+    _PAYLOAD.setdefault("kernel_speedups", {})[
+        f"{variant}-d2color-tight"
+    ] = {
+        "workload": "hoffman-singleton",
+        "n": graph.number_of_nodes(),
+        "seeds": list(_TIGHT_SEEDS[variant]),
         "reference_wall_seconds": ref_s,
         "vectorized_wall_seconds": vec_s,
         "speedup": round(speedup, 2),

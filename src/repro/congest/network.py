@@ -63,7 +63,12 @@ import numpy as np
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
-from repro.congest.rng import CounterRandom, node_keys, randrange_array
+from repro.congest.rng import (
+    CounterRandom,
+    node_keys,
+    random_array,
+    randrange_array,
+)
 from repro.obs import trace as obs_trace
 
 _EMPTY_INPUT: Dict[str, Any] = {}
@@ -148,7 +153,8 @@ class NetworkPlan:
     the CSR G/G² adjacency (shared with :meth:`Instance.csr`), the
     dense node order, per-node input dicts, and the per-node RNG state
     of :mod:`repro.congest.rng` — uint64 stream keys (derived in one
-    vector pass) and counters.  Kernels draw through :meth:`randrange`;
+    vector pass) and counters.  Kernels draw through :meth:`randrange`
+    and :meth:`random`;
     materialization hands every ``NodeContext`` its key and current
     counter, so generator draws continue where the kernel's stopped.
     Once the network is materialized the contexts own the counters.
@@ -185,6 +191,12 @@ class NetworkPlan:
         (``bounds``: an int or an array aligned with ``idx``) on its
         own stream — what its generator program would have drawn."""
         return randrange_array(self.node_keys, self.counters, idx, bounds)
+
+    def random(self, idx: np.ndarray) -> np.ndarray:
+        """Each node index in ``idx`` draws ``random()`` on its own
+        stream (float64) — what its generator program would have
+        drawn."""
+        return random_array(self.node_keys, self.counters, idx)
 
     def input_for(self, node: int) -> Dict[str, Any]:
         """The (unmaterialized) input dict of ``node``; never copied,

@@ -9,7 +9,8 @@ Node *v* owns ``(key, counter)`` with
 ``key = mix64(derive_int(seed, "node"), label_v)``; word *i* of its
 stream is ``mix64(key, i)`` (SplitMix64 seeded with ``key``).  Generator
 programs draw through :class:`CounterRandom`, array kernels through
-:func:`randrange_array`; the two are pinned equal by property tests, so
+:func:`randrange_array` and :func:`random_array`; the two are pinned
+equal by property tests, so
 a draw does not depend on which engine makes it, and generator draws
 simply continue at the counter the kernel draws left.
 """
@@ -107,6 +108,23 @@ class CounterRandom(random.Random):
         return (mix64(self.key, i) >> 11) * _UNIT
 
 
+#: Words hashed per pending node per rejection pass when fewer than
+#: this many nodes are pending (at most 8): small draws then finish in
+#: about one pass, large ones hash no word they do not consume.
+_PASS_WORDS = 4096
+
+
+def _bit_lengths(bounds: np.ndarray) -> np.ndarray:
+    """``bound.bit_length()`` elementwise for int64 ``bounds >= 1``."""
+    high = bounds >> np.int64(32)
+    low = bounds & np.int64(0xFFFFFFFF)
+    return np.where(
+        high > 0,
+        np.frexp(high.astype(np.float64))[1] + 32,
+        np.frexp(low.astype(np.float64))[1],
+    ).astype(np.uint64)
+
+
 def randrange_array(
     keys: np.ndarray, counters: np.ndarray, idx: np.ndarray, bounds
 ) -> np.ndarray:
@@ -115,27 +133,58 @@ def randrange_array(
 
     Equal to ``CounterRandom(keys[i], counters[i]).randrange(bound)``
     per node, i.e. the stdlib's ``_randbelow_with_getrandbits``: draw
-    ``bound.bit_length()`` bits, and redraw — only the rejected nodes,
-    each on its next counter — while the draw is ``>= bound``.
-    ``idx`` must not repeat a node; bounds must lie in ``[1, 2⁶³)``.
+    ``bound.bit_length()`` bits, and redraw — each on its next counter
+    — while the draw is ``>= bound``.  A pass hashes the next ``k``
+    words of every pending node at once (``k = 1`` for large batches)
+    and keeps the first accepted one, so a node's counter advances by
+    exactly the words the scalar loop would consume.  ``idx`` must not
+    repeat a node; bounds must lie in ``[1, 2⁶³)``.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), idx.shape)
-    shifts = np.full(idx.shape, 63, dtype=np.uint64)  # 64 - bit_length
-    rest = bounds.copy()
-    for step in (32, 16, 8, 4, 2, 1):
-        big = rest >= (1 << step)
-        shifts[big] -= np.uint64(step)
-        rest[big] >>= step
+    if np.ndim(bounds) == 0:
+        bound = int(bounds)
+        bounds = np.int64(bound)
+        shifts = np.uint64(64 - bound.bit_length())
+    else:
+        bounds = np.broadcast_to(
+            np.asarray(bounds, dtype=np.int64), idx.shape
+        )
+        shifts = np.uint64(64) - _bit_lengths(bounds)
     out = np.empty(idx.shape, dtype=np.int64)
     todo = np.arange(idx.size)
     while todo.size:
+        k = max(1, min(8, _PASS_WORDS // todo.size))
         nodes = idx[todo]
+        base = counters[nodes]
+        if np.ndim(bounds):
+            bound_t, shift_t = bounds[todo, None], shifts[todo, None]
+        else:
+            bound_t, shift_t = bounds, shifts
         draws = (
-            mix64_array(keys[nodes], counters[nodes]) >> shifts[todo]
+            mix64_array(
+                keys[nodes][:, None],
+                base[:, None] + np.arange(k, dtype=np.uint64),
+            )
+            >> shift_t
         ).astype(np.int64)
-        counters[nodes] += np.uint64(1)
-        ok = draws < bounds[todo]
-        out[todo[ok]] = draws[ok]
-        todo = todo[~ok]
+        ok = draws < bound_t
+        first = ok.argmax(axis=1)
+        hit = ok[np.arange(todo.size), first]
+        out[todo[hit]] = draws[hit, first[hit]]
+        counters[nodes] = base + np.where(
+            hit, first + 1, k
+        ).astype(np.uint64)
+        todo = todo[~hit]
     return out
+
+
+def random_array(
+    keys: np.ndarray, counters: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """``random()`` on the stream of every node in ``idx`` (float64,
+    equal to :meth:`CounterRandom.random`); ``counters[idx]`` advances
+    by one.  ``idx`` must not repeat a node."""
+    idx = np.asarray(idx, dtype=np.int64)
+    words = mix64_array(keys[idx], counters[idx])
+    counters[idx] += np.uint64(1)
+    return (words >> np.uint64(11)).astype(np.float64) * _UNIT

@@ -45,13 +45,13 @@ class RandomizedD2Program(
 ):
     """One node of d2-Color / Improved-d2-Color."""
 
-    #: Set by the vectorized backend's hybrid kernel after it has run
-    #: the random-trials section as array work: ``(rounds, adopts)``
-    #: where ``rounds`` is the section's round count for the phase log
-    #: and ``adopts`` the final-round adopt messages this node would
-    #: have recorded.  ``run`` then skips the generator-executed
-    #: trials and replays those observable effects instead.
-    _kernel_prefix = None
+    #: Set by the vectorized backend's hybrid kernel when it hands the
+    #: run back to the generators: how many leading sections of
+    #: :meth:`_sections` it already executed as array work.  The kernel
+    #: has written their whole footprint into the program (colors,
+    #: neighbor tables, phase log, similarity state, Reduce counters,
+    #: RNG counters), so ``run`` starts at the next section.
+    _kernel_prefix = 0
 
     def __init__(self, ctx: NodeContext):
         super().__init__(ctx)
@@ -108,49 +108,56 @@ class RandomizedD2Program(
         while True:
             yield from self.reduce(floor, 1.0)
 
-    def _trials_or_prefix(self):
-        """The random-trials section, or its kernel-computed replay.
-
-        When the hybrid kernel already executed the trials as array
-        work it leaves ``_kernel_prefix`` behind; the generator then
-        reproduces the section's observable footprint — the phase-log
-        entry and the final-round adopt records — without yielding.
-        """
-        prefix = self._kernel_prefix
-        if prefix is not None:
-            self._kernel_prefix = None
-            rounds, adopts = prefix
-            self.phase_log.append(("trials", rounds))
-            self.nbr_colors.update(adopts)
-            return
+    def _trials_section(self):
         yield from self._tracked("trials", self._random_trials())
+
+    def _similarity_section(self):
+        self.similarity = yield from self._tracked(
+            "similarity", self.build_similarity(self.sim_config)
+        )
+
+    def _ladder_section(self):
+        yield from self._tracked("reduce-ladder", self._ladder())
+
+    def _learn_section(self):
+        self.free_colors = yield from self._tracked(
+            "learn-palette", self.learn_palette(self.learn_config)
+        )
+
+    def _finish_section(self):
+        self.phase = "finish"
+        yield from self.finish_coloring(
+            self.free_colors, self.palette, self.forward_per_round
+        )
+
+    def _final_reduce_section(self):
+        self.phase = "final-reduce"
+        yield from self._final_reduce_forever()
+
+    def _sections(self):
+        """The variant's schedule, in order."""
+        if self.variant == "improved":
+            # Improved-d2-Color: trials, then similarity graphs.
+            return (
+                self._trials_section,
+                self._similarity_section,
+                self._ladder_section,
+                self._learn_section,
+                self._finish_section,
+            )
+        # Basic d2-Color: similarity graphs first, then trials.
+        return (
+            self._similarity_section,
+            self._trials_section,
+            self._ladder_section,
+            self._final_reduce_section,
+        )
 
     # ------------------------------------------------------------------
 
     def run(self):
-        if self.variant == "improved":
-            # Improved-d2-Color: trials, then similarity graphs.
-            yield from self._trials_or_prefix()
-            self.similarity = yield from self._tracked(
-                "similarity", self.build_similarity(self.sim_config)
-            )
-            yield from self._tracked("reduce-ladder", self._ladder())
-            self.free_colors = yield from self._tracked(
-                "learn-palette", self.learn_palette(self.learn_config)
-            )
-            self.phase = "finish"
-            yield from self.finish_coloring(
-                self.free_colors, self.palette, self.forward_per_round
-            )
-        else:
-            # Basic d2-Color: similarity graphs first, then trials.
-            self.similarity = yield from self._tracked(
-                "similarity", self.build_similarity(self.sim_config)
-            )
-            yield from self._trials_or_prefix()
-            yield from self._tracked("reduce-ladder", self._ladder())
-            self.phase = "final-reduce"
-            yield from self._final_reduce_forever()
+        for section in self._sections()[self._kernel_prefix:]:
+            yield from section()
 
 
 def _run_randomized(

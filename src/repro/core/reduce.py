@@ -37,6 +37,16 @@ checks are slightly tighter).  Roles and rounds:
 16     try primitive; everyone else serves verdicts    (step 6)
 17
 ==  =============================================================
+
+The vectorized backend's ``_randomized_d2_kernel``
+(:mod:`repro.exec.vectorized`) replays this schedule on arrays and
+per node, drawing the same counter-hash words in the same order:
+activation ``random()`` while live, the lottery ticket, the round-4
+coins (neighbor order × requester inbox order, Ĥ-filtered) and
+``choice``, then every ``choice``/``randrange``/``sample`` below in
+source order.  An edit to the draws, messages or their order here
+must update that kernel (``tests/test_exec_vectorized.py`` and
+``tests/data/ladder_golden.json`` catch a mismatch).
 """
 
 from __future__ import annotations

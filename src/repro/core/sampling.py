@@ -17,6 +17,14 @@ yield identical XORs, so multiplicity does not bias the draw).
 Here each middle forwards only its own argmin per requester (the
 global argmin of per-middle argmins — same distribution, one message
 per edge per round).  Experiment E8 checks uniformity.
+
+The vectorized backend's ``_randomized_d2_kernel`` replays this round
+as arrays — one ticket draw (``randrange(2^(4·bitlen(n-1)))``), one
+XOR plus threshold filter over the H-adjacent pairs each middle
+compiles once, one segment argmin — with these tie rules: the first
+minimum in inbox order wins, a direct H-neighbor beats an equal
+relayed XOR, and ``w == self`` forwards are skipped.  An edit to the
+draw, the filter or the tie rules here must update that kernel.
 """
 
 from __future__ import annotations

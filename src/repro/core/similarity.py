@@ -17,6 +17,11 @@ Where the knowledge lives afterwards (faithful to the paper):
 
 When Δ² = O(log n) the sample would be all of V; the protocol then
 gathers exact d2-neighborhoods instead (the paper's small-Δ² case).
+
+The vectorized backend's ``_randomized_d2_kernel`` computes the same
+sets and pipelined traffic as arrays (one membership ``random()`` per
+node in sampled mode); an edit to the draws or the message layout
+here must update that kernel.
 """
 
 from __future__ import annotations

@@ -18,11 +18,10 @@ the CSR adjacency plus per-node stream keys and counters — so a
 kernel-covered run on an *unmaterialized* network never builds a
 Python node object at all: end-state is published through
 ``Network.node_colors()``/``node_table()`` and written back to
-programs only if somebody later materializes them.  Hybrid kernels
-(the randomized d2-color pipeline) execute the array-friendly
-try-phase window as batched numpy work and drive the surrounding
-protocol sections through the resumable
-:class:`~repro.exec.reference.GeneratorLoop`.
+programs only if somebody later materializes them.  The one hybrid
+kernel (``improved-d2color``) runs its array sections, then
+materializes the programs with their end-state and hands the rest of
+the run to the resumable :class:`~repro.exec.reference.GeneratorLoop`.
 
 Coverage is per program class, not per call site:
 
@@ -38,11 +37,14 @@ Coverage is per program class, not per call site:
   ``g_coloring`` paths);
 - :class:`ColorReductionProgram` — the whole fixed schedule of
   Theorem B.2 (the last stage of ``deterministic-d2``);
-- :class:`RandomizedD2Program` — the ``c0·log n`` random-trials
-  section of ``improved-d2color``/``basic-d2color``; similarity,
-  reduce, learn-palette and finish still run as generators.  Their
-  Step-0 fallback is the ``deterministic-d2`` chain, so on low-Δ
-  graphs they run with zero generator programs.
+- :class:`RandomizedD2Program` — the random trials, the similarity
+  graphs (Sec. 2.3) and every Reduce-Phase (Sec. 2.2: the ladder
+  rungs and ``basic``'s final-reduce loop, XOR lottery included).
+  ``basic-d2color`` runs with zero generator programs;
+  ``improved-d2color`` resumes the generators for LearnPalette and
+  finish only.  Their Step-0 fallback is the ``deterministic-d2``
+  chain, so on low-Δ graphs they run with zero generator programs
+  too.
 
 Kernels read their input from the plan only.  A network whose Python
 nodes already exist may hold program state no plan input describes,
@@ -50,7 +52,8 @@ so it goes straight to the generator loop (fallback cause
 ``materialized``).  Everything else — and every run a kernel cannot
 replay exactly (custom ``stop_when`` monitors, ``avoid_known``
 candidate selection, self-loop graphs, metered payloads that could
-exceed the budget, values that could leave int64) — falls back to
+exceed the budget, values that could leave int64, lottery tickets
+wider than 62 bits, dropped similarity items) — falls back to
 ``reference`` automatically, so ``backend="vectorized"`` is always
 safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
@@ -59,7 +62,10 @@ safe to request.  The guarantees are enforced by
 
 from __future__ import annotations
 
+import bisect
+import copy
 import functools
+import itertools
 from collections import Counter
 from typing import Callable, Dict, Optional, Type
 
@@ -78,7 +84,34 @@ from repro.congest.errors import NonterminationError
 from repro.congest.message import bit_size, int_bits
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthMode
+from repro.congest.rng import CounterRandom
+from repro.core.constants import Constants
 from repro.core.d2color import RandomizedD2Program
+from repro.core.reduce import (
+    _PROPOSAL_CAP,
+    _TAG_CHECK,
+    _TAG_CHECK_REPLY,
+    _TAG_COLOR_BACK,
+    _TAG_COLOR_BACK2,
+    _TAG_FORWARD,
+    _TAG_FORWARD2,
+    _TAG_MEMBER_PROBE,
+    _TAG_MEMBER_REPLY,
+    _TAG_PATH_PROBE,
+    _TAG_PATH_REPLY,
+    _TAG_PROPOSALS,
+    _TAG_PROPOSE,
+    _TAG_QREQ,
+    _TAG_QUERY,
+    REDUCE_PHASE_ROUNDS,
+)
+from repro.core.sampling import _TAG_BEST, _TAG_TICKET
+from repro.core.similarity import (
+    _TAG_IN_S,
+    _TAG_LIST,
+    SimilarityConfig,
+    SimilarityState,
+)
 from repro.core.trying import TAG_ADOPT, TAG_TRY, TAG_VERDICT, all_colored
 from repro.det.color_reduction import ColorReductionProgram
 from repro.det.linial import LinialProgram
@@ -86,7 +119,7 @@ from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
-from repro.exec.reference import PAUSED, GeneratorLoop
+from repro.exec.reference import GeneratorLoop
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
 
@@ -100,9 +133,9 @@ KERNELS: Dict[Type, Callable] = {}
 
 #: Registry spec name -> the program class its hot network runs; the
 #: spec-name half of :func:`kernel_coverage`.  Coverage through this
-#: table may be partial per run: ``improved-d2color``/``basic-d2color``
-#: kernelize their random-trials section (the rest stays generator
-#: work), and ``deterministic-d2``/``eps-d2-coloring`` are listed
+#: table may be partial per run: ``improved-d2color`` leaves
+#: LearnPalette and finish to the generators (``basic-d2color`` is
+#: covered whole), and ``deterministic-d2``/``eps-d2-coloring`` are listed
 #: under their locally-iterative stage although their Linial stage has
 #: a kernel too (so does ``deterministic-d2``'s color reduction, but
 #: not ``eps-d2-coloring``'s per-part one).  The Step-0 fallback of the
@@ -322,7 +355,31 @@ def _try_phases_fit(network, worst_value) -> bool:
     )
 
 
-def _run_try_phases(
+def _run_try_phases(csr, st, traffic, draw, *, start_round, **kwargs):
+    """:func:`_try_rounds` inside a ``kernel.try_phases`` span."""
+    rec = obs_trace.recorder()
+    trace_t0 = rec.clock() if rec is not None else 0.0
+    messages0, bits0 = traffic.messages, traffic.bits
+    r, rounds, status = _try_rounds(
+        csr, st, traffic, draw, start_round=start_round, **kwargs
+    )
+    if rec is not None:
+        rec.complete(
+            "kernel.try_phases",
+            trace_t0,
+            {
+                "start_round": start_round,
+                "end_round": r,
+                "rounds": rounds,
+                "status": status,
+                "messages": traffic.messages - messages0,
+                "bits": traffic.bits - bits0,
+            },
+        )
+    return r, rounds, status
+
+
+def _try_rounds(
     csr,
     st: "_TryState",
     traffic: _Traffic,
@@ -337,15 +394,12 @@ def _run_try_phases(
     """Drive rounds ``[start_round, end_round)`` of 3-round try phases.
 
     ``draw(phase, live_idx)`` returns the int64 candidates of the live
-    nodes (aligned with ``live_idx``), consuming exactly the RNG draws
-    the generators would.  Returns ``(r, rounds, status)`` with
-    ``status`` in ``{"stopped", "timeout", "done"}`` — checked in the
-    same order as the round loop (stop monitor, then ``max_rounds``,
-    then the window bound).
+    nodes (aligned with ``live_idx``; ``-1`` sits the phase out),
+    consuming exactly the RNG draws the generators would.  Returns
+    ``(r, rounds, status)`` with ``status`` in ``{"stopped",
+    "timeout", "done"}`` — checked in the same order as the round
+    loop (stop monitor, then ``max_rounds``, then the window bound).
     """
-    rec = obs_trace.recorder()
-    trace_t0 = rec.clock() if rec is not None else 0.0
-    messages0, bits0 = traffic.messages, traffic.bits
     colors = st.colors
     announced = st.announced
     adopt_iter = st.adopt_iter
@@ -386,11 +440,12 @@ def _run_try_phases(
                 cand[live_idx] = draw(
                     (r - start_round) // 3, live_idx
                 )
-            send_deg = deg[live_idx]
+            try_idx = live_idx[cand[live_idx] >= 0]
+            send_deg = deg[try_idx]
             pending_verdicts = int(send_deg.sum())
             traffic.add(
                 pending_verdicts,
-                _TRY_BASE + arrays.int_bits_array(cand[live_idx])
+                _TRY_BASE + arrays.int_bits_array(cand[try_idx])
                 if metered
                 else None,
                 send_deg,
@@ -430,19 +485,6 @@ def _run_try_phases(
             adopt_iter[adopt_idx] = r
         rounds += 1
         r += 1
-    if rec is not None:
-        rec.complete(
-            "kernel.try_phases",
-            trace_t0,
-            {
-                "start_round": start_round,
-                "end_round": r,
-                "rounds": rounds,
-                "status": break_status,
-                "messages": traffic.messages - messages0,
-                "bits": traffic.bits - bits0,
-            },
-        )
     return r, rounds, break_status
 
 
@@ -1200,8 +1242,877 @@ def _color_reduction_kernel(
 
 
 # ----------------------------------------------------------------------
-# randomized d2-color (improved + basic): hybrid — the c0·log n
-# random-trials section runs as arrays, everything else as generators
+# randomized d2-color (improved + basic): the random trials, the
+# similarity graphs and every Reduce-Phase run as arrays; ``improved``
+# hands LearnPalette and finish back to the generators.
+
+#: Reduce-Phase payload sizes that do not depend on the values carried.
+_TICKET_BASE = bit_size((_TAG_TICKET, 0)) - 1
+_BEST_BASE = bit_size((_TAG_BEST, 0, 0)) - 2
+_QREQ_BITS = bit_size((_TAG_QREQ,))
+_IN_S_BITS = bit_size((_TAG_IN_S, True))
+_LIST_BASE = bit_size((_TAG_LIST,))  # + (2 + int_bits) per item
+
+#: Which fields of each routing message carry a node (sent as its
+#: label; the kernel carries dense indices).
+_NODE_FIELDS = {
+    _TAG_QUERY: (1,),
+    _TAG_PATH_PROBE: (1,),
+    _TAG_FORWARD: (1, 2),
+    _TAG_FORWARD2: (1, 2),
+    _TAG_MEMBER_PROBE: (1,),
+    _TAG_COLOR_BACK: (1, 2),
+    _TAG_COLOR_BACK2: (1,),
+    _TAG_PROPOSE: (1,),
+}
+
+#: Row of each :class:`ReduceStats` counter in the kernel's table.
+_STATS = (
+    "queries_sent",
+    "queries_received",
+    "queries_accepted",
+    "proposals_received",
+    "proposals_made",
+    "colored_in_reduce",
+)
+_SENT, _RECEIVED, _ACCEPTED, _PROPOSED_TO, _PROPOSED, _COLORED = range(6)
+
+
+class _Declined(Exception):
+    """The randomized kernel cannot replay this run exactly."""
+
+
+def _pipeline_traffic(items, indptr, pm, rounds, deg, item_bits):
+    """Per round k, ``(messages, sizes, copies)`` of the chunk-k
+    messages of :meth:`SimilarityMixin._pipeline_exchange`: node v
+    sends items ``[k·pm, (k+1)·pm)`` of its list (``items[indptr[v]:
+    indptr[v+1]]``) to each of its ``deg[v]`` neighbors.  ``sizes`` is
+    None when ``item_bits`` is (unmetered)."""
+    lens = np.diff(indptr)
+    csum = None
+    if item_bits is not None:
+        csum = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(item_bits[items]))
+        )
+    out = []
+    for k in range(rounds):
+        lo = k * pm
+        senders = np.flatnonzero((lens > lo) & (deg > 0))
+        copies = deg[senders]
+        sizes = None
+        if csum is not None:
+            base = indptr[senders]
+            hi = np.minimum(lens[senders], lo + pm)
+            sizes = _LIST_BASE + csum[base + hi] - csum[base + lo]
+        out.append((int(copies.sum()), sizes, copies))
+    return out
+
+
+def _common_counts(csr, sample):
+    """``|S_a ∩ S_b|`` for every G² entry (a, b), where ``S_v`` is v's
+    distance-≤2 set (intersected with ``sample`` when given)."""
+    from scipy import sparse
+
+    n = csr.n
+    owner = np.repeat(np.arange(n, dtype=np.int64), csr.d2_degrees)
+    if owner.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    ones = np.ones(owner.size, dtype=np.int32)
+
+    def matrix(data):
+        return sparse.csr_matrix(
+            (data, csr.g2_indices, csr.g2_indptr), shape=(n, n)
+        )
+
+    # (G² · diag(S) · G²)[a, b] counts the sampled c within distance 2
+    # of both a and b.
+    right = ones if sample is None else sample[owner].astype(np.int32)
+    prod = (matrix(ones) @ matrix(right)).tocsr()
+    return np.asarray(prod[owner, csr.g2_indices]).ravel()
+
+
+class _RandomizedRun:
+    """One :class:`RandomizedD2Program` run on arrays.
+
+    Sections execute in the variant's order (``improved``: trials,
+    similarity, ladder; ``basic``: similarity, trials, ladder,
+    final-reduce forever), each from round ``self.r`` on.  Every draw
+    goes to a copy of the plan's counters (committed only when the run
+    is accepted) in each node's generator order: per Reduce-Phase the
+    activation ``random()`` while live, the lottery ticket, then —
+    only at nodes a query touches, replayed per node in Python — the
+    coins, choices, relay picks and proposal samples of
+    ``reduce_phase`` in source order.  Raises :class:`_Declined`
+    before anything is written when it cannot replay a run.
+    """
+
+    def __init__(self, network, plan, *, max_rounds, check_stop,
+                 palette, variant, trials, sim_config, constants,
+                 ladder, filter_bits):
+        self.network = network
+        self.plan = plan
+        csr = self.csr = plan.csr
+        self.n = n = csr.n
+        self.order = csr.order
+        self.labels = np.asarray(csr.order, dtype=np.int64)
+        self.max_rounds = max_rounds
+        self.check_stop = check_stop
+        self.palette = palette
+        self.variant = variant
+        self.trials = trials
+        self.sim_config = sim_config
+        self.constants = constants
+        self.ladder_schedule = ladder
+        self.draws = copy.copy(plan)
+        self.draws.counters = plan.counters.copy()
+        self.traffic = _Traffic(network)
+        self.st = _TryState(n)
+        self.stats = np.zeros((len(_STATS), n), dtype=np.int64)
+        self.all_idx = np.arange(n, dtype=np.int64)
+        self.rank = _loop_rank(network, csr)
+        self.label_bits = arrays.int_bits_array(self.labels)
+        space_bits = 4 * max(1, (n - 1).bit_length())
+        self.space = 1 << space_bits
+        self.threshold = (
+            self.space >> filter_bits if filter_bits > 0 else self.space
+        )
+        self.r = 0
+        #: ``(name, start, rounds or None)`` of every section entered.
+        self.sections = []
+        self.pending_colored = None
+        self.own_mask = None
+        self._nbrs = None
+        self._h_rows = ({}, {})
+
+    # -- the schedule ---------------------------------------------------
+
+    def run(self) -> str:
+        """Execute the kernel sections; the status at ``self.r``."""
+        if self.variant == "improved":
+            steps = (self.run_trials, self.run_similarity, self.run_ladder)
+        else:
+            steps = (
+                self.run_similarity, self.run_trials, self.run_ladder,
+                self.run_final_reduce,
+            )
+        for step in steps:
+            status = step()
+            if status != "done":
+                return status
+        return self.enter(self.r) or "done"
+
+    def enter(self, r):
+        """Round ``r``'s top-of-round checks (stop monitor, then
+        ``max_rounds``); None when round r executes, which also books
+        what its resume does for the previous round's adopters."""
+        if self.check_stop and not (self.st.colors < 0).any():
+            return "stopped"
+        if r >= self.max_rounds:
+            return "timeout"
+        if self.pending_colored is not None:
+            self.stats[_COLORED, self.pending_colored] += 1
+            self.pending_colored = None
+        return None
+
+    def silent(self, rounds) -> str:
+        """``rounds`` message-free rounds (no color changes)."""
+        end = self.r + rounds
+        if end > self.max_rounds:
+            self.r = self.max_rounds
+            return "timeout"
+        self.r = end
+        return "done"
+
+    def live_count(self) -> int:
+        return int((self.st.colors < 0).sum())
+
+    def span(self, name, t0, messages0, bits0, r0, status, **attrs):
+        rec = obs_trace.recorder()
+        if rec is not None:
+            attrs.update(
+                start_round=r0,
+                end_round=self.r,
+                rounds=self.r - r0,
+                status=status,
+                messages=self.traffic.messages - messages0,
+                bits=self.traffic.bits - bits0,
+                live=self.live_count(),
+            )
+            rec.complete(name, t0, attrs)
+
+    # -- random trials --------------------------------------------------
+
+    def run_trials(self) -> str:
+        start = self.r
+        self.sections.append(("trials", start, 3 * self.trials))
+        palette = self.palette
+
+        def draw(_phase, live_idx):
+            return self.draws.randrange(live_idx, palette)
+
+        self.r, _rounds, status = _run_try_phases(
+            self.csr, self.st, self.traffic, draw,
+            start_round=start, end_round=start + 3 * self.trials,
+            max_rounds=self.max_rounds, check_stop=self.check_stop,
+        )
+        return status
+
+    # -- similarity graphs (Sec. 2.3) ------------------------------------
+
+    def run_similarity(self) -> str:
+        rec = obs_trace.recorder()
+        t0 = rec.clock() if rec is not None else 0.0
+        m0, b0, r0 = self.traffic.messages, self.traffic.bits, self.r
+        status = self._similarity()
+        self.span("kernel.similarity", t0, m0, b0, r0, status)
+        return status
+
+    def _similarity(self) -> str:
+        csr, cfg, n = self.csr, self.sim_config, self.n
+        pm = cfg.per_message
+        start = self.r
+        rounds = (
+            cfg.forward_rounds + cfg.own_rounds + (0 if cfg.exact else 1)
+        )
+        self.sections.append(("similarity", start, rounds))
+        status = self.enter(start)
+        if status is not None:
+            return status
+        deg = csr.degrees
+        g_indptr, g_indices = csr.g_indptr, csr.g_indices
+        g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
+        item_bits = (
+            2 + self.label_bits if self.traffic.metered else None
+        )
+        schedule = []
+        if cfg.exact:
+            sample = None
+            fwd_items, fwd_indptr = g_indices, g_indptr
+            own_items, own_indptr = g2_indices, g2_indptr
+        else:
+            sample = self.draws.random(self.all_idx) < cfg.sample_p
+            schedule.append((n, _IN_S_BITS if item_bits is not None else None, None))
+            # S ∩ N(v) in v's inbox order (the loop's sender order).
+            owner = np.repeat(self.all_idx, deg)
+            keep = sample[g_indices]
+            key = g_indices if self.rank is None else self.rank[g_indices]
+            pick = np.lexsort((key, owner))
+            pick = pick[keep[pick]]
+            fwd_items = g_indices[pick]
+            fwd_indptr = np.concatenate(
+                (np.zeros(1, np.int64), np.cumsum(np.bincount(owner[pick], minlength=n)))
+            )
+            self.own_mask = sample[g2_indices]
+            owner2 = np.repeat(self.all_idx, csr.d2_degrees)
+            own_items = g2_indices[self.own_mask]
+            own_indptr = np.concatenate(
+                (np.zeros(1, np.int64), np.cumsum(np.bincount(owner2[self.own_mask], minlength=n)))
+            )
+        if (
+            np.diff(fwd_indptr).max(initial=0) > cfg.forward_rounds * pm
+            or np.diff(own_indptr).max(initial=0) > cfg.own_rounds * pm
+        ):
+            raise _Declined("similarity-drops")
+        schedule += _pipeline_traffic(
+            fwd_items, fwd_indptr, pm, cfg.forward_rounds, deg, item_bits
+        )
+        schedule += _pipeline_traffic(
+            own_items, own_indptr, pm, cfg.own_rounds, deg, item_bits
+        )
+        for k, (messages, sizes, copies) in enumerate(schedule):
+            if start + k >= self.max_rounds:
+                self.r = self.max_rounds
+                return "timeout"
+            self.traffic.add(messages, sizes, copies)
+        self.r = start + rounds
+        common = _common_counts(csr, sample)
+        self.h_entry = common >= cfg.threshold_h
+        self.hh_entry = common >= cfg.threshold_hhat
+        self._compile_lottery()
+        return "done"
+
+    # -- H/Ĥ lookups ----------------------------------------------------
+
+    def _h_row(self, which, a):
+        rows = self._h_rows[which]
+        row = rows.get(a)
+        if row is None:
+            lo, hi = self.csr.g2_indptr[a], self.csr.g2_indptr[a + 1]
+            flags = (self.h_entry, self.hh_entry)[which][lo:hi]
+            row = rows[a] = set(self.csr.g2_indices[lo:hi][flags].tolist())
+        return row
+
+    def is_h(self, a, b) -> bool:
+        return b in self._h_row(0, a)
+
+    def is_hhat(self, a, b) -> bool:
+        return b in self._h_row(1, a)
+
+    def _compile_lottery(self):
+        """Per middle x, the H-adjacent pairs (u, w) of its neighbors,
+        as segments over x's CSR entries (x, u), w in x's inbox order."""
+        csr, n = self.csr, self.n
+        g_indptr, g_indices, deg = csr.g_indptr, csr.g_indices, csr.degrees
+        src = np.repeat(self.all_idx, deg)
+        cnt = deg[src]
+        seg = np.repeat(np.arange(g_indices.size, dtype=np.int64), cnt)
+        first = np.concatenate((np.zeros(1, np.int64), np.cumsum(cnt)))[:-1]
+        w_pos = (
+            np.arange(seg.size, dtype=np.int64)
+            - np.repeat(first, cnt)
+            + np.repeat(g_indptr[src], cnt)
+        )
+        u = g_indices[seg]
+        w = g_indices[w_pos]
+        keep = u != w
+        seg, u, w = seg[keep], u[keep], w[keep]
+        # H-adjacency of (u, w), looked up among u's G² entries.
+        keys2 = (
+            np.repeat(self.all_idx, csr.d2_degrees) * n + csr.g2_indices
+        )
+        want = u * n + w
+        pos = np.searchsorted(keys2, want)
+        keep = self.h_entry[np.minimum(pos, max(keys2.size - 1, 0))]
+        seg, u, w = seg[keep], u[keep], w[keep]
+        if self.rank is not None:
+            o = np.lexsort((self.rank[w], seg))
+            seg, u, w = seg[o], u[o], w[o]
+        self.pair_u, self.pair_w = u, w
+        starts = np.flatnonzero(
+            np.concatenate(([True], seg[1:] != seg[:-1]))
+        ) if seg.size else np.empty(0, np.int64)
+        self.pair_starts = starts
+        self.pair_lens = np.diff(np.append(starts, seg.size))
+        self.pair_segs = seg[starts]
+
+    # -- the Reduce ladder (Sec. 2.2) ------------------------------------
+
+    def run_ladder(self) -> str:
+        schedule = [
+            (
+                self.constants.reduce_phases(phi, tau, self.n),
+                self.constants.activation_probability(phi, tau),
+                self.constants.query_probability(phi),
+            )
+            for phi, tau in self.ladder_schedule
+        ]
+        rounds = REDUCE_PHASE_ROUNDS * sum(rho for rho, _a, _q in schedule)
+        return self._reduce_section("reduce-ladder", rounds, schedule)
+
+    def run_final_reduce(self) -> str:
+        floor = max(1.0, self.constants.tau_floor(self.n))
+        rung = (
+            self.constants.reduce_phases(floor, 1.0, self.n),
+            self.constants.activation_probability(floor, 1.0),
+            self.constants.query_probability(floor),
+        )
+        return self._reduce_section(
+            "final-reduce", None, itertools.repeat(rung)
+        )
+
+    def _reduce_section(self, name, rounds, schedule) -> str:
+        rec = obs_trace.recorder()
+        t0 = rec.clock() if rec is not None else 0.0
+        m0, b0, r0 = self.traffic.messages, self.traffic.bits, self.r
+        self.sections.append((name, r0, rounds))
+        status = "done"
+        for rho, act_p, query_p in schedule:
+            for _ in range(rho):
+                status = self.reduce_phase(act_p, query_p)
+                if status != "done":
+                    break
+            if status != "done":
+                break
+        self.span(
+            "kernel.reduce_phases", t0, m0, b0, r0, status, section=name
+        )
+        return status
+
+    def reduce_phase(self, act_p, query_p) -> str:
+        """One 17-round Reduce-Phase from round ``self.r``."""
+        start = self.r
+        status = self.enter(start)
+        if status is not None:
+            return status
+        st, traffic, metered = self.st, self.traffic, self.traffic.metered
+        live = np.flatnonzero(st.colors < 0)
+        active = live[self.draws.random(live) < act_p]
+        tickets = self.draws.randrange(self.all_idx, self.space)
+        # round 1: every node broadcasts its ticket
+        traffic.add(
+            self.n,
+            _TICKET_BASE + arrays.int_bits_array(tickets)
+            if metered
+            else None,
+        )
+        if start + 1 >= self.max_rounds:
+            self.r = self.max_rounds
+            return "timeout"
+        # round 2: middles forward each neighbor's best H-partner
+        best = self._lottery(tickets)
+        if start + 2 >= self.max_rounds:
+            self.r = self.max_rounds
+            return "timeout"
+        self.r = start + 2
+        if active.size == 0:
+            return self.silent(REDUCE_PHASE_ROUNDS - 2)
+        self.stats[_SENT, active] += 1
+        traffic.add(active.size, _QREQ_BITS)
+        cand = _Routing(self, start, active, tickets, best, query_p).run()
+        if cand is None:
+            self.r = self.max_rounds
+            return "timeout"
+        self.r = start + 14
+        if not (cand >= 0).any():
+            return self.silent(3)
+        self.r, _rounds, status = _try_rounds(
+            self.csr, st, traffic, lambda _phase, live_idx: cand[live_idx],
+            start_round=start + 14, end_round=start + 17,
+            max_rounds=self.max_rounds, check_stop=self.check_stop,
+        )
+        self.pending_colored = np.flatnonzero(st.adopt_iter == start + 16)
+        return status
+
+    def _lottery(self, tickets):
+        """Round 2 of the XOR lottery (Lemma 2.3): per middle x and
+        neighbor u, the first minimum in x's inbox order of
+        ``t_u ^ t_w`` over H-partners w passing the prefix filter.
+        Meters the forwards; returns ``(segments, w, xored)`` of the
+        (x, u) entries that forward one."""
+        thr = self.threshold
+        starts = self.pair_starts
+        if starts.size == 0:
+            return starts, starts, starts
+        xored = tickets[self.pair_u] ^ tickets[self.pair_w]
+        key = np.where(xored < thr, xored, thr)
+        seg_min = np.minimum.reduceat(key, starts)
+        at_min = np.where(
+            key == np.repeat(seg_min, self.pair_lens),
+            np.arange(key.size),
+            key.size,
+        )
+        first = np.minimum.reduceat(at_min, starts)
+        valid = seg_min < thr
+        segs = self.pair_segs[valid]
+        w = self.pair_w[first[valid]]
+        xr = seg_min[valid]
+        self.traffic.add(
+            segs.size,
+            _BEST_BASE + self.label_bits[w] + arrays.int_bits_array(xr)
+            if self.traffic.metered
+            else None,
+        )
+        return segs, w, xr
+
+    # -- per-node views for the routing rounds -------------------------
+
+    def nbrs(self, i):
+        if self._nbrs is None:
+            g_indptr, g_indices = self.csr.g_indptr, self.csr.g_indices
+            self._nbrs = [
+                g_indices[g_indptr[j]:g_indptr[j + 1]].tolist()
+                for j in range(self.n)
+            ]
+            self._nbr_sets = [set(row) for row in self._nbrs]
+        return self._nbrs[i]
+
+    def nbr_set(self, i):
+        self.nbrs(i)
+        return self._nbr_sets[i]
+
+
+class _Routing:
+    """Rounds 4–15 of one Reduce-Phase (query routing, checks,
+    forwards, proposals and the proposal pick), replayed per node.
+
+    Only nodes a query reaches do anything here, so this runs in
+    Python on dense indices.  Each round's outboxes are delivered in
+    the generator loop's sender order and metered payload by payload
+    (multiplexed collisions included; a broadcast is one message).
+    Every draw is made on the node's :class:`CounterRandom` at the
+    kernel's counter, so words are consumed exactly as
+    ``reduce_phase`` consumes them.
+    """
+
+    def __init__(self, run, start, active, tickets, best, query_p):
+        self.run_ = run
+        self.start = start
+        self.active = active.tolist()
+        self.tickets = tickets
+        self.best = best
+        self.query_p = query_p
+        self.colors = run.st.colors
+        self.rngs = {}
+        self._forwards = None
+
+    def rng(self, i):
+        gen = self.rngs.get(i)
+        if gen is None:
+            draws = self.run_.draws
+            gen = self.rngs[i] = CounterRandom(
+                int(draws.node_keys[i]), int(draws.counters[i])
+            )
+        return gen
+
+    def color(self, i):
+        return int(self.colors[i])
+
+    def in_loop_order(self, nodes):
+        rank = self.run_.rank
+        if rank is None:
+            return sorted(nodes)
+        return sorted(nodes, key=rank.__getitem__)
+
+    def executes(self, offset) -> bool:
+        return self.start + offset < self.run_.max_rounds
+
+    def deliver(self, out=None, bcast=None):
+        """Meter and deliver one round: ``out`` is ``{sender:
+        {receiver: [message, ...]}}`` (one payload per edge,
+        multiplexed when it holds several), ``bcast`` is ``{sender:
+        message}``.  Returns ``{receiver: [(sender, message), ...]}``
+        in inbox order."""
+        out = out or {}
+        bcast = bcast or {}
+        run = self.run_
+        payloads = []
+        inbox = {}
+        for sender in self.in_loop_order(set(out) | set(bcast)):
+            message = bcast.get(sender)
+            if message is not None:
+                payloads.append(message)
+                for receiver in run.nbrs(sender):
+                    inbox.setdefault(receiver, []).append((sender, message))
+                continue
+            for receiver, messages in out[sender].items():
+                payloads.append(
+                    messages[0]
+                    if len(messages) == 1
+                    else ("*",) + tuple(messages)
+                )
+                box = inbox.setdefault(receiver, [])
+                box.extend((sender, message) for message in messages)
+        run.traffic.add(
+            len(payloads),
+            np.array([self.size(p) for p in payloads], dtype=np.int64)
+            if run.traffic.metered and payloads
+            else None,
+        )
+        return inbox
+
+    def size(self, payload) -> int:
+        if payload[0] == "*":
+            return bit_size(
+                ("*",) + tuple(self.labeled(m) for m in payload[1:])
+            )
+        return bit_size(self.labeled(payload))
+
+    def labeled(self, message):
+        fields = _NODE_FIELDS.get(message[0])
+        if fields is None:
+            return message
+        order = self.run_.order
+        return tuple(
+            order[value] if k in fields else value
+            for k, value in enumerate(message)
+        )
+
+    @staticmethod
+    def send(out, sender, receiver, message):
+        out.setdefault(sender, {}).setdefault(receiver, []).append(message)
+
+    def next_ru(self, u):
+        """The lottery's pick ``(w, relay)`` at requester u, or None:
+        direct H-neighbors first, then the middles' forwards, each in
+        inbox order; a strictly smaller XOR replaces the best."""
+        run = self.run_
+        t = self.tickets
+        thr = run.threshold
+        best = None
+        for w in self.in_loop_order(run.nbrs(u)):
+            if not run.is_h(u, w):
+                continue
+            xored = int(t[u] ^ t[w])
+            if xored < thr and (best is None or xored < best[0]):
+                best = (xored, w, w)
+        forwards = self.forwards()
+        g_indptr = run.csr.g_indptr
+        for x in self.in_loop_order(run.nbrs(u)):
+            entry = int(g_indptr[x]) + bisect.bisect_left(run.nbrs(x), u)
+            fwd = forwards.get(entry)
+            if fwd is None or fwd[0] == u:
+                continue
+            w, xored = fwd
+            if best is None or xored < best[0]:
+                best = (xored, w, x)
+        return None if best is None else best[1:]
+
+    def forwards(self):
+        """``{(x, u) entry: (w, xored)}`` of round 2's forwards."""
+        if self._forwards is None:
+            segs, w, xr = self.best
+            self._forwards = dict(
+                zip(segs.tolist(), zip(w.tolist(), xr.tolist()))
+            )
+        return self._forwards
+
+    def run(self):
+        """Returns the round-15 candidates (-1 = none), or None when
+        ``max_rounds`` cuts the phase before round 15."""
+        run = self.run_
+        stats = run.stats
+        try:
+            return self._rounds(run, stats)
+        finally:
+            counters = run.draws.counters
+            for i, gen in self.rngs.items():
+                counters[i] = gen.counter
+
+    def _rounds(self, run, stats):
+        send = self.send
+        # round 3's query requests arrive; round 4: each middle flips a
+        # coin per 2-path and forwards <= 1 query per edge
+        if not self.executes(3):
+            return None
+        requesters = {}
+        for v in self.in_loop_order(self.active):
+            for x in run.nbrs(v):
+                requesters.setdefault(x, []).append(v)
+        out = {}
+        for x, reqs in requesters.items():
+            gen = self.rng(x)
+            for u in run.nbrs(x):
+                fired = [
+                    v
+                    for v in reqs
+                    if v != u
+                    and run.is_hhat(v, u)
+                    and gen.random() < self.query_p
+                ]
+                if fired:
+                    send(out, x, u, (_TAG_QUERY, gen.choice(fired)))
+        inbox = self.deliver(out)
+
+        # round 5: U selects one query, broadcasts the path probe
+        if not self.executes(4):
+            return None
+        selected = {}
+        bcast = {}
+        for u, box in inbox.items():
+            arrivals = [(m[1], s) for s, m in box if m[0] == _TAG_QUERY]
+            stats[_RECEIVED, u] += len(arrivals)
+            if arrivals:
+                selected[u] = self.rng(u).choice(arrivals)
+                bcast[u] = (_TAG_PATH_PROBE, selected[u][0])
+        inbox = self.deliver(bcast=bcast)
+
+        # round 6: Y answers "is v my neighbor?"
+        if not self.executes(5):
+            return None
+        inbox = self.deliver(self._answer(inbox, _TAG_PATH_PROBE,
+                                          _TAG_PATH_REPLY))
+
+        # round 7: U checks a random color and forwards the query
+        if not self.executes(6):
+            return None
+        query_ok = [
+            u
+            for u in selected
+            if sum(m[1] for _s, m in inbox.get(u, ()) if m[0] == _TAG_PATH_REPLY) == 1
+        ]
+        out = {}
+        check = {}
+        for u in query_ok:
+            stats[_ACCEPTED, u] += 1
+            own = self.color(u)
+            pick = self.rng(u).randrange(
+                run.palette - (1 if 0 <= own < run.palette else 0)
+            )
+            check[u] = pick + (1 if 0 <= own <= pick else 0)
+            for y in run.nbrs(u):
+                send(out, u, y, (_TAG_CHECK, check[u]))
+            ru = self.next_ru(u)
+            if ru is not None:
+                w, relay = ru
+                send(out, u, relay, (_TAG_FORWARD, selected[u][0], w))
+        inbox = self.deliver(out)
+
+        # round 8: Z answers checks; X relays <= 1 forward per W
+        if not self.executes(7):
+            return None
+        out = {}
+        seconds = {}
+        for z, box in inbox.items():
+            checks = []
+            relay_requests = {}
+            for s, m in box:
+                if m[0] == _TAG_CHECK:
+                    checks.append((s, m[1]))
+                elif m[0] == _TAG_FORWARD:
+                    v, w = m[1], m[2]
+                    if w == z:
+                        seconds.setdefault(z, []).append((v, s, None))
+                    else:
+                        relay_requests.setdefault(w, []).append((v, s))
+            own = self.color(z)
+            for asker, c in checks:
+                conflict = (own == c and run.is_h(asker, z)) or any(
+                    self.color(t) == c and run.is_h(asker, t)
+                    for t in run.nbrs(z)
+                )
+                send(out, z, asker, (_TAG_CHECK_REPLY, conflict))
+            for w, waiting in relay_requests.items():
+                v, origin = waiting[self.rng(z).randrange(len(waiting))]
+                send(out, z, w, (_TAG_FORWARD2, v, origin))
+        inbox = self.deliver(out)
+
+        # round 9: W selects one second query, probes d2-membership
+        if not self.executes(8):
+            return None
+        conflicted = {
+            u: any(m[1] for _s, m in inbox.get(u, ()) if m[0] == _TAG_CHECK_REPLY)
+            for u in query_ok
+        }
+        for w, box in inbox.items():
+            for s, m in box:
+                if m[0] == _TAG_FORWARD2:
+                    seconds.setdefault(w, []).append((m[1], m[2], s))
+        w_selected = {}
+        bcast = {}
+        for w, queries in seconds.items():
+            w_selected[w] = self.rng(w).choice(queries)
+            bcast[w] = (_TAG_MEMBER_PROBE, w_selected[w][0])
+        inbox = self.deliver(bcast=bcast)
+
+        # round 10: Y answers
+        if not self.executes(9):
+            return None
+        inbox = self.deliver(self._answer(inbox, _TAG_MEMBER_PROBE,
+                                          _TAG_MEMBER_REPLY))
+
+        # round 11: a colored W returns its color if v is no d2-neighbor
+        if not self.executes(10):
+            return None
+        out = {}
+        direct = {}
+        for w, (v, origin, relay) in w_selected.items():
+            own = self.color(w)
+            if own < 0:
+                continue
+            common = any(
+                m[1] for _s, m in inbox.get(w, ()) if m[0] == _TAG_MEMBER_REPLY
+            )
+            if common or v in run.nbr_set(w) or v == w:
+                continue
+            if relay is None:
+                direct[w] = (origin, v, own)
+            else:
+                send(out, w, relay, (_TAG_COLOR_BACK, v, origin, own))
+        inbox = self.deliver(out)
+
+        # round 12: X relays the color back to U
+        if not self.executes(11):
+            return None
+        out = {}
+        for x, box in inbox.items():
+            for _s, m in box:
+                if m[0] == _TAG_COLOR_BACK:
+                    send(out, x, m[2], (_TAG_COLOR_BACK2, m[1], m[3]))
+        for w, (origin, v, own) in direct.items():
+            send(out, w, origin, (_TAG_COLOR_BACK2, v, own))
+        inbox = self.deliver(out)
+
+        # round 13: U sends its proposals to M
+        if not self.executes(12):
+            return None
+        out = {}
+        for u in query_ok:
+            v, via = selected[u]
+            proposals = [] if conflicted[u] else [check[u]]
+            proposals += [
+                m[2]
+                for _s, m in inbox.get(u, ())
+                if m[0] == _TAG_COLOR_BACK2 and m[1] == v
+            ]
+            if proposals:
+                stats[_PROPOSED, u] += len(proposals)
+                send(out, u, via, (_TAG_PROPOSE, v) + tuple(proposals))
+        inbox = self.deliver(out)
+
+        # round 14: M relays proposals to V (packed, capped)
+        if not self.executes(13):
+            return None
+        out = {}
+        for x, box in inbox.items():
+            to_relay = {}
+            for _s, m in box:
+                if m[0] == _TAG_PROPOSE:
+                    to_relay.setdefault(m[1], []).extend(m[2:])
+            for v, colors in to_relay.items():
+                if v not in run.nbr_set(x):
+                    continue
+                if len(colors) > _PROPOSAL_CAP:
+                    colors = self.rng(x).sample(colors, _PROPOSAL_CAP)
+                send(out, x, v, (_TAG_PROPOSALS,) + tuple(colors))
+        inbox = self.deliver(out)
+
+        # round 15: an active live V picks one proposal to try
+        if not self.executes(14):
+            return None
+        cand = np.full(run.n, -1, dtype=np.int64)
+        active = set(self.active)
+        for v, box in inbox.items():
+            proposals = [
+                c for _s, m in box if m[0] == _TAG_PROPOSALS for c in m[1:]
+            ]
+            stats[_PROPOSED_TO, v] += len(proposals)
+            if proposals and v in active and self.color(v) < 0:
+                cand[v] = self.rng(v).choice(proposals)
+        return cand
+
+    def _answer(self, inbox, probe_tag, reply_tag):
+        """Every probed node answers each asker "is v my neighbor?"."""
+        run = self.run_
+        out = {}
+        for y, box in inbox.items():
+            for s, m in box:
+                if m[0] == probe_tag:
+                    self.send(
+                        out, y, s, (reply_tag, 1 if m[1] in run.nbr_set(y) else 0)
+                    )
+        return out
+
+
+def _decline(cause):
+    """Emit the randomized kernel's decline event; returns None."""
+    obs_trace.event(
+        "kernel.decline", kernel="_randomized_d2_kernel", cause=cause
+    )
+    return None
+
+
+def _worst_reduce_bits(run):
+    """The largest payload a Reduce-Phase or the similarity exchange
+    can send (the try phases are checked by :func:`_try_phases_fit`)."""
+    label = int(run.labels[int(np.argmax(run.label_bits))])
+    color = run.palette - 1
+    xored = run.space - 1
+    pm = run.sim_config.per_message
+    payloads = [
+        (_TAG_TICKET, xored),
+        (_TAG_BEST, label, xored),
+        (_TAG_QUERY, label),
+        (_TAG_PATH_REPLY, 1),
+        ("*", (_TAG_CHECK, color), (_TAG_FORWARD, label, label)),
+        ("*", (_TAG_CHECK_REPLY, True), (_TAG_FORWARD2, label, label)),
+        (_TAG_COLOR_BACK, label, label, color),
+        (_TAG_COLOR_BACK2, label, color),
+        (_TAG_PROPOSE, label, color, color),
+        (_TAG_PROPOSALS,) + (color,) * _PROPOSAL_CAP,
+        (_TAG_IN_S, True),
+        (_TAG_LIST,) + (label,) * pm,
+    ]
+    return max(bit_size(p) for p in payloads)
 
 
 @register_kernel(
@@ -1210,173 +2121,204 @@ def _color_reduction_kernel(
 def _randomized_d2_kernel(
     network, *, max_rounds, stop_when, raise_on_timeout
 ):
-    """Hybrid :class:`RandomizedD2Program` executor.
+    """:class:`RandomizedD2Program` on arrays (see :class:`_RandomizedRun`).
 
-    ``improved``: the trials section is a prefix — rounds ``[0, 3T)``
-    run as arrays, then the generators start (their first resume
-    happens at round 3T, exactly where the reference run's generators
-    leave the trials loop).  ``basic``: similarity runs first — its
-    round count is a node-independent constant of the
-    :class:`SimilarityConfig` — so the :class:`GeneratorLoop` pauses
-    at that boundary, the trials window runs as arrays, and the loop
-    resumes with the held similarity inboxes.  In both variants the
-    deferred boundary resume replays the skipped section's observable
-    effects through ``RandomizedD2Program._kernel_prefix`` (phase-log
-    entry + final-round adopt records), keeping program state
-    bit-identical to reference.
+    ``improved`` runs trials → similarity → ladder and hands the
+    generators LearnPalette and finish at the next round: the programs
+    are materialized with the kernel's end-state and
+    ``_kernel_prefix = 3`` (the sections done), and the
+    :class:`GeneratorLoop` resumes at that round with the kernel's
+    metering.  ``basic`` runs similarity → trials → ladder →
+    final-reduce with no generator at all.  A run the stop monitor or
+    ``max_rounds`` ends inside the kernel publishes the state of
+    exactly the resumes that executed.
 
-    One documented deviation: when the run stops or times out *inside*
-    the trials window of the ``basic`` variant, the deferred similarity
-    tail never executes, so ``program.similarity`` stays ``None`` (the
-    phase log and the current phase are patched, and colors, metrics
-    and rounds still match reference exactly).
+    Declines (event ``kernel.decline`` with its cause, before anything
+    is written): custom ``stop_when`` monitors, self-loops,
+    non-uniform or invalid inputs, labels outside int64, lottery
+    tickets wider than 62 bits (n > 2¹⁵), a metered payload that could
+    exceed the budget, and similarity lists the pipelining bound would
+    drop.
     """
     if stop_when is not None and stop_when is not all_colored:
-        return None
+        return _decline("stop-monitor")
     plan = network.plan()
     csr = plan.csr
     if csr.has_selfloops:
-        return None
+        return _decline("self-loops")
     n = csr.n
     order = csr.order
-
-    configs = {
-        (
-            data.get("palette"),
-            data.get("variant"),
-            data.get("initial_trials"),
-            data.get("sim_config"),
-        )
-        for data in map(plan.input_for, order)
-    }
+    try:
+        configs = {
+            (
+                data.get("palette"),
+                data.get("variant"),
+                data.get("initial_trials"),
+                data.get("sim_config"),
+                data.get("constants"),
+                tuple(map(tuple, data.get("ladder"))),
+                data.get("lottery_filter_bits"),
+            )
+            for data in map(plan.input_for, order)
+        }
+    except TypeError:
+        return _decline("inputs")
     if len(configs) != 1:
-        return None
-    palette, variant, trials, sim_config = configs.pop()
-    if variant not in ("improved", "basic") or sim_config is None:
-        return None
+        return _decline("inputs")
+    (palette, variant, trials, sim_config, constants, ladder,
+     filter_bits) = configs.pop()
     if (
-        not isinstance(palette, int)
-        or palette <= 0
-        or palette >= _INT64_SAFE
+        variant not in ("improved", "basic")
+        or not isinstance(sim_config, SimilarityConfig)
+        or not isinstance(constants, Constants)
+        or not isinstance(palette, int)
+        or not 0 < palette < _INT64_SAFE
+        or not isinstance(trials, int)
+        or trials <= 0
+        or not isinstance(filter_bits, int)
     ):
-        return None
-    if not isinstance(trials, int) or trials <= 0:
-        return None
+        return _decline("inputs")
+    if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
+        return _decline("labels")
+    if 4 * max(1, (n - 1).bit_length()) > 62:
+        return _decline("ticket-width")
+    run = _RandomizedRun(
+        network, plan, max_rounds=max_rounds,
+        check_stop=stop_when is not None, palette=palette,
+        variant=variant, trials=trials, sim_config=sim_config,
+        constants=constants, ladder=ladder, filter_bits=filter_bits,
+    )
+    if run.traffic.metered and (
+        not _try_phases_fit(network, palette - 1)
+        or _worst_reduce_bits(run) > network._budget
+    ):
+        return _decline("budget")
+    try:
+        status = run.run()
+    except _Declined as exc:
+        return _decline(str(exc))
+    if run.traffic.metered and run.traffic.max_bits > network._budget:
+        return _decline("budget")
 
-    if not _try_phases_fit(network, palette - 1):
-        return None
-
-    # Identical at every node by construction (see SimilarityMixin).
-    if variant == "basic":
-        prologue = (
-            sim_config.forward_rounds
-            + sim_config.own_rounds
-            + (0 if sim_config.exact else 1)
+    handoff = variant == "improved" and status == "done"
+    # Resumes executed: on a handoff, the generators' first resume
+    # (round run.r) starts with the kernel's share of it — the last
+    # adopts recorded, the ladder logged — which the writeback books.
+    resumes = run.r + 1 if handoff else run.r
+    plan.counters[:] = run.draws.counters
+    _publish(
+        network,
+        _randomized_writeback(run, resumes, handoff),
+        color=_color_table(order, run.st.colors),
+    )
+    if not handoff:
+        return _finish(
+            network, run.r, run.traffic, run.r, status == "stopped",
+            status == "timeout", max_rounds, raise_on_timeout,
         )
-    else:
-        prologue = 0
-    window_end = prologue + 3 * trials
 
-    loop = GeneratorLoop(network)  # materializes the nodes
-    programs = network.programs
-    if prologue:
-        status = loop.run_until(
-            prologue,
+    # --- hand LearnPalette and finish to the generators --------------
+    loop = GeneratorLoop(network)  # materializes; applies the writeback
+    loop.round_index = loop.rounds = run.r
+    loop.total_messages = run.traffic.messages
+    loop.total_bits = run.traffic.bits
+    loop.max_message_bits = run.traffic.max_bits
+    network._started = True
+    rec = obs_trace.recorder()
+    t0 = rec.clock() if rec is not None else 0.0
+    try:
+        loop.run_until(
+            None,
             max_rounds=max_rounds,
             stop_when=stop_when,
             raise_on_timeout=raise_on_timeout,
         )
-        if status is not PAUSED:
-            return loop.result()  # ended inside similarity
-
-    # --- the trials window, as arrays -----------------------------
-    # Programs adopt no colors before their trials section, so the
-    # window starts from a blank color state; draws continue on the
-    # very same per-node streams the prologue advanced: the plan takes
-    # the programs' counters for the window and hands them back after.
-    rngs = [programs[v].ctx.rng for v in order]
-    plan.counters[:] = [rng.counter for rng in rngs]
-
-    def draw(_phase, live_idx):
-        return plan.randrange(live_idx, palette)
-
-    traffic = _Traffic(network)
-    traffic.messages = loop.total_messages
-    traffic.bits = loop.total_bits
-    traffic.max_bits = loop.max_message_bits
-    st = _TryState(n)
-    colors, adopt_iter = st.colors, st.adopt_iter
-    r, rounds, status = _run_try_phases(
-        csr, st, traffic, draw,
-        start_round=prologue, end_round=window_end,
-        max_rounds=max_rounds, check_stop=stop_when is not None,
-    )
-    for rng, counter in zip(rngs, plan.counters.tolist()):
-        rng.counter = counter
-    loop.total_messages = traffic.messages
-    loop.total_bits = traffic.bits
-    loop.max_message_bits = traffic.max_bits
-    loop.rounds += rounds
-    loop.round_index = r
-    if r > 0:
-        network._started = True
-
-    # Write the window's observable state back: resumes 0..r-1 have
-    # happened, so adopts from the final executed round are not yet in
-    # any neighbor table — on a completed window they ride the
-    # deferred boundary resume via _kernel_prefix instead.
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, adopt_iter, r - 1
-    )
-    last = adopt_iter == r - 1
-    for i, node in enumerate(order):
-        program = programs[node]
-        c = int(colors[i])
-        program.color = c if c >= 0 else None
-        program.nbr_colors = nbr_tables(i)
-
-    def enter_trials():
-        """Replay what the boundary resume (round ``prologue``) logs
-        when the run ends before the generators reach it: ``basic``
-        programs complete similarity there, and every program enters
-        the trials section (whose entry is only logged once the
-        section completes)."""
-        for program in programs.values():
-            program._kernel_prefix = None
-            if variant == "basic":
-                program.phase_log.append(("similarity", prologue))
-            program.phase = "trials"
-
-    if status != "done":
-        # Stopped or timed out mid-window, after the boundary resume
-        # iff a round of the window ran.
-        if r > prologue:
-            enter_trials()
-        loop.stopped_early = status == "stopped"
-        if status == "timeout" and raise_on_timeout:
-            raise NonterminationError(max_rounds, set(loop.running))
-        return loop.result()
-
-    # --- hand back to the generators ------------------------------
-    g_indptr, g_indices = csr.g_indptr, csr.g_indices
-    for i, node in enumerate(order):
-        row = g_indices[g_indptr[i]:g_indptr[i + 1]]
-        adopts = {
-            order[j]: int(colors[j])
-            for j in row[last[row]].tolist()
-        }
-        programs[node]._kernel_prefix = (3 * trials, adopts)
-    loop.run_until(
-        None,
-        max_rounds=max_rounds,
-        stop_when=stop_when,
-        raise_on_timeout=raise_on_timeout,
-    )
-    if next(iter(programs.values()))._kernel_prefix is not None:
-        # The run ended right at the window boundary, before the
-        # deferred resume consumed the prefix.
-        enter_trials()
+    finally:
+        if rec is not None:
+            rec.complete(
+                "exec.run",
+                t0,
+                {
+                    "backend": "vectorized",
+                    "start_round": run.r,
+                    "rounds": loop.rounds - run.r,
+                    "messages": loop.total_messages - run.traffic.messages,
+                    "bits": loop.total_bits - run.traffic.bits,
+                    "halted": not loop.running,
+                },
+            )
     return loop.result()
+
+
+def _randomized_writeback(run, resumes, handoff):
+    """The program state after ``resumes`` resumes of the kernel's
+    sections: colors, neighbor tables, phase log and phase, similarity
+    state, Reduce counters (RNG counters come from the plan)."""
+    csr, order = run.csr, run.order
+    st = run.st
+    nbr_tables = _nbr_colors_writeback(
+        csr, order, st.colors, st.adopt_iter, resumes - 1
+    )
+    phase_log = [
+        (name, rounds)
+        for name, start, rounds in run.sections
+        if rounds is not None and start + rounds < resumes
+    ]
+    entered = [
+        name for name, start, _rounds in run.sections if start < resumes
+    ]
+    phase = entered[-1] if entered else None
+    sim_done = any(
+        name == "similarity" and start + rounds < resumes
+        for name, start, rounds in run.sections
+    )
+    stats = run.stats.copy()
+
+    def writeback(programs):
+        own_sets = _own_sets(run) if sim_done else None
+        g_indptr, g_indices = csr.g_indptr, csr.g_indices
+        for i, node in enumerate(order):
+            program = programs[node]
+            c = int(st.colors[i])
+            program.color = c if c >= 0 else None
+            program.nbr_colors = nbr_tables(i)
+            program.phase_log = list(phase_log)
+            if phase is not None:
+                program.phase = phase
+            if own_sets is not None:
+                row = g_indices[g_indptr[i]:g_indptr[i + 1]].tolist()
+                program.similarity = SimilarityState(
+                    node,
+                    own_sets[i],
+                    {order[u]: own_sets[u] for u in row},
+                    program.sim_config,
+                )
+            counters = program.reduce_stats
+            for k, name in enumerate(_STATS):
+                setattr(counters, name, int(stats[k, i]))
+            if handoff:
+                program._kernel_prefix = 3
+
+    return writeback
+
+
+def _own_sets(run):
+    """Every node's similarity set ``S_v`` as a frozenset of labels."""
+    csr, order = run.csr, run.order
+    labels = np.asarray(order, dtype=object)[csr.g2_indices]
+    if run.own_mask is not None:
+        counts = np.bincount(
+            np.repeat(run.all_idx, csr.d2_degrees)[run.own_mask],
+            minlength=run.n,
+        )
+        labels = labels[run.own_mask]
+        indptr = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)))
+    else:
+        indptr = csr.g2_indptr
+    return [
+        frozenset(labels[indptr[i]:indptr[i + 1]].tolist())
+        for i in range(run.n)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.congest.rng import (
     mix64,
     mix64_array,
     node_keys,
+    random_array,
     randrange_array,
 )
 from repro.core.trying import all_colored
@@ -123,6 +124,29 @@ class TestCounterStreams:
             ]
             assert vector.tolist() == scalar
             assert counters.tolist() == [rng.counter for rng in rngs]
+
+    def test_randrange_array_lottery_tickets(self):
+        # The XOR lottery's draw: a 2²⁴ bound is a 25-bit draw with ½
+        # rejection, 50 nodes, 8 draws in a row on the same streams.
+        keys = node_keys(3, range(50))
+        counters = np.arange(50, dtype=np.uint64) * 7
+        rngs = [CounterRandom(int(k), int(c)) for k, c in zip(keys, counters)]
+        idx = np.arange(50)
+        for _ in range(8):
+            vector = randrange_array(keys, counters, idx, 1 << 24)
+            assert vector.tolist() == [rng.randrange(1 << 24) for rng in rngs]
+            assert counters.tolist() == [rng.counter for rng in rngs]
+
+    @given(nodes=st.lists(st.tuples(_keys, _counters), min_size=1, max_size=12))
+    @settings(max_examples=100)
+    def test_random_array_matches_scalar(self, nodes):
+        keys = np.array([k for k, _ in nodes], dtype=np.uint64)
+        counters = np.array([c for _, c in nodes], dtype=np.uint64)
+        rngs = [CounterRandom(k, c) for k, c in nodes]
+        idx = np.arange(len(nodes))[::-1]
+        vector = random_array(keys, counters, idx)
+        assert vector.tolist() == [rngs[i].random() for i in idx]
+        assert counters.tolist() == [rng.counter for rng in rngs]
 
     def test_randrange_array_draws_only_the_given_nodes(self):
         keys = node_keys(5, range(6))

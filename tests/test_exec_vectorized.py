@@ -29,6 +29,7 @@ from repro.congest.errors import (
 from repro.congest.message import int_bits
 from repro.congest.network import Network
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
+from repro.core.reduce import REDUCE_PHASE_ROUNDS
 from repro.core.d2color import (
     RandomizedD2Program,
     basic_d2_color,
@@ -60,6 +61,8 @@ from repro.exec.arrays import (
 )
 from repro.exec.vectorized import kernel_coverage
 from repro.workloads.cache import InstanceCache
+
+from conftest import LADDER_BASIC_MAX_ROUNDS, ladder_cells
 
 
 def _metrics_tuple(metrics):
@@ -495,6 +498,7 @@ def _recipe(driver):
     return lambda: Network(
         net.graph,
         net.program_factory,
+        seed=net._seed,
         policy=net.policy,
         delta=net.delta,
         inputs=net._inputs,
@@ -945,9 +949,9 @@ class TestStep0Fallback:
 
 
 class TestRandomizedD2Kernel:
-    """The hybrid kernel for d2-Color / Improved-d2-Color: random
-    trials as array work, similarity/ladder epilogue via the resumed
-    generators."""
+    """The kernel for d2-Color / Improved-d2-Color: trials, similarity
+    and every Reduce-Phase as array work; ``improved`` resumes the
+    generators for LearnPalette and finish."""
 
     @pytest.mark.parametrize(
         "color",
@@ -1006,6 +1010,161 @@ class TestRandomizedD2Kernel:
         assert [(p.name, p.rounds) for p in vec.phases] == [
             (p.name, p.rounds) for p in ref.phases
         ]
+
+
+_LADDER_CELLS = ladder_cells()
+_LADDER_DRIVERS = {"improved": improved_d2_color, "basic": basic_d2_color}
+
+
+def _ladder_recipe(variant, cell, policy=None):
+    """``(make_network, run kwargs)`` of a :func:`ladder_cells` run."""
+    graph, seed, kwargs = _LADDER_CELLS[cell]
+    make = _recipe(
+        lambda: _LADDER_DRIVERS[variant](
+            graph, seed=seed, policy=policy, max_rounds=0, **kwargs
+        )
+    )
+    max_rounds = LADDER_BASIC_MAX_ROUNDS if variant == "basic" else 500_000
+    return make, {
+        "max_rounds": max_rounds,
+        "stop_when": all_colored,
+        "raise_on_timeout": False,
+    }
+
+
+def _randomized_state(network):
+    """Every node's observable program state, RNG counter included."""
+    state = {}
+    for node, program in network.programs.items():
+        sim = program.similarity
+        state[node] = (
+            program.color,
+            program.nbr_colors,
+            program.phase_log,
+            program.phase,
+            vars(program.reduce_stats),
+            None
+            if sim is None
+            else (sim.own_set, sim.nbr_sets, sim.dropped_items),
+            program.free_colors,
+            program.ctx.rng.counter,
+        )
+    return state
+
+
+def _events(run):
+    """``run()``'s result and every trace event it emitted."""
+    events = []
+
+    class Rec(NullRecorder):
+        def event(self, name, attrs=None):
+            events.append((name, attrs))
+
+    with use_recorder(Rec()):
+        result = run()
+    return result, events
+
+
+def _assert_randomized_parity(make_network, **run_kwargs):
+    """vectorized ≡ reference on outputs, metrics and every program's
+    state, with the kernel running (no decline, no fallback)."""
+    ref_net, vec_net = make_network(), make_network()
+    ref = ref_net.run(backend="reference", **run_kwargs)
+    vec, events = _events(
+        lambda: vec_net.run(backend="vectorized", **run_kwargs)
+    )
+    assert events == []
+    assert vec.outputs == ref.outputs
+    assert (vec.halted, vec.stopped_early) == (ref.halted, ref.stopped_early)
+    assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+    assert _randomized_state(vec_net) == _randomized_state(ref_net)
+    return ref_net
+
+
+class TestReduceLadderKernel:
+    """Similarity and the Reduce ladder on arrays, on runs whose ladder
+    has live nodes (``conftest.ladder_cells``)."""
+
+    @pytest.mark.parametrize("cell", sorted(_LADDER_CELLS))
+    @pytest.mark.parametrize("variant", sorted(_LADDER_DRIVERS))
+    def test_parity(self, variant, cell):
+        make, run_kwargs = _ladder_recipe(variant, cell)
+        _assert_randomized_parity(make, **run_kwargs)
+
+    @pytest.mark.parametrize("variant", sorted(_LADDER_DRIVERS))
+    def test_parity_shuffled_loop_order(self, variant):
+        # Inbox order (ticket ties, relay picks, proposal order) follows
+        # the loop's node order, not the labels.
+        graph, seed, kwargs = _LADDER_CELLS["rr7-short-s0"]
+        make = _recipe(
+            lambda: _LADDER_DRIVERS[variant](
+                _shuffled(graph, 3), seed=seed, max_rounds=0, **kwargs
+            )
+        )
+        _, run_kwargs = _ladder_recipe(variant, "rr7-short-s0")
+        _assert_randomized_parity(make, **run_kwargs)
+
+    @pytest.mark.parametrize("policy", ["strict", "unbounded"])
+    def test_policy_parity(self, policy):
+        make, run_kwargs = _ladder_recipe(
+            "improved", "pg7-short-s2", POLICIES[policy]
+        )
+        _assert_randomized_parity(make, **run_kwargs)
+
+    #: A ladder phase of ``hs-short-s0`` where queries are accepted and
+    #: proposals relayed and tried.
+    PHASE = 11
+
+    @pytest.mark.parametrize("variant", sorted(_LADDER_DRIVERS))
+    def test_cutoff_at_every_offset_of_a_phase(self, variant):
+        make, run_kwargs = _ladder_recipe(variant, "hs-short-s0")
+        ladder_start = 13  # trials (9) + similarity (4), either order
+        first = ladder_start + REDUCE_PHASE_ROUNDS * self.PHASE
+        proposals = []
+        for offset in range(REDUCE_PHASE_ROUNDS + 1):
+            ref_net = _assert_randomized_parity(
+                make, **dict(run_kwargs, max_rounds=first + offset)
+            )
+            proposals.append(
+                sum(
+                    p.reduce_stats.proposals_received
+                    for p in ref_net.programs.values()
+                )
+            )
+        assert proposals[0] < proposals[-1]  # the routing ran
+
+    @pytest.mark.parametrize(
+        "variant, cell, start, rounds",
+        [
+            ("improved", "hs-s0", 69, 4),
+            ("basic", "hs-sampled-s0", 0, 9),
+            ("improved", "hs-sampled-short-s3", 9, 9),
+        ],
+    )
+    def test_cutoff_inside_similarity(self, variant, cell, start, rounds):
+        make, run_kwargs = _ladder_recipe(variant, cell)
+        for cut in range(start, start + rounds + 2):
+            _assert_randomized_parity(
+                make, **dict(run_kwargs, max_rounds=cut)
+            )
+
+    def test_declines_wide_labels_under_a_budget(self):
+        # Labels far above n make every routing payload wider than
+        # the O(log n) budget the sizes were planned for.
+        graph, seed, kwargs = _LADDER_CELLS["hs-s0"]
+        wide = nx.relabel_nodes(graph, {v: v << 40 for v in graph})
+        make = _recipe(
+            lambda: improved_d2_color(wide, seed=seed, max_rounds=0)
+        )
+        _, run_kwargs = _ladder_recipe("improved", "hs-s0")
+        ref = make().run(backend="reference", **run_kwargs)
+        vec, events = _events(
+            lambda: make().run(backend="vectorized", **run_kwargs)
+        )
+        assert ("kernel.decline", {
+            "kernel": "_randomized_d2_kernel", "cause": "budget"
+        }) in events
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
 
 
 def _materialized_case(program_cls):

@@ -447,6 +447,54 @@ class TestTryPhasesSpan:
         assert window["attrs"]["bits"] == result.metrics.total_bits
 
 
+class TestRandomizedSectionSpans:
+    """A traced Hoffman–Singleton run books every round to exactly one
+    span: the trials window, similarity, the Reduce ladder (kernel
+    spans) and LearnPalette + finish (the resumed generators'
+    ``exec.run``)."""
+
+    @pytest.mark.parametrize("variant", ["improved", "basic"])
+    def test_span_rounds_sum_to_the_run(self, variant, tmp_path):
+        from repro.core.d2color import basic_d2_color, improved_d2_color
+        from repro.exec import use_backend
+        from repro.graphs.instances import hoffman_singleton
+
+        color = {"improved": improved_d2_color, "basic": basic_d2_color}
+        path = str(tmp_path / "t.jsonl")
+        rec = TraceRecorder(path)
+        with use_recorder(rec), use_backend("vectorized"):
+            result = color[variant](
+                hoffman_singleton(), seed=1, max_rounds=2_000
+            )
+        rec.close()
+        records = read_trace(path)
+        assert not [
+            r for r in records
+            if r["kind"] == "event" and r["name"] in (
+                "exec.fallback", "kernel.decline"
+            )
+        ]
+        ends = [r for r in iter_spans(records) if r["phase"] in "EX"]
+        sections = [
+            r for r in ends
+            if r["name"] in (
+                "kernel.try_phases", "kernel.similarity",
+                "kernel.reduce_phases", "exec.run",
+            )
+        ]
+        names = [r["name"] for r in sections]
+        assert "kernel.similarity" in names
+        assert "kernel.reduce_phases" in names
+        assert ("exec.run" in names) == (variant == "improved")
+        assert sum(r["attrs"]["rounds"] for r in sections) == result.rounds
+        for key in ("messages", "bits"):
+            assert sum(r["attrs"][key] for r in sections) == getattr(
+                result.metrics, f"total_{key}"
+            )
+        [kernel] = [r for r in ends if r["name"] == "exec.kernel"]
+        assert kernel["attrs"]["rounds"] == result.rounds
+
+
 # ----------------------------------------------------------------------
 # the metrics registry
 
