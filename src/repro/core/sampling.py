@@ -19,7 +19,7 @@ global argmin of per-middle argmins — same distribution, one message
 per edge per round).  Experiment E8 checks uniformity.
 
 The vectorized backend's ``_randomized_d2_kernel`` replays this round
-as arrays — one ticket draw (``randrange(2^(4·bitlen(n-1)))``), one
+as arrays — one ticket draw (``randrange(2^ticket_bits(n))``), one
 XOR plus threshold filter over the H-adjacent pairs each middle
 compiles once, one segment argmin — with these tie rules: the first
 minimum in inbox order wins, a direct H-neighbor beats an equal
@@ -50,6 +50,11 @@ def filter_width(delta: int, n: int, c11: float) -> int:
     return max(0, int(width))
 
 
+def ticket_bits(n: int) -> int:
+    """Width of a lottery ticket: the paper's 4·log n random bits."""
+    return 4 * max(1, (n - 1).bit_length())
+
+
 class LotteryMixin:
     """Sub-protocol: one lottery iteration = 2 rounds, returning a
     uniformly random H-neighbor ``(w, relay)`` or None.
@@ -70,7 +75,7 @@ class LotteryMixin:
     ):
         ctx = self.ctx
         if string_bits is None:
-            string_bits = 4 * max(1, (ctx.n - 1).bit_length())
+            string_bits = ticket_bits(ctx.n)
         space = 1 << string_bits
         my_ticket = ctx.rng.randrange(space)
 

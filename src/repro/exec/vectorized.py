@@ -105,6 +105,7 @@ from repro.core.reduce import (
     _TAG_QUERY,
     REDUCE_PHASE_ROUNDS,
 )
+from repro.core import sampling
 from repro.core.sampling import _TAG_BEST, _TAG_TICKET
 from repro.core.similarity import (
     _TAG_IN_S,
@@ -1371,8 +1372,7 @@ class _RandomizedRun:
         self.all_idx = np.arange(n, dtype=np.int64)
         self.rank = _loop_rank(network, csr)
         self.label_bits = arrays.int_bits_array(self.labels)
-        space_bits = 4 * max(1, (n - 1).bit_length())
-        self.space = 1 << space_bits
+        self.space = 1 << sampling.ticket_bits(n)
         self.threshold = (
             self.space >> filter_bits if filter_bits > 0 else self.space
         )
@@ -2180,7 +2180,7 @@ def _randomized_d2_kernel(
         return _decline("inputs")
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
         return _decline("labels")
-    if 4 * max(1, (n - 1).bit_length()) > 62:
+    if sampling.ticket_bits(n) > 62:
         return _decline("ticket-width")
     run = _RandomizedRun(
         network, plan, max_rounds=max_rounds,

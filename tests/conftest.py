@@ -87,6 +87,11 @@ class RecordingBackend(ExecutionBackend):
 #: ladder starts and its queries, checks and proposals all run.
 _SHORT_TRIALS = Constants.practical().scaled(c0=0.5)
 
+#: Every live node active in every phase and the query probability
+#: at its cap: many queries are accepted, checked, forwarded and
+#: proposed, and the ladder itself colors the last nodes.
+_BUSY_LADDER = _SHORT_TRIALS.scaled(act_c=4.0, query_c=16.0)
+
 #: ``basic`` cells stop here: past the ladder, inside final-reduce.
 LADDER_BASIC_MAX_ROUNDS = 800
 
@@ -107,6 +112,7 @@ def ladder_cells():
         "hs-s0": (hs, 0, {}),
         "hs-s1": (hs, 1, {}),
         "hs-short-s0": (hs, 0, {"constants": _SHORT_TRIALS}),
+        "hs-busy-s0": (hs, 0, {"constants": _BUSY_LADDER}),
         "hs-sampled-s0": (hs, 0, {"force_exact_similarity": False}),
         "hs-sampled-short-s3": (
             hs, 3,

@@ -29,6 +29,7 @@ from repro.congest.errors import (
 from repro.congest.message import int_bits
 from repro.congest.network import Network
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
+from repro.core import sampling
 from repro.core.reduce import REDUCE_PHASE_ROUNDS
 from repro.core.d2color import (
     RandomizedD2Program,
@@ -1102,6 +1103,24 @@ class TestReduceLadderKernel:
             )
         )
         _, run_kwargs = _ladder_recipe(variant, "rr7-short-s0")
+        _assert_randomized_parity(make, **run_kwargs)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("cell", ["hs-busy-s0", "rr7-short-s0"])
+    def test_parity_with_narrow_tickets(self, cell, shuffle, monkeypatch):
+        # 3-bit lottery tickets make XOR ties common, so the tie rules
+        # decide: the first minimum in inbox order wins, and a direct
+        # H-neighbor beats an equal relayed XOR.
+        monkeypatch.setattr(sampling, "ticket_bits", lambda n: 3)
+        graph, seed, kwargs = _LADDER_CELLS[cell]
+        if shuffle:
+            graph = _shuffled(graph, 5)
+        make = _recipe(
+            lambda: improved_d2_color(
+                graph, seed=seed, max_rounds=0, **kwargs
+            )
+        )
+        _, run_kwargs = _ladder_recipe("improved", cell)
         _assert_randomized_parity(make, **run_kwargs)
 
     @pytest.mark.parametrize("policy", ["strict", "unbounded"])
