@@ -26,12 +26,11 @@ the exact final admissible round is therefore reported as
 trailing resume in which every remaining program halts without
 sending is local computation, not a communication round.
 
-The loop is *resumable*: the vectorized backend's hybrid kernels run
-a program's array-friendly middle section as batched numpy work and
-use the same loop for the generator-executed prologue/epilogue,
-pausing at an exact round boundary (``run_until(bound)``) and resuming
-later with the round index and metering accumulators advanced by the
-array section.
+The loop can start mid-run: the vectorized backend's
+``improved-d2color`` kernel runs the pipeline's leading sections as
+array work, then materializes the programs with their end-state and
+starts this loop at the next round, with the round index and metering
+accumulators advanced by the array sections.
 """
 
 from __future__ import annotations
@@ -52,22 +51,13 @@ from repro.obs import trace as obs_trace
 
 _EMPTY_INBOX: Dict[int, Any] = MappingProxyType({})
 
-#: ``run_until`` outcomes.
-PAUSED = "paused"
-STOPPED = "stopped"
-TIMEOUT = "timeout"
-HALTED = "halted"
-
-
 class GeneratorLoop:
-    """Resumable lockstep driver over a network's generators.
+    """Lockstep driver over a network's generators.
 
-    Holds the full loop state across calls: live generators, in-flight
-    inboxes, the round index, and the metering accumulators.  A hybrid
-    kernel pauses the loop at a round boundary, executes a window of
-    rounds as array work (bumping :attr:`round_index`, :attr:`rounds`
-    and the accumulators itself), and resumes — the generators then
-    receive exactly the inboxes they would have seen.  With
+    Holds the loop state: live generators, in-flight inboxes, the
+    round index, and the metering accumulators.  A kernel that ran the
+    leading rounds as array work sets :attr:`round_index`,
+    :attr:`rounds` and the accumulators before :meth:`run`.  With
     ``record_rounds`` every counted round appends a
     :class:`RoundMetrics` to :attr:`per_round`.
     """
@@ -100,17 +90,15 @@ class GeneratorLoop:
         self.record_rounds = record_rounds
         self.per_round: list = []
 
-    def run_until(
+    def run(
         self,
-        bound: Optional[int],
         *,
         max_rounds: int,
         stop_when: Optional[Callable] = None,
         raise_on_timeout: bool = True,
-    ) -> str:
-        """Drive rounds while ``round_index < bound`` (``None`` = no
-        bound).  Returns ``PAUSED``/``STOPPED``/``TIMEOUT``/``HALTED``.
-        """
+    ) -> None:
+        """Drive rounds until every program halts, ``stop_when`` fires
+        or ``max_rounds`` is reached."""
         network = self.network
         metered = self.metered
         strict = self.strict
@@ -129,27 +117,21 @@ class GeneratorLoop:
         violations = self.violations
         worst_violation_bits = self.worst_violation_bits
         per_round = self.per_round if self.record_rounds else None
-        status = HALTED
 
         try:
             while running:
-                if bound is not None and round_index >= bound:
-                    status = PAUSED
-                    break
                 # Monitor before timeout: a stop condition reached on
                 # the final round is an early stop.
                 if stop_when is not None and stop_when(
                     network, round_index
                 ):
                     self.stopped_early = True
-                    status = STOPPED
                     break
                 if round_index >= max_rounds:
                     if raise_on_timeout:
                         raise NonterminationError(
                             max_rounds, set(running)
                         )
-                    status = TIMEOUT
                     break
 
                 next_inboxes: Dict[int, Dict[int, Any]] = {}
@@ -271,7 +253,6 @@ class GeneratorLoop:
             self.violations = violations
             self.worst_violation_bits = worst_violation_bits
             self.inboxes = inboxes
-        return status
 
     def result(self):
         """Assemble the :class:`RunResult` for the rounds driven so
@@ -314,8 +295,7 @@ class ReferenceBackend(ExecutionBackend):
         rec = obs_trace.recorder()
         trace_t0 = rec.clock() if rec is not None else 0.0
         loop = GeneratorLoop(network, record_rounds=record_rounds)
-        loop.run_until(
-            None,
+        loop.run(
             max_rounds=max_rounds,
             stop_when=stop_when,
             raise_on_timeout=raise_on_timeout,

@@ -21,7 +21,7 @@ Python node object at all: end-state is published through
 programs only if somebody later materializes them.  The one hybrid
 kernel (``improved-d2color``) runs its array sections, then
 materializes the programs with their end-state and hands the rest of
-the run to the resumable :class:`~repro.exec.reference.GeneratorLoop`.
+the run to the :class:`~repro.exec.reference.GeneratorLoop`.
 
 Coverage is per program class, not per call site:
 
@@ -1309,6 +1309,15 @@ def _pipeline_traffic(items, indptr, pm, rounds, deg, item_bits):
     return out
 
 
+def _sub_rows(n, owner, items, keep):
+    """``(items, indptr)`` of the CSR entries ``keep`` selects, each
+    row keeping its order (``owner`` is every entry's row)."""
+    counts = np.bincount(owner[keep], minlength=n)
+    return items[keep], np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(counts))
+    )
+
+
 def _common_counts(csr, sample):
     """``|S_a ∩ S_b|`` for every G² entry (a, b), where ``S_v`` is v's
     distance-≤2 set (intersected with ``sample`` when given)."""
@@ -1350,8 +1359,6 @@ class _RandomizedRun:
     def __init__(self, network, plan, *, max_rounds, check_stop,
                  palette, variant, trials, sim_config, constants,
                  ladder, filter_bits):
-        self.network = network
-        self.plan = plan
         csr = self.csr = plan.csr
         self.n = n = csr.n
         self.order = csr.order
@@ -1364,6 +1371,7 @@ class _RandomizedRun:
         self.sim_config = sim_config
         self.constants = constants
         self.ladder_schedule = ladder
+        plan.node_keys  # derive once, shared with the copy
         self.draws = copy.copy(plan)
         self.draws.counters = plan.counters.copy()
         self.traffic = _Traffic(network)
@@ -1380,7 +1388,8 @@ class _RandomizedRun:
         #: ``(name, start, rounds or None)`` of every section entered.
         self.sections = []
         self.pending_colored = None
-        self.own_mask = None
+        #: ``(items, indptr)`` of every node's similarity set S_v.
+        self.own_rows = None
         self._nbrs = None
         self._h_rows = ({}, {})
 
@@ -1491,23 +1500,24 @@ class _RandomizedRun:
             own_items, own_indptr = g2_indices, g2_indptr
         else:
             sample = self.draws.random(self.all_idx) < cfg.sample_p
-            schedule.append((n, _IN_S_BITS if item_bits is not None else None, None))
+            schedule.append(
+                (n, _IN_S_BITS if item_bits is not None else None, None)
+            )
             # S ∩ N(v) in v's inbox order (the loop's sender order).
             owner = np.repeat(self.all_idx, deg)
-            keep = sample[g_indices]
-            key = g_indices if self.rank is None else self.rank[g_indices]
-            pick = np.lexsort((key, owner))
-            pick = pick[keep[pick]]
-            fwd_items = g_indices[pick]
-            fwd_indptr = np.concatenate(
-                (np.zeros(1, np.int64), np.cumsum(np.bincount(owner[pick], minlength=n)))
+            pick = (
+                np.arange(g_indices.size)
+                if self.rank is None
+                else np.lexsort((self.rank[g_indices], owner))
             )
-            self.own_mask = sample[g2_indices]
-            owner2 = np.repeat(self.all_idx, csr.d2_degrees)
-            own_items = g2_indices[self.own_mask]
-            own_indptr = np.concatenate(
-                (np.zeros(1, np.int64), np.cumsum(np.bincount(owner2[self.own_mask], minlength=n)))
+            fwd_items, fwd_indptr = _sub_rows(
+                n, owner[pick], g_indices[pick], sample[g_indices[pick]]
             )
+            own_items, own_indptr = _sub_rows(
+                n, np.repeat(self.all_idx, csr.d2_degrees), g2_indices,
+                sample[g2_indices],
+            )
+        self.own_rows = own_items, own_indptr
         if (
             np.diff(fwd_indptr).max(initial=0) > cfg.forward_rounds * pm
             or np.diff(own_indptr).max(initial=0) > cfg.own_rounds * pm
@@ -1552,35 +1562,23 @@ class _RandomizedRun:
         """Per middle x, the H-adjacent pairs (u, w) of its neighbors,
         as segments over x's CSR entries (x, u), w in x's inbox order."""
         csr, n = self.csr, self.n
-        g_indptr, g_indices, deg = csr.g_indptr, csr.g_indices, csr.degrees
+        g_indices, deg = csr.g_indices, csr.degrees
         src = np.repeat(self.all_idx, deg)
-        cnt = deg[src]
-        seg = np.repeat(np.arange(g_indices.size, dtype=np.int64), cnt)
-        first = np.concatenate((np.zeros(1, np.int64), np.cumsum(cnt)))[:-1]
-        w_pos = (
-            np.arange(seg.size, dtype=np.int64)
-            - np.repeat(first, cnt)
-            + np.repeat(g_indptr[src], cnt)
-        )
-        u = g_indices[seg]
-        w = g_indices[w_pos]
+        w_pos, _ = _row_positions(csr.g_indptr, src)
+        seg = np.repeat(np.arange(src.size, dtype=np.int64), deg[src])
+        u, w = g_indices[seg], g_indices[w_pos]
         keep = u != w
         seg, u, w = seg[keep], u[keep], w[keep]
-        # H-adjacency of (u, w), looked up among u's G² entries.
-        keys2 = (
-            np.repeat(self.all_idx, csr.d2_degrees) * n + csr.g2_indices
-        )
-        want = u * n + w
-        pos = np.searchsorted(keys2, want)
-        keep = self.h_entry[np.minimum(pos, max(keys2.size - 1, 0))]
+        # H-adjacency of (u, w), looked up among u's G² entries (u and
+        # w share the middle, so w is always there).
+        keys2 = np.repeat(self.all_idx, csr.d2_degrees) * n + csr.g2_indices
+        keep = self.h_entry[np.searchsorted(keys2, u * n + w)]
         seg, u, w = seg[keep], u[keep], w[keep]
         if self.rank is not None:
             o = np.lexsort((self.rank[w], seg))
             seg, u, w = seg[o], u[o], w[o]
         self.pair_u, self.pair_w = u, w
-        starts = np.flatnonzero(
-            np.concatenate(([True], seg[1:] != seg[:-1]))
-        ) if seg.size else np.empty(0, np.int64)
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
         self.pair_starts = starts
         self.pair_lens = np.diff(np.append(starts, seg.size))
         self.pair_segs = seg[starts]
@@ -1818,6 +1816,11 @@ class _Routing:
         )
 
     @staticmethod
+    def carried(inbox, node, tag):
+        """The first field of every ``tag`` message ``node`` got."""
+        return [m[1] for _s, m in inbox.get(node, ()) if m[0] == tag]
+
+    @staticmethod
     def send(out, sender, receiver, message):
         out.setdefault(sender, {}).setdefault(receiver, []).append(message)
 
@@ -1918,7 +1921,7 @@ class _Routing:
         query_ok = [
             u
             for u in selected
-            if sum(m[1] for _s, m in inbox.get(u, ()) if m[0] == _TAG_PATH_REPLY) == 1
+            if sum(self.carried(inbox, u, _TAG_PATH_REPLY)) == 1
         ]
         out = {}
         check = {}
@@ -1970,7 +1973,7 @@ class _Routing:
         if not self.executes(8):
             return None
         conflicted = {
-            u: any(m[1] for _s, m in inbox.get(u, ()) if m[0] == _TAG_CHECK_REPLY)
+            u: any(self.carried(inbox, u, _TAG_CHECK_REPLY))
             for u in query_ok
         }
         for w, box in inbox.items():
@@ -1999,9 +2002,7 @@ class _Routing:
             own = self.color(w)
             if own < 0:
                 continue
-            common = any(
-                m[1] for _s, m in inbox.get(w, ()) if m[0] == _TAG_MEMBER_REPLY
-            )
+            common = any(self.carried(inbox, w, _TAG_MEMBER_REPLY))
             if common or v in run.nbr_set(w) or v == w:
                 continue
             if relay is None:
@@ -2077,9 +2078,8 @@ class _Routing:
         for y, box in inbox.items():
             for s, m in box:
                 if m[0] == probe_tag:
-                    self.send(
-                        out, y, s, (reply_tag, 1 if m[1] in run.nbr_set(y) else 0)
-                    )
+                    found = 1 if m[1] in run.nbr_set(y) else 0
+                    self.send(out, y, s, (reply_tag, found))
         return out
 
 
@@ -2227,8 +2227,7 @@ def _randomized_d2_kernel(
     rec = obs_trace.recorder()
     t0 = rec.clock() if rec is not None else 0.0
     try:
-        loop.run_until(
-            None,
+        loop.run(
             max_rounds=max_rounds,
             stop_when=stop_when,
             raise_on_timeout=raise_on_timeout,
@@ -2297,24 +2296,15 @@ def _randomized_writeback(run, resumes, handoff):
             for k, name in enumerate(_STATS):
                 setattr(counters, name, int(stats[k, i]))
             if handoff:
-                program._kernel_prefix = 3
+                program._kernel_prefix = len(run.sections)
 
     return writeback
 
 
 def _own_sets(run):
     """Every node's similarity set ``S_v`` as a frozenset of labels."""
-    csr, order = run.csr, run.order
-    labels = np.asarray(order, dtype=object)[csr.g2_indices]
-    if run.own_mask is not None:
-        counts = np.bincount(
-            np.repeat(run.all_idx, csr.d2_degrees)[run.own_mask],
-            minlength=run.n,
-        )
-        labels = labels[run.own_mask]
-        indptr = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)))
-    else:
-        indptr = csr.g2_indptr
+    items, indptr = run.own_rows
+    labels = np.asarray(run.order, dtype=object)[items]
     return [
         frozenset(labels[indptr[i]:indptr[i + 1]].tolist())
         for i in range(run.n)

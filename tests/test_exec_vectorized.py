@@ -506,18 +506,25 @@ def _recipe(driver):
     )
 
 
-def _fallback_causes(run):
-    """``run()``'s result and the ``exec.fallback`` causes it emitted."""
-    causes = []
+def _events(run):
+    """``run()``'s result and every trace event it emitted."""
+    events = []
 
     class Rec(NullRecorder):
         def event(self, name, attrs=None):
-            if name == "exec.fallback":
-                causes.append(attrs["cause"])
+            events.append((name, attrs))
 
     with use_recorder(Rec()):
         result = run()
-    return result, causes
+    return result, events
+
+
+def _fallback_causes(run):
+    """``run()``'s result and the ``exec.fallback`` causes it emitted."""
+    result, events = _events(run)
+    return result, [
+        attrs["cause"] for name, attrs in events if name == "exec.fallback"
+    ]
 
 
 def _shuffled(graph, seed):
@@ -1051,19 +1058,6 @@ def _randomized_state(network):
             program.ctx.rng.counter,
         )
     return state
-
-
-def _events(run):
-    """``run()``'s result and every trace event it emitted."""
-    events = []
-
-    class Rec(NullRecorder):
-        def event(self, name, attrs=None):
-            events.append((name, attrs))
-
-    with use_recorder(Rec()):
-        result = run()
-    return result, events
 
 
 def _assert_randomized_parity(make_network, **run_kwargs):
