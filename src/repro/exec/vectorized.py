@@ -1320,25 +1320,37 @@ def _sub_rows(n, owner, items, keep):
 
 def _common_counts(csr, sample):
     """``|S_a ∩ S_b|`` for every G² entry (a, b), where ``S_v`` is v's
-    distance-≤2 set (intersected with ``sample`` when given)."""
-    from scipy import sparse
-
+    distance-≤2 set (intersected with ``sample`` when given): the
+    number of (sampled) c with G² paths a–c–b, counted per block of
+    rows a so each block's paths and count table stay near
+    ``_BLOCK_ELEMS``."""
     n = csr.n
-    owner = np.repeat(np.arange(n, dtype=np.int64), csr.d2_degrees)
-    if owner.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    ones = np.ones(owner.size, dtype=np.int32)
-
-    def matrix(data):
-        return sparse.csr_matrix(
-            (data, csr.g2_indices, csr.g2_indptr), shape=(n, n)
-        )
-
-    # (G² · diag(S) · G²)[a, b] counts the sampled c within distance 2
-    # of both a and b.
-    right = ones if sample is None else sample[owner].astype(np.int32)
-    prod = (matrix(ones) @ matrix(right)).tocsr()
-    return np.asarray(prod[owner, csr.g2_indices]).ravel()
+    indptr, indices = csr.g2_indptr, csr.g2_indices
+    d2 = csr.d2_degrees
+    owner = np.repeat(np.arange(n, dtype=np.int64), d2)
+    via = d2[indices] if sample is None else np.where(
+        sample[indices], d2[indices], 0
+    )
+    paths = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(via))
+    )[indptr]  # paths before row a
+    out = np.empty(indices.size, dtype=np.int64)
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(
+            paths, paths[r0] + _BLOCK_ELEMS, side="right"
+        )) - 1
+        r1 = min(n, r0 + max(1, _BLOCK_ELEMS // n), max(r1, r0 + 1))
+        lo, hi = indptr[r0], indptr[r1]
+        mid = indices[lo:hi]
+        pos, _ = _row_positions(indptr, mid)
+        rows = np.repeat(owner[lo:hi] - r0, d2[mid]) * n + indices[pos]
+        if sample is not None:
+            rows = rows[np.repeat(sample[mid], d2[mid])]
+        counts = np.bincount(rows, minlength=(r1 - r0) * n)
+        out[lo:hi] = counts[(owner[lo:hi] - r0) * n + mid]
+        r0 = r1
+    return out
 
 
 class _RandomizedRun:
