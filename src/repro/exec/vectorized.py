@@ -1745,7 +1745,7 @@ class _Routing:
     """
 
     def __init__(self, run, start, active, tickets, best, query_p):
-        self.run_ = run
+        self.kernel = run
         self.start = start
         self.active = active.tolist()
         self.tickets = tickets
@@ -1758,7 +1758,7 @@ class _Routing:
     def rng(self, i):
         gen = self.rngs.get(i)
         if gen is None:
-            draws = self.run_.draws
+            draws = self.kernel.draws
             gen = self.rngs[i] = CounterRandom(
                 int(draws.node_keys[i]), int(draws.counters[i])
             )
@@ -1768,13 +1768,13 @@ class _Routing:
         return int(self.colors[i])
 
     def in_loop_order(self, nodes):
-        rank = self.run_.rank
+        rank = self.kernel.rank
         if rank is None:
             return sorted(nodes)
         return sorted(nodes, key=rank.__getitem__)
 
     def executes(self, offset) -> bool:
-        return self.start + offset < self.run_.max_rounds
+        return self.start + offset < self.kernel.max_rounds
 
     def deliver(self, out=None, bcast=None):
         """Meter and deliver one round: ``out`` is ``{sender:
@@ -1784,7 +1784,7 @@ class _Routing:
         in inbox order."""
         out = out or {}
         bcast = bcast or {}
-        run = self.run_
+        run = self.kernel
         payloads = []
         inbox = {}
         for sender in self.in_loop_order(set(out) | set(bcast)):
@@ -1821,7 +1821,7 @@ class _Routing:
         fields = _NODE_FIELDS.get(message[0])
         if fields is None:
             return message
-        order = self.run_.order
+        order = self.kernel.order
         return tuple(
             order[value] if k in fields else value
             for k, value in enumerate(message)
@@ -1840,7 +1840,7 @@ class _Routing:
         """The lottery's pick ``(w, relay)`` at requester u, or None:
         direct H-neighbors first, then the middles' forwards, each in
         inbox order; a strictly smaller XOR replaces the best."""
-        run = self.run_
+        run = self.kernel
         t = self.tickets
         thr = run.threshold
         best = None
@@ -1874,7 +1874,7 @@ class _Routing:
     def run(self):
         """Returns the round-15 candidates (-1 = none), or None when
         ``max_rounds`` cuts the phase before round 15."""
-        run = self.run_
+        run = self.kernel
         stats = run.stats
         try:
             return self._rounds(run, stats)
@@ -2085,7 +2085,7 @@ class _Routing:
 
     def _answer(self, inbox, probe_tag, reply_tag):
         """Every probed node answers each asker "is v my neighbor?"."""
-        run = self.run_
+        run = self.kernel
         out = {}
         for y, box in inbox.items():
             for s, m in box:

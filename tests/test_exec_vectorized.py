@@ -1161,6 +1161,24 @@ class TestReduceLadderKernel:
                 make, **dict(run_kwargs, max_rounds=cut)
             )
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_similarity_overlaps_counted_in_blocks(self, sampled, monkeypatch):
+        # Tiny blocks: one row of G² per block, several blocks per run.
+        csr = csr_for_graph(_LADDER_CELLS["rr7-short-s0"][0])
+        sample = np.arange(csr.n) % 3 != 0 if sampled else None
+        rows = [
+            csr.g2_indices[csr.g2_indptr[i]:csr.g2_indptr[i + 1]].tolist()
+            for i in range(csr.n)
+        ]
+        sets = [
+            {c for c in row if sample is None or sample[c]} for row in rows
+        ]
+        expected = [
+            len(sets[a] & sets[b]) for a in range(csr.n) for b in rows[a]
+        ]
+        monkeypatch.setattr(vectorized, "_BLOCK_ELEMS", 64)
+        assert vectorized._common_counts(csr, sample).tolist() == expected
+
     def test_declines_wide_labels_under_a_budget(self):
         # Labels far above n make every routing payload wider than
         # the O(log n) budget the sizes were planned for.
