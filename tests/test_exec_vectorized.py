@@ -8,6 +8,7 @@ generator-loop fallback for runs a kernel cannot replay, and the CSR
 adjacency artifact the kernels consume.
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -1179,23 +1180,48 @@ class TestReduceLadderKernel:
         monkeypatch.setattr(vectorized, "_BLOCK_ELEMS", 64)
         assert vectorized._common_counts(csr, sample).tolist() == expected
 
+    @staticmethod
+    def _assert_declined(make, cause):
+        _, run_kwargs = _ladder_recipe("improved", "hs-s0")
+        ref_net, vec_net = make(), make()
+        ref = ref_net.run(backend="reference", **run_kwargs)
+        vec, events = _events(
+            lambda: vec_net.run(backend="vectorized", **run_kwargs)
+        )
+        assert ("kernel.decline", {
+            "kernel": "_randomized_d2_kernel", "cause": cause
+        }) in events
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        assert _randomized_state(vec_net) == _randomized_state(ref_net)
+
     def test_declines_wide_labels_under_a_budget(self):
         # Labels far above n make every routing payload wider than
         # the O(log n) budget the sizes were planned for.
-        graph, seed, kwargs = _LADDER_CELLS["hs-s0"]
+        graph, seed, _kwargs = _LADDER_CELLS["hs-s0"]
         wide = nx.relabel_nodes(graph, {v: v << 40 for v in graph})
-        make = _recipe(
-            lambda: improved_d2_color(wide, seed=seed, max_rounds=0)
+        self._assert_declined(
+            _recipe(lambda: improved_d2_color(wide, seed=seed, max_rounds=0)),
+            "budget",
         )
-        _, run_kwargs = _ladder_recipe("improved", "hs-s0")
-        ref = make().run(backend="reference", **run_kwargs)
-        vec, events = _events(
-            lambda: make().run(backend="vectorized", **run_kwargs)
+
+    def test_declines_similarity_drops(self):
+        # One item per pipelined list: the generators drop the rest of
+        # every neighbor list and similarity set.
+        net = _ladder_recipe("improved", "hs-s0")[0]()
+        data = dict(net.plan().input_for(0))
+        data["sim_config"] = dataclasses.replace(
+            data["sim_config"], forward_rounds=1, own_rounds=1,
+            per_message=1,
         )
-        assert ("kernel.decline", {
-            "kernel": "_randomized_d2_kernel", "cause": "budget"
-        }) in events
-        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+        def make():
+            return Network(
+                net.graph, net.program_factory, seed=net._seed,
+                policy=net.policy, delta=net.delta,
+                inputs={v: data for v in net.graph},
+            )
+
+        self._assert_declined(make, "similarity-drops")
 
 
 def _materialized_case(program_cls):
