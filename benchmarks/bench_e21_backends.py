@@ -117,6 +117,8 @@ def test_vectorized_speedup_on_trial(benchmark):
     )
     assert vec.coloring == ref.coloring
     assert vec.rounds == ref.rounds
+    assert vec.metrics.total_messages == ref.metrics.total_messages
+    assert vec.metrics.max_message_bits == ref.metrics.max_message_bits
     speedup = ref_s / vec_s
     # The ISSUE's acceptance bar is >= 5x; assert a regression floor
     # below it so a noisy CI box does not flake the smoke job.
@@ -179,6 +181,8 @@ def test_kernel_speedup_randomized_d2(benchmark, variant):
     )
     assert vec.coloring == ref.coloring
     assert vec.rounds == ref.rounds
+    assert vec.metrics.total_messages == ref.metrics.total_messages
+    assert vec.metrics.max_message_bits == ref.metrics.max_message_bits
     speedup = ref_s / vec_s
     assert speedup >= 2.0, (ref_s, vec_s)
     _PAYLOAD.setdefault("kernel_speedups", {})[f"{variant}-d2color"] = {

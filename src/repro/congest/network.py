@@ -105,6 +105,17 @@ class UniformInputs(Mapping):
     def __len__(self) -> int:
         return len(self._nodes)
 
+    @property
+    def payload(self) -> Dict[str, Any]:
+        """The shared payload (never copied; do not mutate)."""
+        return self._payload
+
+    def covers(self, nodes) -> bool:
+        """Whether every node of ``nodes`` maps to the payload; O(1)
+        when ``nodes`` is the very node view it was built on."""
+        mine = self._nodes
+        return mine is nodes or all(node in mine for node in nodes)
+
 
 @dataclass
 class RunResult:
@@ -151,7 +162,8 @@ class NetworkPlan:
 
     Everything a kernel needs without touching Python node objects:
     the CSR G/G² adjacency (shared with :meth:`Instance.csr`), the
-    dense node order, per-node input dicts, and the per-node RNG state
+    dense node order, the inputs grouped by payload
+    (:meth:`input_groups`), and the per-node RNG state
     of :mod:`repro.congest.rng` — uint64 stream keys (derived in one
     vector pass) and counters.  Kernels draw through :meth:`randrange`
     and :meth:`random`;
@@ -198,10 +210,21 @@ class NetworkPlan:
         drawn."""
         return random_array(self.node_keys, self.counters, idx)
 
-    def input_for(self, node: int) -> Dict[str, Any]:
-        """The (unmaterialized) input dict of ``node``; never copied,
-        callers must not mutate it."""
-        return self.network._inputs.get(node, _EMPTY_INPUT)
+    def input_groups(self) -> Iterator[tuple]:
+        """``(index, payload)`` once per distinct input payload, where
+        ``index`` selects its nodes in :attr:`order`: one slice over
+        every node for a :class:`UniformInputs` that covers the
+        network, else one int per node (a node without inputs gets an
+        empty dict).  Payloads are never copied; do not mutate them."""
+        inputs = self.network._inputs
+        if isinstance(inputs, UniformInputs) and inputs.covers(
+            self.network.graph.nodes
+        ):
+            yield slice(None), inputs.payload
+            return
+        get = inputs.get
+        for i, node in enumerate(self.order):
+            yield i, get(node, _EMPTY_INPUT)
 
 
 class Network:

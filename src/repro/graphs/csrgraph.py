@@ -294,7 +294,12 @@ class CSRGraphView(nx.Graph):
         csr = self.csr_adjacency
         if csr is None:
             return nx.Graph.nodes.__get__(self)
-        return _CSRNodeView(csr.n)
+        # One view per graph, like networkx's cached ``nodes``: callers
+        # may recognize the graph's own view by identity.
+        view = self.__dict__.get("_csr_nodes")
+        if view is None:
+            view = self.__dict__["_csr_nodes"] = _CSRNodeView(csr.n)
+        return view
 
     @property
     def edges(self):

@@ -15,6 +15,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.luby import (
     LubyDistanceKProgram,
@@ -28,7 +30,7 @@ from repro.congest.errors import (
     NonterminationError,
 )
 from repro.congest.message import int_bits
-from repro.congest.network import Network
+from repro.congest.network import Network, UniformInputs
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.core import sampling
 from repro.core.reduce import REDUCE_PHASE_ROUNDS
@@ -96,13 +98,26 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _trial_network(graph, seed, policy=None, **data):
+def _trial_network(graph, seed, policy=None, kind="dict", **data):
+    """A :class:`TrialProgram` network whose nodes all get ``{palette:
+    Δ²+1, **data}``: one dict per node (``kind="dict"``) or one shared
+    :class:`UniformInputs` payload (``kind="uniform"``)."""
     delta = max((d for _, d in graph.degree), default=0)
     payload = {"palette": delta * delta + 1, **data}
-    inputs = {v: dict(payload) for v in graph.nodes}
+    if kind == "uniform":
+        inputs = UniformInputs(graph.nodes, payload)
+    else:
+        inputs = {v: dict(payload) for v in graph.nodes}
     return Network(
         graph, TrialProgram, seed=seed, policy=policy, inputs=inputs
     )
+
+
+def _first_input(network):
+    """The input payload of the network's first node (in plan order);
+    its group comes first."""
+    _index, data = next(network.plan().input_groups())
+    return data
 
 
 def _luby_network(graph, seed, k=2, policy=None):
@@ -174,13 +189,19 @@ class TestKernelCoverage:
             assert spec_name in coverage, spec_name
 
 
-class TestTrialKernel:
+class _TrialKernelCases:
+    """Trial-kernel parity cases run once per input kind
+    (:func:`_trial_network`'s ``kind``)."""
+
+    KIND = "dict"
+
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_track_parity(self, name, seed):
         _assert_trial_parity(
             lambda: _trial_network(
-                GRAPHS[name], seed, policy=BandwidthPolicy.track()
+                GRAPHS[name], seed, policy=BandwidthPolicy.track(),
+                kind=self.KIND,
             ),
             max_rounds=5_000,
             stop_when=all_colored,
@@ -194,7 +215,7 @@ class TestTrialKernel:
         graph = GRAPHS["gnp24"]
 
         def runs(backend):
-            net = _trial_network(graph, seed)
+            net = _trial_network(graph, seed, kind=self.KIND)
             res = net.run(
                 backend=backend,
                 max_rounds=5_000,
@@ -213,7 +234,8 @@ class TestTrialKernel:
     def test_round_cutoff_parity(self, max_rounds):
         _assert_trial_parity(
             lambda: _trial_network(
-                GRAPHS["petersen"], 5, policy=BandwidthPolicy.track()
+                GRAPHS["petersen"], 5, policy=BandwidthPolicy.track(),
+                kind=self.KIND,
             ),
             max_rounds=max_rounds,
             stop_when=all_colored,
@@ -223,7 +245,9 @@ class TestTrialKernel:
     def test_nontermination_raise_parity(self):
         for backend in ("reference", "vectorized"):
             with pytest.raises(NonterminationError):
-                _trial_network(GRAPHS["petersen"], 5).run(
+                _trial_network(
+                    GRAPHS["petersen"], 5, kind=self.KIND
+                ).run(
                     backend=backend,
                     max_rounds=1,
                     stop_when=all_colored,
@@ -236,13 +260,54 @@ class TestTrialKernel:
         # must land on reference's exact metrics.
         _assert_trial_parity(
             lambda: _trial_network(
-                GRAPHS["petersen"], 2, policy=BandwidthPolicy.track()
+                GRAPHS["petersen"], 2, policy=BandwidthPolicy.track(),
+                kind=self.KIND,
             ),
             max_rounds=60,
             stop_when=None,
             raise_on_timeout=False,
         )
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"avoid_known": True}, {"palette": 0}, {"palette": None}],
+        ids=["avoid-known", "palette-0", "palette-none"],
+    )
+    def test_declines_like_reference(self, data):
+        # The kernel declines before writing anything; the generator
+        # loop then runs (or raises) exactly as reference does.
+        def make():
+            return _trial_network(
+                GRAPHS["gnp24"], 2, policy=BandwidthPolicy.track(),
+                kind=self.KIND, **data,
+            )
+
+        outcome, causes = _fallback_causes(
+            lambda: _run_outcome(make(), "vectorized")
+        )
+        assert causes == ["kernel-declined"]
+        assert outcome == _run_outcome(make(), "reference")
+
+
+def _run_outcome(network, backend):
+    """A trial run's observable outcome, or the error it raised."""
+    try:
+        result = network.run(
+            backend=backend,
+            max_rounds=5_000,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+    except Exception as exc:  # noqa: BLE001 - compared across engines
+        return type(exc), str(exc)
+    return (
+        result.outputs,
+        _metrics_tuple(result.metrics),
+        network.node_colors(),
+    )
+
+
+class TestTrialKernel(_TrialKernelCases):
     def test_precolored_parity(self):
         graph = GRAPHS["petersen"]
 
@@ -279,6 +344,193 @@ class TestTrialKernel:
             vec = trial_d2_color(GRAPHS["gnp24"], seed=4)
         assert vec.coloring == ref.coloring
         assert vec.rounds == ref.rounds
+
+
+class _CountingUniformInputs(UniformInputs):
+    """A :class:`UniformInputs` that counts every payload read."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, nodes, payload):
+        super().__init__(nodes, payload)
+        self.reads = 0
+
+    @property
+    def payload(self):
+        self.reads += 1
+        return self._payload
+
+    def __getitem__(self, node):
+        self.reads += 1
+        return super().__getitem__(node)
+
+    def get(self, node, default=None):
+        self.reads += 1
+        return super().get(node, default)
+
+
+class TestTrialKernelUniformInputs(_TrialKernelCases):
+    """The same cases on one shared payload, which the kernel reads
+    once, not once per node."""
+
+    KIND = "uniform"
+
+    def test_partial_cover_declines_like_reference(self):
+        # Nodes outside the UniformInputs get no palette: the kernel
+        # declines and the generator constructor raises as reference.
+        graph = GRAPHS["petersen"]
+
+        def make():
+            inputs = UniformInputs(range(5), {"palette": 10})
+            return Network(
+                graph, TrialProgram, seed=1, inputs=inputs,
+                policy=BandwidthPolicy.track(),
+            )
+
+        outcome, causes = _fallback_causes(
+            lambda: _run_outcome(make(), "vectorized")
+        )
+        assert causes == ["kernel-declined"]
+        assert outcome == _run_outcome(make(), "reference")
+        assert outcome[0] is KeyError
+
+    def test_payload_read_once(self):
+        graph = nx.gnp_random_graph(300, 0.02, seed=5)
+        delta = max(d for _, d in graph.degree)
+        inputs = _CountingUniformInputs(
+            graph.nodes, {"palette": delta * delta + 1}
+        )
+        net = Network(graph, TrialProgram, seed=3, inputs=inputs)
+        vec, causes = _fallback_causes(
+            lambda: net.run(
+                backend="vectorized",
+                max_rounds=5_000,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+        )
+        assert causes == []
+        assert not net.materialized
+        assert inputs.reads == 1
+        ref = _trial_network(graph, 3, kind="dict").run(
+            backend="reference",
+            max_rounds=5_000,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+        assert vec.outputs == ref.outputs
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+
+@st.composite
+def _small_graphs(draw, max_nodes=9):
+    """Small random graphs on nodes ``0..n-1``, edgeless ones too."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = nx.empty_graph(n)
+    if pairs:
+        graph.add_edges_from(
+            draw(st.lists(st.sampled_from(pairs), unique=True))
+        )
+    return graph
+
+
+@st.composite
+def _trial_cases(draw):
+    """``(make_network, precolored nodes)`` of a small TRACK trial
+    run: palette anywhere from 1 to Δ²+1, some nodes precolored."""
+    graph = draw(_small_graphs())
+    delta = max((d for _, d in graph.degree), default=0)
+    palette = draw(st.integers(1, delta * delta + 1))
+    seed = draw(st.integers(0, 2**20))
+    colors = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(0, palette - 1)),
+            min_size=graph.number_of_nodes(),
+            max_size=graph.number_of_nodes(),
+        )
+    )
+    precolored = {v: c for v, c in enumerate(colors) if c is not None}
+    if not precolored and draw(st.booleans()):
+        inputs = UniformInputs(graph.nodes, {"palette": palette})
+    else:
+        inputs = {
+            v: {"palette": palette, "color": precolored[v]}
+            if v in precolored
+            else {"palette": palette}
+            for v in graph.nodes
+        }
+
+    def make():
+        return Network(
+            graph, TrialProgram, seed=seed, inputs=inputs,
+            policy=BandwidthPolicy.track(),
+        )
+
+    return make
+
+
+class TestLiveRowConflictPass:
+    """The try-phase engine gathers only the triers' G/G² rows; it
+    must decide every phase exactly as the generators do."""
+
+    @pytest.mark.parametrize("max_rounds", [*range(9), 300])
+    @given(make=_trial_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_trial_parity(self, max_rounds, make):
+        # Tiny palettes conflict in most phases (and time out at 300);
+        # precolored nodes block their color at distance 1 only.
+        _assert_trial_parity(
+            make,
+            max_rounds=max_rounds,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @pytest.mark.parametrize("precolored", [False, True])
+    def test_trier_blocks(self, block, precolored, monkeypatch):
+        # Triers are checked in blocks of _TRIERS_PER_PASS; every
+        # block size decides every phase alike.
+        monkeypatch.setattr(vectorized, "_TRIERS_PER_PASS", block)
+        graph = GRAPHS["gnp24"]
+        delta = max(d for _, d in graph.degree)
+
+        def make():
+            inputs = {
+                v: {"palette": delta * delta + 1}
+                | ({"color": v % 3} if precolored and v < 6 else {})
+                for v in graph.nodes
+            }
+            return Network(
+                graph, TrialProgram, seed=4, inputs=inputs,
+                policy=BandwidthPolicy.track(),
+            )
+
+        _assert_trial_parity(
+            make,
+            max_rounds=5_000,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+
+    @given(graph=_small_graphs(), seed=st.integers(0, 99))
+    @example(graph=nx.empty_graph(4), seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_phases_without_triers(self, graph, seed):
+        # No stop monitor: the locally-iterative schedule runs all q
+        # phases, and every phase after the last adoption has no
+        # trier (an edgeless graph adopts everything in phase 0).
+        q, _ = _li_network(graph, seed)
+        _assert_poly_phase_parity(
+            lambda: _li_network(
+                graph, seed, policy=BandwidthPolicy.track()
+            ),
+            with_parts=False,
+            max_rounds=3 * q + 3,
+            stop_when=None,
+            raise_on_timeout=False,
+        )
 
 
 class TestLubyKernel:
@@ -610,7 +862,24 @@ class TestLinialKernel:
                 GRAPHS[name], variant, policy=POLICIES[policy]
             )
         )
-        assert make().plan().input_for(0)["schedule"]
+        assert _first_input(make())["schedule"]
+        _assert_fixed_schedule_parity(make, ("color",))
+
+    @pytest.mark.parametrize("name", ["gnp24", "disconnected"])
+    def test_uniform_inputs_start_from_labels(self, name):
+        # One shared payload without ``color_in``: the kernel reads it
+        # once and every node's input color is its label.
+        captured = _recipe(lambda: _wide_linial(GRAPHS[name]))()
+        payload = dict(_first_input(captured))
+        del payload["color_in"]
+
+        def make():
+            return Network(
+                captured.graph, captured.program_factory,
+                policy=captured.policy, delta=captured.delta,
+                inputs=UniformInputs(captured.graph.nodes, payload),
+            )
+
         _assert_fixed_schedule_parity(make, ("color",))
 
     @pytest.mark.parametrize("name", ["gnp24", "petersen", "disconnected"])
@@ -626,7 +895,7 @@ class TestLinialKernel:
                 conflict_degree=6,
             )
         )
-        assert len(make().plan().input_for(0)["schedule"]) >= 1
+        assert len(_first_input(make())["schedule"]) >= 1
         _assert_fixed_schedule_parity(make, ("color", "part"))
 
     def test_empty_schedule(self):
@@ -639,7 +908,7 @@ class TestLinialKernel:
                 graph, color_in=color_in, palette_in=5
             )
         )
-        assert make().plan().input_for(0)["schedule"] == []
+        assert _first_input(make())["schedule"] == []
         _assert_fixed_schedule_parity(make, ("color",))
         assert make().run(backend="vectorized").outputs == color_in
 
@@ -732,7 +1001,7 @@ class TestLinialKernel:
         # degree-d polynomial stands for it, and the generator raises.
         graph = GRAPHS["gnp24"]
         make = _recipe(lambda: _wide_linial(graph))
-        d, q, _m = make().plan().input_for(0)["schedule"][0]
+        d, q, _m = _first_input(make())["schedule"][0]
         color_in = {v: 1000 * v + 7 for v in graph.nodes}
         color_in[0] = q ** (d + 1) + 5
         _assert_declined(
@@ -1208,7 +1477,7 @@ class TestReduceLadderKernel:
         # One item per pipelined list: the generators drop the rest of
         # every neighbor list and similarity set.
         net = _ladder_recipe("improved", "hs-s0")[0]()
-        data = dict(net.plan().input_for(0))
+        data = dict(_first_input(net))
         data["sim_config"] = dataclasses.replace(
             data["sim_config"], forward_rounds=1, own_rounds=1,
             per_message=1,

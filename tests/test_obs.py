@@ -403,7 +403,7 @@ class TestPaperPhaseSpans:
 
 class TestTryPhasesSpan:
     """``kernel.try_phases`` carries the messages and bits of its
-    window, not just its rounds."""
+    window, not just its rounds, and the work of its conflict pass."""
 
     @pytest.mark.parametrize("algorithm", ["trial", "improved"])
     def test_window_traffic_matches_the_kernel_run(
@@ -445,6 +445,50 @@ class TestTryPhasesSpan:
             assert window["attrs"][key] == kernel["attrs"][key]
         assert window["attrs"]["messages"] == result.metrics.total_messages
         assert window["attrs"]["bits"] == result.metrics.total_bits
+
+    def test_work_counts_follow_the_triers(self, tmp_path):
+        # Every live node tries each trial phase, so a node colored in
+        # its k-th phase was a trier in k phases; the conflict pass
+        # gathers exactly the G² rows of each phase's triers.
+        import networkx as nx
+
+        from repro.baselines.trial import TrialProgram
+        from repro.congest.network import Network
+        from repro.congest.policy import BandwidthPolicy
+        from repro.core.trying import all_colored
+
+        graph = nx.gnp_random_graph(120, 0.05, seed=3)
+        delta = max(d for _, d in graph.degree)
+        net = Network(
+            graph, TrialProgram, seed=1,
+            policy=BandwidthPolicy.track(),
+            inputs={v: {"palette": delta * delta + 1} for v in graph},
+        )
+        path = str(tmp_path / "t.jsonl")
+        rec = TraceRecorder(path)
+        with use_recorder(rec):
+            net.run(
+                backend="vectorized", max_rounds=5_000,
+                stop_when=all_colored, raise_on_timeout=False,
+            )
+        rec.close()
+        [window] = [
+            r for r in iter_spans(read_trace(path))
+            if r["phase"] in "EX" and r["name"] == "kernel.try_phases"
+        ]
+        tried = {v: net.programs[v].phases_tried for v in graph}
+        d2_degree = {
+            v: len(nx.single_source_shortest_path_length(graph, v, 2)) - 1
+            for v in graph
+        }
+        phases = max(tried.values())
+        assert phases >= 3
+        attrs = window["attrs"]
+        assert attrs["triers"] == sum(tried.values())
+        assert attrs["g2_scanned"] == sum(
+            tried[v] * d2_degree[v] for v in graph
+        )
+        assert attrs["g2_scanned"] < phases * sum(d2_degree.values())
 
 
 class TestRandomizedSectionSpans:
