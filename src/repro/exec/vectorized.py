@@ -427,11 +427,6 @@ def _try_rounds(
     g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
     deg = csr.degrees
     metered = traffic.metered
-    # G ⊆ G², so the G² pass already sees every announced color of a
-    # G-neighbor; the G pass matters only while some node holds a
-    # color it never announced (a precolored input).  Colors and
-    # announcements change together, so this holds for the window.
-    silent_colors = bool(((colors >= 0) & ~announced).any())
 
     adopt_idx = np.empty(0, dtype=np.int64)
     pending_verdicts = 0
@@ -479,17 +474,18 @@ def _try_rounds(
             for lo in range(0, try_idx.size, _TRIERS_PER_PASS):
                 hi = lo + _TRIERS_PER_PASS
                 rows, c = try_idx[lo:hi], own[lo:hi]
-                w, seg = _row_entries(g2_indptr, g2_indices, rows)
-                c2 = np.repeat(c, np.diff(seg))
+                pos, seg = _row_positions(g_indptr, rows)
                 hit = arrays.row_any(
+                    colors[g_indices[pos]] == np.repeat(c, np.diff(seg)),
+                    seg,
+                )
+                pos, seg = _row_positions(g2_indptr, rows)
+                w = g2_indices[pos]
+                c2 = np.repeat(c, np.diff(seg))
+                hit |= arrays.row_any(
                     (announced[w] & (colors[w] == c2)) | (cand[w] == c2),
                     seg,
                 )
-                if silent_colors:
-                    nbr, seg = _row_entries(g_indptr, g_indices, rows)
-                    hit |= arrays.row_any(
-                        colors[nbr] == np.repeat(c, np.diff(seg)), seg
-                    )
                 conflict[lo:hi] = hit
                 st.g2_scanned += int(w.size)
             adopt_idx = try_idx[~conflict]
@@ -883,15 +879,6 @@ def _row_positions(indptr, rows):
     return pos, seg
 
 
-def _row_entries(indptr, indices, rows):
-    """The entries of the ascending CSR ``rows``, concatenated, and
-    the segment indptr over them (all rows: the CSR arrays as-is)."""
-    if rows.size == indptr.size - 1:
-        return indices, indptr
-    pos, seg = _row_positions(indptr, rows)
-    return indices[pos], seg
-
-
 def _row_mex(values, seg):
     """Per segment, the smallest non-negative int absent from it."""
     rows = seg.size - 1
@@ -1032,11 +1019,9 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 return None
             colors[i] = color
         else:  # a node's input color defaults to its label
-            ends = (
-                (order[0], order[-1]) if isinstance(i, slice) else (order[i],)
-            )
-            if not all(map(_is_int64_safe, ends)):
-                return None  # sorted labels: the ends bound the slice
+            labels = order[i] if isinstance(i, slice) else (order[i],)
+            if not all(map(_is_int64_safe, labels)):
+                return None
             colors[i] = order[i]
 
     schedule, relay, relay_rounds, per_message = config

@@ -882,6 +882,23 @@ class TestLinialKernel:
 
         _assert_fixed_schedule_parity(make, ("color",))
 
+    def test_uniform_inputs_decline_a_label_outside_int64(self):
+        # Labels as input colors: every label of the one shared group
+        # must fit the int64 arrays, or the kernel declines.
+        captured = _recipe(lambda: _wide_linial(GRAPHS["gnp24"]))()
+        payload = dict(_first_input(captured))
+        del payload["color_in"]
+        graph = nx.relabel_nodes(captured.graph, {5: 2**70})
+
+        def make():
+            return Network(
+                graph, captured.program_factory,
+                policy=captured.policy, delta=captured.delta,
+                inputs=UniformInputs(graph.nodes, payload),
+            )
+
+        _assert_declined(make)
+
     @pytest.mark.parametrize("name", ["gnp24", "petersen", "disconnected"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_parts_and_input_palette_parity(self, name, policy):
