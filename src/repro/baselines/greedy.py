@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Optional
 
 import networkx as nx
 
-from repro.graphs.square import d2_neighborhoods
+from repro.graphs.square import d2_neighborhoods, max_degree
 from repro.results import ColoringResult
 
 
@@ -29,7 +29,7 @@ def greedy_d2_coloring(
 ) -> ColoringResult:
     """First-fit d2-coloring in ``order`` (default: by node ID)."""
     neighborhoods = d2_neighborhoods(graph)
-    delta = max((d for _, d in graph.degree), default=0)
+    delta = max_degree(graph)
     coloring: Dict[int, int] = {}
     ordering = list(order) if order is not None else sorted(graph.nodes)
     for node in ordering:
@@ -50,7 +50,7 @@ def dsatur_d2_coloring(graph: nx.Graph) -> ColoringResult:
     """DSATUR on G²: always color the node whose d2-neighborhood uses
     the most distinct colors (ties by d2-degree, then ID)."""
     neighborhoods = d2_neighborhoods(graph)
-    delta = max((d for _, d in graph.degree), default=0)
+    delta = max_degree(graph)
     coloring: Dict[int, int] = {}
     saturation: Dict[int, set] = {v: set() for v in graph.nodes}
     uncolored = set(graph.nodes)

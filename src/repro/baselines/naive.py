@@ -22,6 +22,7 @@ from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
 from repro.core.trying import all_colored, coloring_from_programs
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 _TAG_STATUS = "S"
@@ -154,7 +155,7 @@ def naive_congest_d2_color(
 ) -> ColoringResult:
     """Run the naive G²-simulation coloring with palette Δ²+1."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     policy = policy or BandwidthPolicy()
     palette = delta * delta + 1
     n = graph.number_of_nodes()

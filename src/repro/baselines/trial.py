@@ -17,6 +17,7 @@ from repro.congest.network import Network, UniformInputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.core.trying import TryPhaseMixin, all_colored
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 
@@ -66,7 +67,7 @@ def trial_d2_color(
     ``eps = 0`` gives the paper's Δ²+1 palette.
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     palette = math.floor((1.0 + eps) * delta * delta) + 1
     inputs = UniformInputs(
         graph.nodes,

@@ -28,8 +28,9 @@ import networkx as nx
 
 from repro import registry
 from repro.congest.policy import BandwidthPolicy
+from repro.graphs.square import max_degree
 from repro.obs import trace as obs_trace
-from repro.registry import AlgorithmSpec, graph_delta
+from repro.registry import AlgorithmSpec
 from repro.results import ColoringResult
 from repro.util.tables import ascii_table
 from repro.verify.checker import check_d2_coloring
@@ -166,7 +167,7 @@ def _check_record(
             # instead of walking a set-of-sets adjacency.
             adjacency = csr
     else:
-        delta = graph_delta(graph)
+        delta = max_degree(graph)
         adjacency = None
     bound = spec.palette_bound(delta)
     record.colors_used = result.colors_used

@@ -69,6 +69,7 @@ from repro.congest.rng import (
     random_array,
     randrange_array,
 )
+from repro.graphs.square import max_degree
 from repro.obs import trace as obs_trace
 
 _EMPTY_INPUT: Dict[str, Any] = {}
@@ -261,20 +262,17 @@ class Network:
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot build a network on an empty graph")
-        for node in graph.nodes:
-            if not isinstance(node, int):
-                raise TypeError(
-                    "node labels must be ints (they are the O(log n)-bit "
-                    f"identifiers); got {node!r}"
-                )
+        if not set(map(type, graph.nodes)) <= {int}:
+            for node in graph.nodes:
+                if not isinstance(node, int):
+                    raise TypeError(
+                        "node labels must be ints (they are the "
+                        f"O(log n)-bit identifiers); got {node!r}"
+                    )
         self.graph = graph
         self.policy = policy or BandwidthPolicy()
         self.n = graph.number_of_nodes()
-        self.delta = (
-            delta
-            if delta is not None
-            else max((d for _, d in graph.degree), default=0)
-        )
+        self.delta = max_degree(graph) if delta is None else delta
         self._budget = self.policy.budget_bits(self.n)
         self._seed = seed
         self.program_factory = program_factory

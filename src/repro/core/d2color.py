@@ -32,6 +32,7 @@ from repro.core.reduce import ReduceMixin, ReduceStats
 from repro.core.sampling import filter_width
 from repro.core.similarity import SimilarityConfig, SimilarityMixin
 from repro.core.trying import all_colored
+from repro.graphs.square import max_degree
 from repro.obs import trace as obs_trace
 from repro.results import ColoringResult, PhaseResult
 
@@ -175,7 +176,7 @@ def _run_randomized(
     constants = constants or Constants.practical()
     policy = policy or BandwidthPolicy()
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     n = graph.number_of_nodes()
     palette = delta * delta + 1
 

@@ -25,6 +25,7 @@ from repro.congest.network import Network
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 _TAG_COLOR = "C"
@@ -141,7 +142,7 @@ def color_reduction_d2(
     """Reduce a (c+k)-coloring of G² to a c-coloring (c = Δ²+1 by
     default) in O(Δ + k) rounds."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     policy = policy or BandwidthPolicy()
     if target is None:
         target = delta * delta + 1

@@ -24,6 +24,7 @@ from repro.congest.policy import BandwidthPolicy
 from repro.det.color_reduction import color_reduction_d2
 from repro.det.linial import linial_d2_coloring
 from repro.det.locally_iterative import locally_iterative_d2_coloring
+from repro.graphs.square import max_degree
 from repro.obs import trace as obs_trace
 from repro.results import ColoringResult
 
@@ -48,7 +49,7 @@ def deterministic_d2_color(
 ) -> ColoringResult:
     """Deterministic d2-coloring with Δ²+1 colors (Theorem 1.2)."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     if delta == 0:
         coloring = {v: 0 for v in graph.nodes}
         return ColoringResult(

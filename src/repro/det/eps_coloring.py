@@ -19,6 +19,7 @@ from repro.det.recursive_split import (
     RecursiveSplit,
     recursive_split,
 )
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 
@@ -36,7 +37,7 @@ def eps_coloring_g(
 ) -> ColoringResult:
     """Deterministic (1+ε)Δ coloring of G (Theorem 3.4)."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     if delta == 0:
         return ColoringResult(
             algorithm="eps-coloring-g",

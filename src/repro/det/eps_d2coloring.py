@@ -24,6 +24,7 @@ from repro.det.recursive_split import (
     RecursiveSplit,
     recursive_split,
 )
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 
@@ -41,7 +42,7 @@ def eps_d2_color(
 ) -> ColoringResult:
     """Deterministic (1+ε)Δ² d2-coloring of G (Theorem 1.3)."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     if delta == 0:
         return ColoringResult(
             algorithm="eps-d2-coloring",

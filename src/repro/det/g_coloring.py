@@ -32,6 +32,7 @@ from repro.congest.network import Network
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.det.linial import linial_g_coloring
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 from repro.util.fq import Poly1
 from repro.util.primes import next_prime_at_least
@@ -191,7 +192,7 @@ def deg_plus_one_coloring_g(
     are *local* (offset them per part for a disjoint-palette union).
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     eff_delta = part_delta if part_delta is not None else delta
     eff_delta = max(eff_delta, 1)
     if target is None:

@@ -27,6 +27,7 @@ from repro.congest.network import Network
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 from repro.util.fq import linial_set
 from repro.util.primes import next_prime_at_least
@@ -188,7 +189,7 @@ def _run_linial(
     conflict_degree: Optional[int] = None,
 ) -> ColoringResult:
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     policy = policy or BandwidthPolicy()
     n = graph.number_of_nodes()
     if conflict_degree is None:

@@ -25,6 +25,7 @@ from repro.congest.network import Network
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.core.trying import TryPhaseMixin, all_colored
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 from repro.util.fq import Poly1
 from repro.util.primes import bertrand_prime
@@ -71,7 +72,7 @@ def locally_iterative_d2_coloring(
     formal schedule is always 3q rounds; both numbers are reported).
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     q = bertrand_prime(max(delta, 1))
     if palette_in > q * q:
         raise ValueError(

@@ -32,6 +32,7 @@ from repro.congest.policy import BandwidthPolicy
 from repro.core.trying import TryPhaseMixin, all_colored
 from repro.det.g_coloring import prime_between
 from repro.det.linial import linial_d2_coloring
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 from repro.util.fq import Poly1
 
@@ -215,7 +216,7 @@ def part_d2_coloring(
     Output palette: num_parts · (part_d2_degree + 1).
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     policy = policy or BandwidthPolicy()
     n = graph.number_of_nodes()
     budget = policy.budget_bits(n)

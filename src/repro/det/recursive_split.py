@@ -30,6 +30,7 @@ from repro.det.splitting import (
     derandomized_splitting,
     random_splitting,
 )
+from repro.graphs.square import max_degree
 
 
 def paper_target_degree(n: int, eps: float) -> float:
@@ -111,7 +112,7 @@ def recursive_split(
     ``lam=0.3, threshold=4``.
     """
     n = graph.number_of_nodes()
-    delta = max((d for _, d in graph.degree), default=0)
+    delta = max_degree(graph)
     if target_degree is None:
         target_degree = paper_target_degree(n, eps)
     if levels is None:

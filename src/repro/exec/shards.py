@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -51,8 +52,9 @@ from repro.exec.sweep import (
 )
 
 #: 2: per-node randomness became the counter hash of repro.congest.rng.
+#: 3: checkpoint records carry the coloring as two flat columns.
 #: Part of every grid digest, so older checkpoints never resume.
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -176,6 +178,10 @@ def _metrics_from_json(data: Dict) -> RunMetrics:
 
 
 def result_to_json(result: CellResult) -> Dict:
+    # Two flat columns instead of a list per node: the coloring is by
+    # far the largest part of a record at n = 2**20.
+    nodes = list(map(itemgetter(0), result.coloring))
+    colors = list(map(itemgetter(1), result.coloring))
     return {
         "algorithm": result.algorithm,
         "scenario": result.scenario,
@@ -184,7 +190,7 @@ def result_to_json(result: CellResult) -> Dict:
         "palette_size": result.palette_size,
         "rounds": result.rounds,
         "metrics": _metrics_to_json(result.metrics),
-        "coloring": [list(pair) for pair in result.coloring],
+        "coloring": {"nodes": nodes, "colors": colors},
         "error": result.error,
     }
 
@@ -198,7 +204,13 @@ def result_from_json(data: Dict) -> CellResult:
         palette_size=data["palette_size"],
         rounds=data["rounds"],
         metrics=_metrics_from_json(data["metrics"]),
-        coloring=tuple(tuple(pair) for pair in data["coloring"]),
+        coloring=tuple(
+            zip(
+                data["coloring"]["nodes"],
+                data["coloring"]["colors"],
+                strict=True,
+            )
+        ),
         error=data["error"],
     )
 

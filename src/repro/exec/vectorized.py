@@ -528,6 +528,8 @@ def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
 
 def _color_table(order, colors):
     def build():
+        if colors.min(initial=0) >= 0:  # every node colored
+            return dict(zip(order, colors.tolist()))
         return {
             node: (int(c) if c >= 0 else None)
             for node, c in zip(order, colors.tolist())

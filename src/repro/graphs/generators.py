@@ -24,7 +24,6 @@ from typing import List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.exec.arrays import build_csr_from_edges
 from repro.graphs.csrgraph import CSRGraphView
 
 
@@ -108,6 +107,10 @@ def random_regular(degree: int, n: int, seed: int = 0) -> nx.Graph:
         raise nx.NetworkXError(
             "the 0 <= d < n inequality must be satisfied"
         )
+    # Imported here: repro.exec imports the algorithm modules, and
+    # they import repro.graphs.
+    from repro.exec.arrays import build_csr_from_edges
+
     edges = sorted(_regular_edge_set(degree, n, seed))
     us = [u for u, _ in edges]
     vs = [v for _, v in edges]
@@ -161,6 +164,8 @@ def gnp_fast(n: int, p: float, seed: int = 0) -> nx.Graph:
         return ensure_int_labels(
             nx.fast_gnp_random_graph(n, p, seed=seed)
         )
+    from repro.exec.arrays import build_csr_from_edges
+
     us, vs = _fast_gnp_edges(n, p, seed)
     return CSRGraphView(
         build_csr_from_edges(n, us, vs),
@@ -510,6 +515,8 @@ def power_law(
     """
     if n <= attach:
         raise ValueError("n must exceed the attachment count")
+    from repro.exec.arrays import build_csr_from_edges
+
     adj = _powerlaw_adjacency(n, attach, triangle_p, seed)
     us: List[int] = []
     vs: List[int] = []

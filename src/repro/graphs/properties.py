@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Optional, Set
 
 import networkx as nx
 
-from repro.graphs.square import d2_neighborhoods
+from repro.graphs.square import d2_neighborhoods, max_degree
 
 E_CUBED = math.e**3
 
@@ -37,7 +37,7 @@ def sparsity(graph: nx.Graph, delta: Optional[int] = None) -> Dict:
     bound matches the paper's use of a globally known Δ.
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     delta_sq = delta * delta
     if delta_sq == 0:
         return {v: 0.0 for v in graph.nodes}
@@ -73,7 +73,7 @@ def slack(
     size Δ²+1 of the paper.
     """
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     palette = delta * delta + 1
     neighborhoods = d2_neighborhoods(graph)
     result = {}
@@ -92,7 +92,7 @@ def leeway(
     """Leeway of every node: palette colors unused in the
     d2-neighborhood (= slack + live d2-neighbors)."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     palette = delta * delta + 1
     neighborhoods = d2_neighborhoods(graph)
     result = {}
@@ -120,7 +120,7 @@ def solid_nodes(
     """Nodes that are *solid* (Definition 2.4) under ``coloring``:
     leeway φ <= c1·Δ² and sparsity ζ <= 4e³·φ."""
     if delta is None:
-        delta = max((d for _, d in graph.degree), default=0)
+        delta = max_degree(graph)
     lee = leeway(graph, coloring, delta)
     spars = sparsity(graph, delta)
     bound = c1 * delta * delta

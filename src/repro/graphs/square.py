@@ -64,6 +64,18 @@ def d2_degree(
     return len(d2_neighbors(graph, node))
 
 
+def max_degree(graph: nx.Graph) -> int:
+    """Maximum degree Δ of ``graph`` (0 for edgeless graphs).
+
+    A CSR-backed graph view is read off its degree array, without
+    materializing it.
+    """
+    csr = getattr(graph, "csr_adjacency", None)
+    if csr is not None:
+        return int(csr.degrees.max(initial=0))
+    return max((d for _, d in graph.degree), default=0)
+
+
 def max_d2_degree(
     graph: Optional[nx.Graph], adjacency: Optional[Any] = None
 ) -> int:

@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import networkx as nx
 
 from repro.congest.policy import BandwidthPolicy
+from repro.graphs.square import max_degree
 from repro.results import ColoringResult
 
 #: The admissible values of :attr:`AlgorithmSpec.kind`.
@@ -46,11 +47,6 @@ KINDS = ("randomized", "deterministic", "baseline")
 
 def _always(graph: nx.Graph) -> bool:
     return True
-
-
-def graph_delta(graph: nx.Graph) -> int:
-    """Maximum degree of ``graph`` (0 for edgeless graphs)."""
-    return max((d for _, d in graph.degree), default=0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,7 @@ class AlgorithmSpec:
         """Palette bound instantiated for ``graph`` (pass ``delta``
         when it is already known, e.g. from a cached instance)."""
         if delta is None:
-            delta = graph_delta(graph)
+            delta = max_degree(graph)
         return self.palette_bound(delta)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -82,6 +83,12 @@ def _nodes_within(graph: nx.Graph, source, k: int) -> List:
     return out
 
 
+def _colors_used(coloring) -> int:
+    used = set(coloring.values())
+    used.discard(None)
+    return len(used)
+
+
 def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
     """Array fast path over CSR rows; ``None`` declines the check
     (self-loops, unsupported ``k``, or colors int64 can't compare
@@ -96,47 +103,53 @@ def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
         return None
     n = csr.n
     order = csr.order
-    vals = [coloring.get(v) for v in order]
-    for c in vals:
-        if c is not None and not (
-            isinstance(c, int) and -_INT64_SAFE < c < _INT64_SAFE
-        ):
-            return None
-    colored = np.fromiter(
-        (c is not None for c in vals), dtype=bool, count=n
-    )
-    colors = np.fromiter(
-        (0 if c is None else c for c in vals),
-        dtype=np.int64,
-        count=n,
-    )
-    uncolored = [v for v, c in zip(order, vals) if c is None]
+    vals = list(map(coloring.get, order))
+    types = set(map(type, vals))
+    if not types <= {int, NoneType}:
+        # bools, floats, numpy scalars, ...: judge value by value.
+        for c in vals:
+            if c is not None and not (
+                isinstance(c, int) and -_INT64_SAFE < c < _INT64_SAFE
+            ):
+                return None
+    colored = None
+    uncolored: List[int] = []
+    if NoneType in types:
+        colored = np.fromiter(
+            (c is not None for c in vals), dtype=bool, count=n
+        )
+        uncolored = [v for v, c in zip(order, vals) if c is None]
+        vals = [0 if c is None else c for c in vals]
+    try:
+        colors = np.fromiter(vals, dtype=np.int64, count=n)
+    except OverflowError:
+        return None
+    if not (
+        -_INT64_SAFE < colors.min(initial=0)
+        and colors.max(initial=0) < _INT64_SAFE
+    ):
+        return None
     out_of_palette: List[int] = []
     if palette_size is not None:
-        bad = colored & (
-            (colors < 0) | (colors >= palette_size)
-        )
+        bad = (colors < 0) | (colors >= palette_size)
+        if colored is not None:
+            bad &= colored
         out_of_palette = [
             order[i] for i in np.flatnonzero(bad).tolist()
         ]
     row_of = np.repeat(
         np.arange(n, dtype=np.int64), np.diff(indptr)
     )
-    clash = (
-        (indices > row_of)
-        & colored[row_of]
-        & colored[indices]
-        & (colors[row_of] == colors[indices])
-    )
+    clash = (indices > row_of) & (colors[row_of] == colors[indices])
+    if colored is not None:
+        clash &= colored[row_of] & colored[indices]
     conflicts = [
         (order[i], order[j])
         for i, j in zip(
             row_of[clash].tolist(), indices[clash].tolist()
         )
     ]
-    colors_used = len(
-        {c for c in coloring.values() if c is not None}
-    )
+    colors_used = _colors_used(coloring)
     valid = not (uncolored or conflicts or out_of_palette)
     return CheckReport(
         valid=valid,
@@ -196,9 +209,7 @@ def check_distance_k_coloring(
                 continue
             if coloring.get(u) == cv:
                 conflicts.append((v, u))
-    colors_used = len(
-        {c for c in coloring.values() if c is not None}
-    )
+    colors_used = _colors_used(coloring)
     valid = not (uncolored or conflicts or out_of_palette)
     return CheckReport(
         valid=valid,

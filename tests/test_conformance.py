@@ -17,7 +17,7 @@ from repro.conformance import (
     run_conformance,
 )
 from repro.conformance.runner import ConformanceRecord, _check_record
-from repro.registry import ALGORITHMS, get_algorithm, graph_delta
+from repro.registry import ALGORITHMS, get_algorithm
 
 CORPUS = build_corpus()
 CORPUS_IDS = [scenario.name for scenario in CORPUS]

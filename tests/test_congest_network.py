@@ -322,6 +322,19 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Network(graph, proto_factory(lambda ctx: iter(())))
 
+    def test_first_bad_label_is_named(self):
+        graph = nx.path_graph(3)
+        graph.add_edge(2, 2.5)
+        graph.add_edge(2.5, "c")
+        with pytest.raises(
+            TypeError, match=r"identifiers\); got 2\.5$"
+        ):
+            Network(graph, proto_factory(lambda ctx: iter(())))
+
+    def test_bool_labels_accepted(self):
+        graph = nx.Graph([(False, True)])
+        assert Network(graph, proto_factory(lambda ctx: iter(()))).n == 2
+
     def test_inputs_reach_nodes(self):
         def proto(ctx):
             return ctx.data["x"]

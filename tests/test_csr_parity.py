@@ -27,6 +27,7 @@ from repro.graphs.square import (
     d2_degree,
     d2_neighborhoods,
     max_d2_degree,
+    max_degree,
 )
 from repro.verify.checker import check_distance_k_coloring
 from repro.workloads.cache import Instance
@@ -118,6 +119,23 @@ class TestSquareCsrMatchesOracle:
         assert not view.materialized  # read straight off the arrays
         assert via_view == max_d2_degree(nx.Graph(view))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_max_degree_reads_the_view_arrays(self, seed):
+        for view in (
+            gnp_fast(80, 0.05, seed=seed),
+            power_law(40, 2, seed=seed),
+        ):
+            via_view = max_degree(view)
+            assert not view.materialized
+            assert via_view == max_degree(nx.Graph(view))
+
+    def test_max_degree_of_edgeless_and_empty_graphs(self):
+        assert max_degree(nx.empty_graph(5)) == 0
+        assert max_degree(nx.Graph()) == 0
+        view = CSRGraphView(build_csr(nx.empty_graph(0)))
+        assert max_degree(view) == 0
+        assert not view.materialized
+
 
 def _sorted(report):
     report.conflicts.sort()
@@ -180,6 +198,41 @@ class TestCsrCheckerMatchesBfs:
                 assert fast.explain() == bfs.explain()
                 assert fast.conflicts == bfs.conflicts
                 assert fast.valid == bfs.valid
+
+    @pytest.mark.parametrize(
+        "coloring, fast",
+        [
+            ({0: 1.0, 1: 1, 2: 0, 3: 2}, False),  # float
+            ({0: True, 1: 1, 2: 0, 3: False}, True),  # bool
+            ({0: 2**62 - 1, 1: 0, 2: 1, 3: 2**62 - 1}, True),
+            ({0: 1 - 2**62, 1: 1 - 2**62, 2: 0, 3: 1}, True),
+            ({0: 2**62, 1: 0, 2: 1, 3: 2**62}, False),
+            ({0: -(2**62), 1: 0, 2: -(2**62), 3: 1}, False),
+            ({0: 2**63, 1: 0, 2: 2**63, 3: 1}, False),
+            ({0: 2**63, 1: None, 2: 2**63, 3: 0}, False),
+            ({0: 0, 1: 1, 2: 0, 3: 2, 9: 7, "x": 1}, True),  # extra keys
+        ],
+    )
+    def test_edge_case_colorings(self, coloring, fast):
+        from repro.verify.checker import _check_csr
+
+        graph = nx.path_graph(4)
+        csr = build_csr(graph)
+        for k in (1, 2):
+            for palette in (None, 3):
+                bfs = _sorted(
+                    check_distance_k_coloring(graph, coloring, k, palette)
+                )
+                via_csr = _sorted(
+                    check_distance_k_coloring(
+                        graph, coloring, k, palette, adjacency=csr
+                    )
+                )
+                assert via_csr.valid == bfs.valid
+                assert via_csr.conflicts == bfs.conflicts
+                assert via_csr.explain() == bfs.explain()
+                declined = _check_csr(csr, coloring, k, palette) is None
+                assert declined != fast
 
     def test_huge_colors_fall_back_to_bfs(self):
         graph = nx.path_graph(4)

@@ -533,6 +533,35 @@ class TestLiveRowConflictPass:
         )
 
 
+class TestColorTable:
+    """``node_colors()`` of a kernel run is read off the color array:
+    zipped as is when every node is colored, ``-1`` → ``None``
+    otherwise."""
+
+    @pytest.mark.parametrize(
+        "max_rounds, finished", [(5_000, True), (2, False)]
+    )
+    def test_node_colors_match_reference(self, max_rounds, finished):
+        def colors(backend):
+            net = _trial_network(GRAPHS["gnp24"], 3)
+            net.run(
+                backend=backend,
+                max_rounds=max_rounds,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+            return net, net.node_colors()
+
+        _, ref = colors("reference")
+        (vec_net, vec), causes = _fallback_causes(
+            lambda: colors("vectorized")
+        )
+        assert causes == [] and not vec_net.materialized
+        assert vec == ref
+        assert list(vec) == list(ref)
+        assert (None not in vec.values()) == finished
+
+
 class TestLubyKernel:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("k", [1, 2, 3])

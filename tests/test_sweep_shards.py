@@ -12,6 +12,7 @@ process workers from rebuilding per cell.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -246,6 +247,70 @@ class TestManifest:
                 json.loads(json.dumps(result_to_json(result)))
             )
             assert repr(back) == repr(result)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # a timed-out cell leaves nodes uncolored
+            {"coloring": ((0, None), (1, 3), (2, None))},
+            {"coloring": ((0, 2**63), (1, 2**64 + 5), (2, -(2**63) - 1))},
+            {"coloring": (), "error": "ValueError: boom"},
+        ],
+    )
+    def test_result_codec_keeps_edge_cases(self, unsharded, change):
+        result = dataclasses.replace(unsharded.cells[0], **change)
+        data = result_to_json(result)
+        assert set(data["coloring"]) == {"nodes", "colors"}
+        back = result_from_json(json.loads(json.dumps(data)))
+        assert repr(back) == repr(result)
+
+    @pytest.mark.parametrize(
+        "coloring",
+        [
+            # version 2: one [node, color] pair per node
+            lambda pairs: [list(pair) for pair in pairs],
+            # columns of unequal length
+            lambda pairs: {
+                "nodes": [v for v, _ in pairs],
+                "colors": [c for _, c in pairs][:-1],
+            },
+        ],
+        ids=["pair-list", "ragged-columns"],
+    )
+    def test_unreadable_coloring_records_are_damage(
+        self, tmp_path, unsharded, coloring
+    ):
+        """A version-2 record stores the coloring as ``[node, color]``
+        pairs.  Even stamped with the current grid digest it must be
+        repaired and recomputed, never crash or reach a merge; so must
+        a record whose two columns disagree in length."""
+        from repro.exec.shards import _checkpoint_record
+
+        manifest = compile_manifest(small_grid(), 2)
+        run_shard(manifest, 0, str(tmp_path), max_cells=2)
+        index = manifest.shard_indices(0)[2]
+        record = json.loads(
+            _checkpoint_record(
+                index, unsharded.cells[index], manifest.grid_digest
+            )
+        )
+        record["result"]["coloring"] = coloring(
+            unsharded.cells[index].coloring
+        )
+        path = checkpoint_path(str(tmp_path), 0)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+
+        status = shard_status(manifest, str(tmp_path))[0]
+        assert status.damaged and status.done == 2
+        with pytest.raises(ShardIncompleteError):
+            merge_shards(manifest, str(tmp_path))
+        resumed = run_shard(manifest, 0, str(tmp_path))
+        assert resumed.resumed == 2 and resumed.complete
+        assert not shard_status(manifest, str(tmp_path))[0].damaged
+        run_shard(manifest, 1, str(tmp_path))
+        merged = merge_shards(manifest, str(tmp_path))
+        assert merged.fingerprint() == unsharded.fingerprint()
 
 
 class TestPrebuiltShipping:
