@@ -46,12 +46,14 @@ class RandomizedD2Program(
 ):
     """One node of d2-Color / Improved-d2-Color."""
 
-    #: Set by the vectorized backend's hybrid kernel when it hands the
-    #: run back to the generators: how many leading sections of
-    #: :meth:`_sections` it already executed as array work.  The kernel
-    #: has written their whole footprint into the program (colors,
-    #: neighbor tables, phase log, similarity state, Reduce counters,
-    #: RNG counters), so ``run`` starts at the next section.
+    #: Set by the vectorized backend's kernel when it hands ``improved``
+    #: back to the generators after the ladder — only on the
+    #: LearnPalette handler path or with forward batches narrower than
+    #: Δ: how many leading sections of :meth:`_sections` it already
+    #: executed as array work.  The kernel has written their whole
+    #: footprint into the program (colors, neighbor tables, phase log,
+    #: similarity state, Reduce counters, RNG counters), so ``run``
+    #: starts at the next section.
     _kernel_prefix = 0
 
     def __init__(self, ctx: NodeContext):
@@ -251,18 +253,19 @@ def _run_randomized(
             "similarity_exact": sim_config.exact,
         },
     )
-    # Per-phase rounds (identical schedule at every node).  The phase
-    # running when the run ended — the open-ended final one, or one
-    # the stop monitor or max_rounds cut short — gets the remainder.
-    sample_program = network.programs[next(iter(network.programs))]
+    # Per-phase rounds (identical schedule at every node, so any node's
+    # table will do; read through node_table, which a kernel run serves
+    # without building programs).  The phase running when the run
+    # ended — the open-ended final one, or one the stop monitor or
+    # max_rounds cut short — gets the remainder.
+    phase_log = next(iter(network.node_table("phase_log").values()))
+    phase = next(iter(network.node_table("phase").values()))
     logged = 0
-    for name, rounds in sample_program.phase_log:
+    for name, rounds in phase_log:
         result.phases.append(PhaseResult(name, rounds))
         logged += rounds
     result.phases.append(
-        PhaseResult(
-            sample_program.phase, max(0, run.metrics.rounds - logged)
-        )
+        PhaseResult(phase, max(0, run.metrics.rounds - logged))
     )
     return result
 

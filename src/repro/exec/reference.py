@@ -26,7 +26,8 @@ the exact final admissible round is therefore reported as
 trailing resume in which every remaining program halts without
 sending is local computation, not a communication round.
 
-The loop can start mid-run: the vectorized backend's
+The loop can start mid-run: on the LearnPalette handler path (or
+with forward batches narrower than Δ) the vectorized backend's
 ``improved-d2color`` kernel runs the pipeline's leading sections as
 array work, then materializes the programs with their end-state and
 starts this loop at the next round, with the round index and metering

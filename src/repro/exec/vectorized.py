@@ -18,10 +18,12 @@ the CSR adjacency plus per-node stream keys and counters — so a
 kernel-covered run on an *unmaterialized* network never builds a
 Python node object at all: end-state is published through
 ``Network.node_colors()``/``node_table()`` and written back to
-programs only if somebody later materializes them.  The one hybrid
-kernel (``improved-d2color``) runs its array sections, then
-materializes the programs with their end-state and hands the rest of
-the run to the :class:`~repro.exec.reference.GeneratorLoop`.
+programs only if somebody later materializes them.  One kernel can
+hand a run over mid-way: ``improved-d2color`` on the LearnPalette
+handler path (or with forward batches narrower than Δ) runs its array
+sections, then materializes the programs with their end-state and
+hands LearnPalette and finish to the
+:class:`~repro.exec.reference.GeneratorLoop`.
 
 Coverage is per program class, not per call site:
 
@@ -38,11 +40,13 @@ Coverage is per program class, not per call site:
 - :class:`ColorReductionProgram` — the whole fixed schedule of
   Theorem B.2 (the last stage of ``deterministic-d2``);
 - :class:`RandomizedD2Program` — the random trials, the similarity
-  graphs (Sec. 2.3) and every Reduce-Phase (Sec. 2.2: the ladder
-  rungs and ``basic``'s final-reduce loop, XOR lottery included).
-  ``basic-d2color`` runs with zero generator programs;
-  ``improved-d2color`` resumes the generators for LearnPalette and
-  finish only.  Their Step-0 fallback is the ``deterministic-d2``
+  graphs (Sec. 2.3), every Reduce-Phase (Sec. 2.2: the ladder rungs
+  and ``basic``'s final-reduce loop, XOR lottery included),
+  LearnPalette by flooding and FinishColoring (Sec. 2.6).  Both
+  ``basic-d2color`` and ``improved-d2color`` run with zero generator
+  programs; ``improved`` resumes the generators for LearnPalette and
+  finish only on the handler path (large Δ) or with forward batches
+  narrower than Δ.  Their Step-0 fallback is the ``deterministic-d2``
   chain, so on low-Δ graphs they run with zero generator programs
   too.
 
@@ -87,6 +91,13 @@ from repro.congest.policy import BandwidthMode
 from repro.congest.rng import CounterRandom
 from repro.core.constants import Constants
 from repro.core.d2color import RandomizedD2Program
+from repro.core.finish import FINISH_PHASE_ROUNDS
+from repro.core.finish import _TAG_FORWARD as _TAG_FINISH_FORWARD
+from repro.core.learn_palette import (
+    _TAG_FLOOD_COLOR,
+    _TAG_FLOOD_RELAY,
+    LearnPaletteConfig,
+)
 from repro.core.reduce import (
     _PROPOSAL_CAP,
     _TAG_CHECK,
@@ -135,8 +146,9 @@ KERNELS: Dict[Type, Callable] = {}
 #: Registry spec name -> the program class its hot network runs; the
 #: spec-name half of :func:`kernel_coverage`.  Coverage through this
 #: table may be partial per run: ``improved-d2color`` leaves
-#: LearnPalette and finish to the generators (``basic-d2color`` is
-#: covered whole), and ``deterministic-d2``/``eps-d2-coloring`` are listed
+#: LearnPalette and finish to the generators on the handler path or
+#: with forward batches narrower than Δ, and
+#: ``deterministic-d2``/``eps-d2-coloring`` are listed
 #: under their locally-iterative stage although their Linial stage has
 #: a kernel too (so does ``deterministic-d2``'s color reduction, but
 #: not ``eps-d2-coloring``'s per-part one).  The Step-0 fallback of the
@@ -796,18 +808,21 @@ def _loop_rank(network, csr):
 
 
 def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
-                   groups, rank_of):
+                   groups, rank_of, *, keep=None, sent=None):
     """Meter one bit-packed relay; False if a list outgrows it.
 
     For ``rounds`` rounds every node u sends each neighbor v the next
     ``per_message`` items of v's list — the items of u's *other*
     neighbors in v's group (all of them when ``groups`` is None), in
     u's inbox order — as one ``(tag,) + chunk`` message of ``head``
-    plus item ``weights`` bits.  A list longer than
+    plus item ``weights`` bits.  With a ``keep`` mask (and no
+    ``groups``) only kept neighbors have items: v's list is u's kept
+    neighbors other than v.  A list longer than
     ``rounds · per_message`` is truncated by the generators, which the
-    caller must decline.  Chunk composition (so ``max_message_bits``)
-    follows inbox order, which ``rank_of()`` supplies when it is not
-    the dense order.
+    caller must decline.  Only the first ``sent`` rounds are metered
+    (all when None: a cut-off ends the relay early).  Chunk
+    composition (so ``max_message_bits``) follows inbox order, which
+    ``rank_of()`` supplies when it is not the dense order.
     """
     indices = csr.g_indices
     nnz = indices.size
@@ -816,30 +831,41 @@ def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
     src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees)
 
     def arrange(key):
-        """Row entries sorted by (group, ``key``); rows stay put."""
-        if key is None and groups is None:
+        """Row entries sorted by (kept first, group, ``key``); rows
+        stay put."""
+        if key is None and groups is None and keep is None:
             return indices  # CSR rows are already index-sorted
         keys = [indices if key is None else key[indices]]
         if groups is not None:
             keys.append(groups[indices])
+        if keep is not None:
+            keys.append(~keep[indices])
         keys.append(src)
         return indices[np.lexsort(keys)]
 
-    # Each row sorted by (group, order): entry e is receiver v of
-    # sender src[e]; v's list is its group block minus v itself.
     cols = arrange(None)
-    start = np.ones(nnz, dtype=bool)
-    start[1:] = src[1:] != src[:-1]
-    if groups is not None:
-        member = groups[cols]
-        start[1:] |= member[1:] != member[:-1]
-    block_start = np.flatnonzero(start)
-    block_of = np.cumsum(start) - 1
-    length = np.diff(np.append(block_start, nnz))[block_of] - 1
+    if keep is not None:
+        # Each row's kept entries lead it; v's list is that block,
+        # minus v itself when v is kept.
+        kept = keep[cols]
+        length = np.bincount(src[kept], minlength=csr.n)[src] - kept
+    else:
+        # Each row sorted by (group, order): entry e is receiver v of
+        # sender src[e]; v's list is its group block minus v itself.
+        start = np.ones(nnz, dtype=bool)
+        start[1:] = src[1:] != src[:-1]
+        if groups is not None:
+            member = groups[cols]
+            start[1:] |= member[1:] != member[:-1]
+        block_start = np.flatnonzero(start)
+        block_of = np.cumsum(start) - 1
+        length = np.diff(np.append(block_start, nnz))[block_of] - 1
     longest = int(length.max())
     if longest > rounds * per_message:
         return False
     chunks = -(-length // per_message)
+    if sent is not None:
+        chunks = np.minimum(chunks, sent)
     messages = int(chunks.sum())
     if not traffic.metered or messages == 0:
         traffic.messages += messages
@@ -850,9 +876,15 @@ def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
             cols = arrange(rank)
     w = weights[cols]
     csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(w)))
-    base = block_start[block_of]
-    pos = np.arange(nnz, dtype=np.int64) - base
-    for k in range(-(-longest // per_message)):
+    # ``pos``: v's place in its block (``nnz``, past every chunk, when
+    # v is not kept and so not in the block).
+    if keep is not None:
+        base = csr.g_indptr[src]
+        pos = np.where(kept, np.arange(nnz, dtype=np.int64) - base, nnz)
+    else:
+        base = block_start[block_of]
+        pos = np.arange(nnz, dtype=np.int64) - base
+    for k in range(int(chunks.max())):
         lo = k * per_message
         live = np.flatnonzero(length > lo)
         p = pos[live]
@@ -1260,8 +1292,10 @@ def _color_reduction_kernel(
 
 # ----------------------------------------------------------------------
 # randomized d2-color (improved + basic): the random trials, the
-# similarity graphs and every Reduce-Phase run as arrays; ``improved``
-# hands LearnPalette and finish back to the generators.
+# similarity graphs, every Reduce-Phase, LearnPalette by flooding and
+# finish run as arrays; ``improved`` hands LearnPalette and finish back
+# to the generators only on the handler path or with narrow forward
+# batches.
 
 #: Reduce-Phase payload sizes that do not depend on the values carried.
 _TICKET_BASE = bit_size((_TAG_TICKET, 0)) - 1
@@ -1269,6 +1303,13 @@ _BEST_BASE = bit_size((_TAG_BEST, 0, 0)) - 2
 _QREQ_BITS = bit_size((_TAG_QREQ,))
 _IN_S_BITS = bit_size((_TAG_IN_S, True))
 _LIST_BASE = bit_size((_TAG_LIST,))  # + (2 + int_bits) per item
+
+#: LearnPalette / finish payload sizes: a ``("fc", c)`` flood costs its
+#: base plus ``int_bits(c)``; relays and forwards add ``2 + int_bits``
+#: per color carried.
+_FLOOD_BASE = bit_size((_TAG_FLOOD_COLOR, 0)) - 1
+_RELAY_HEAD = bit_size((_TAG_FLOOD_RELAY,))
+_FORWARD_HEAD = bit_size((_TAG_FINISH_FORWARD, False))
 
 #: Which fields of each routing message carry a node (sent as its
 #: label; the kernel carries dense indices).
@@ -1373,20 +1414,23 @@ class _RandomizedRun:
     """One :class:`RandomizedD2Program` run on arrays.
 
     Sections execute in the variant's order (``improved``: trials,
-    similarity, ladder; ``basic``: similarity, trials, ladder,
+    similarity, ladder, then — when :attr:`tail` — LearnPalette and
+    finish forever; ``basic``: similarity, trials, ladder,
     final-reduce forever), each from round ``self.r`` on.  Every draw
     goes to a copy of the plan's counters (committed only when the run
     is accepted) in each node's generator order: per Reduce-Phase the
     activation ``random()`` while live, the lottery ticket, then —
     only at nodes a query touches, replayed per node in Python — the
     coins, choices, relay picks and proposal samples of
-    ``reduce_phase`` in source order.  Raises :class:`_Declined`
-    before anything is written when it cannot replay a run.
+    ``reduce_phase`` in source order; per finish phase the coin
+    ``random()`` while live, then the pick of a node whose coin came
+    up.  Raises :class:`_Declined` before anything is written when it
+    cannot replay a run.
     """
 
     def __init__(self, network, plan, *, max_rounds, check_stop,
                  palette, variant, trials, sim_config, constants,
-                 ladder, filter_bits):
+                 ladder, filter_bits, learn_config, forward_per_round):
         csr = self.csr = plan.csr
         self.n = n = csr.n
         self.order = csr.order
@@ -1420,6 +1464,26 @@ class _RandomizedRun:
         self.own_rows = None
         self._nbrs = None
         self._h_rows = ({}, {})
+        self.learn_config = learn_config
+        # Every relay list holds at most Δ - 1 colors and every forward
+        # queue at most Δ, so with flooding whose rounds fit the lists
+        # and batches of at least Δ nothing is dropped and no Busy is
+        # ever raised: the kernel can run LearnPalette and finish too.
+        # Otherwise (the handler path, narrow batches) the generators
+        # resume after the ladder.
+        self.max_deg = max_deg = int(csr.degrees.max(initial=0))
+        self.tail = (
+            variant == "improved"
+            and learn_config.small_delta
+            and learn_config.flood_rounds * learn_config.per_message
+            >= max_deg - 1
+            and forward_per_round >= max_deg
+        )
+        #: Colors at LearnPalette's start (the free sets derive from them).
+        self.learn_colors = None
+        #: Live-at-learn rows × palette: each row's remaining colors.
+        self.free = None
+        self.free_row = None
 
     # -- the schedule ---------------------------------------------------
 
@@ -1427,6 +1491,8 @@ class _RandomizedRun:
         """Execute the kernel sections; the status at ``self.r``."""
         if self.variant == "improved":
             steps = (self.run_trials, self.run_similarity, self.run_ladder)
+            if self.tail:
+                steps += (self.run_learn, self.run_finish)
         else:
             steps = (
                 self.run_similarity, self.run_trials, self.run_ladder,
@@ -1463,19 +1529,25 @@ class _RandomizedRun:
     def live_count(self) -> int:
         return int((self.st.colors < 0).sum())
 
-    def span(self, name, t0, messages0, bits0, r0, status, **attrs):
+    def span(self, name, body, **attrs) -> str:
+        """Run the section ``body()`` inside the X span ``name`` (its
+        rounds, traffic and the live count at exit); its status."""
         rec = obs_trace.recorder()
+        t0 = rec.clock() if rec is not None else 0.0
+        m0, b0, r0 = self.traffic.messages, self.traffic.bits, self.r
+        status = body()
         if rec is not None:
             attrs.update(
                 start_round=r0,
                 end_round=self.r,
                 rounds=self.r - r0,
                 status=status,
-                messages=self.traffic.messages - messages0,
-                bits=self.traffic.bits - bits0,
+                messages=self.traffic.messages - m0,
+                bits=self.traffic.bits - b0,
                 live=self.live_count(),
             )
             rec.complete(name, t0, attrs)
+        return status
 
     # -- random trials --------------------------------------------------
 
@@ -1497,12 +1569,7 @@ class _RandomizedRun:
     # -- similarity graphs (Sec. 2.3) ------------------------------------
 
     def run_similarity(self) -> str:
-        rec = obs_trace.recorder()
-        t0 = rec.clock() if rec is not None else 0.0
-        m0, b0, r0 = self.traffic.messages, self.traffic.bits, self.r
-        status = self._similarity()
-        self.span("kernel.similarity", t0, m0, b0, r0, status)
-        return status
+        return self.span("kernel.similarity", self._similarity)
 
     def _similarity(self) -> str:
         csr, cfg, n = self.csr, self.sim_config, self.n
@@ -1637,22 +1704,16 @@ class _RandomizedRun:
         )
 
     def _reduce_section(self, name, rounds, schedule) -> str:
-        rec = obs_trace.recorder()
-        t0 = rec.clock() if rec is not None else 0.0
-        m0, b0, r0 = self.traffic.messages, self.traffic.bits, self.r
-        self.sections.append((name, r0, rounds))
-        status = "done"
-        for rho, act_p, query_p in schedule:
-            for _ in range(rho):
-                status = self.reduce_phase(act_p, query_p)
-                if status != "done":
-                    break
-            if status != "done":
-                break
-        self.span(
-            "kernel.reduce_phases", t0, m0, b0, r0, status, section=name
-        )
-        return status
+        def phases():
+            self.sections.append((name, self.r, rounds))
+            for rho, act_p, query_p in schedule:
+                for _ in range(rho):
+                    status = self.reduce_phase(act_p, query_p)
+                    if status != "done":
+                        return status
+            return "done"
+
+        return self.span("kernel.reduce_phases", phases, section=name)
 
     def reduce_phase(self, act_p, query_p) -> str:
         """One 17-round Reduce-Phase from round ``self.r``."""
@@ -1729,6 +1790,143 @@ class _RandomizedRun:
             else None,
         )
         return segs, w, xr
+
+    # -- LearnPalette by flooding and FinishColoring (Sec. 2.6) --------
+
+    def run_learn(self) -> str:
+        return self.span("kernel.learn_palette", self._learn)
+
+    def _learn(self) -> str:
+        """Every node broadcasts its color, then relays its colored
+        neighbors' colors to each other neighbor; no color changes
+        meanwhile, so a live node's free set is the palette minus the
+        colors of its G² row."""
+        cfg = self.learn_config
+        start = self.r
+        self.sections.append(
+            ("learn-palette", start, 1 + cfg.flood_rounds)
+        )
+        status = self.enter(start)
+        if status is not None:
+            return status
+        colors, traffic = self.st.colors, self.traffic
+        color_bits = (
+            arrays.int_bits_array(colors) if traffic.metered else None
+        )
+        traffic.add(
+            self.n, _FLOOD_BASE + color_bits if traffic.metered else None
+        )
+        sent = min(cfg.flood_rounds, self.max_rounds - start - 1)
+        colored = colors >= 0
+        _relay_traffic(
+            self.csr, traffic,
+            2 + color_bits if traffic.metered else None,
+            _RELAY_HEAD, cfg.per_message, cfg.flood_rounds, None,
+            lambda: self.rank, keep=colored, sent=sent,
+        )
+        if sent < cfg.flood_rounds:
+            self.r = self.max_rounds
+            return "timeout"
+        self.r = start + 1 + cfg.flood_rounds
+        self.learn_colors = colors.copy()
+        live = np.flatnonzero(~colored)
+        self.free = self.free_rows(live, colors, two_hop=True)
+        self.free_row = np.full(self.n, -1, dtype=np.int64)
+        self.free_row[live] = np.arange(live.size)
+        return "done"
+
+    def free_rows(self, nodes, colors, *, two_hop):
+        """Per node of ``nodes``, the palette minus ``colors`` on its
+        G² row (``two_hop``) or G row, as a bool matrix."""
+        csr = self.csr
+        if two_hop:
+            indptr, indices = csr.g2_indptr, csr.g2_indices
+        else:
+            indptr, indices = csr.g_indptr, csr.g_indices
+        pos, seg = _row_positions(indptr, nodes)
+        c = colors[indices[pos]]
+        owner = np.repeat(np.arange(nodes.size), np.diff(seg))
+        rows = np.ones((nodes.size, self.palette), dtype=bool)
+        rows[owner[c >= 0], c[c >= 0]] = False
+        return rows
+
+    def run_finish(self) -> str:
+        return self.span("kernel.finish", self._finish_phases)
+
+    def _finish_phases(self) -> str:
+        """4-round phases until the run ends: a try window where each
+        live node tries a random remaining color with probability 1/2,
+        then a forwarding round (see :meth:`forward`)."""
+        st = self.st
+        colors = st.colors
+        self.sections.append(("finish", self.r, None))
+
+        def draw(_phase, live_idx):
+            cand = np.full(live_idx.size, -1, dtype=np.int64)
+            coin = np.flatnonzero(self.draws.random(live_idx) < 0.5)
+            nodes = live_idx[coin]
+            pool = self.free[self.free_row[nodes]]
+            empty = np.flatnonzero(~pool.any(axis=1))
+            if empty.size:
+                # An exhausted remaining set: any color no neighbor has.
+                pool[empty] = self.free_rows(
+                    nodes[empty], colors, two_hop=False
+                )
+            sizes = pool.sum(axis=1)
+            ok = np.flatnonzero(sizes)
+            k = self.draws.randrange(nodes[ok], sizes[ok])
+            # ``sorted(pool)[k]``: the column of the row's (k+1)-th True.
+            cand[coin[ok]] = (
+                np.cumsum(pool[ok], axis=1) <= k[:, None]
+            ).sum(axis=1)
+            return cand
+
+        while True:
+            r = self.r
+            if not self.check_stop and not (colors < 0).any():
+                # No monitor and nobody live: every phase left is three
+                # silent rounds and a round of empty forwards.
+                phases = max(
+                    0, -(-(self.max_rounds - r - 3) // FINISH_PHASE_ROUNDS)
+                )
+                self.traffic.add(phases * self.n, _FORWARD_HEAD)
+                self.r = self.max_rounds
+                return "timeout"
+            self.r, _rounds, status = _try_rounds(
+                self.csr, st, self.traffic, draw,
+                start_round=r, end_round=r + 3,
+                max_rounds=self.max_rounds, check_stop=self.check_stop,
+            )
+            if status != "done":
+                return status
+            status = self.enter(self.r)
+            if status is not None:
+                return status
+            self.forward(np.flatnonzero(st.adopt_iter == r + 2))
+            self.r += 1
+
+    def forward(self, adopters):
+        """The forwarding round: every node broadcasts ``("fw", False,
+        *colors its neighbors adopted this phase)``, and each remaining
+        set loses the colors its G² row adopted (the direct ones at
+        once, the forwarded ones on receipt — both before the next
+        draw)."""
+        csr, colors, traffic = self.csr, self.st.colors, self.traffic
+        if traffic.metered:
+            pos, seg = _row_positions(csr.g_indptr, adopters)
+            item = 2 + arrays.int_bits_array(colors[adopters])
+            carried = np.bincount(
+                csr.g_indices[pos], weights=np.repeat(item, np.diff(seg)),
+                minlength=self.n,
+            )
+            traffic.add(self.n, _FORWARD_HEAD + carried.astype(np.int64))
+        else:
+            traffic.add(self.n)
+        pos, seg = _row_positions(csr.g2_indptr, adopters)
+        rows = self.free_row[csr.g2_indices[pos]]
+        c = np.repeat(colors[adopters], np.diff(seg))
+        hit = rows >= 0
+        self.free[rows[hit], c[hit]] = False
 
     # -- per-node views for the routing rounds -------------------------
 
@@ -2119,9 +2317,10 @@ def _decline(cause):
     return None
 
 
-def _worst_reduce_bits(run):
-    """The largest payload a Reduce-Phase or the similarity exchange
-    can send (the try phases are checked by :func:`_try_phases_fit`)."""
+def _worst_payload_bits(run):
+    """The largest payload a Reduce-Phase, the similarity exchange or
+    (when the kernel runs them) LearnPalette and finish can send (the
+    try phases are checked by :func:`_try_phases_fit`)."""
     label = int(run.labels[int(np.argmax(run.label_bits))])
     color = run.palette - 1
     xored = run.space - 1
@@ -2140,6 +2339,14 @@ def _worst_reduce_bits(run):
         (_TAG_IN_S, True),
         (_TAG_LIST,) + (label,) * pm,
     ]
+    if run.tail:
+        relayed = min(run.learn_config.per_message, max(0, run.max_deg - 1))
+        payloads += [
+            (_TAG_FLOOD_COLOR, -1),
+            (_TAG_FLOOD_COLOR, color),
+            (_TAG_FLOOD_RELAY,) + (color,) * relayed,
+            (_TAG_FINISH_FORWARD, False) + (color,) * run.max_deg,
+        ]
     return max(bit_size(p) for p in payloads)
 
 
@@ -2151,15 +2358,17 @@ def _randomized_d2_kernel(
 ):
     """:class:`RandomizedD2Program` on arrays (see :class:`_RandomizedRun`).
 
-    ``improved`` runs trials → similarity → ladder and hands the
-    generators LearnPalette and finish at the next round: the programs
-    are materialized with the kernel's end-state and
-    ``_kernel_prefix = 3`` (the sections done), and the
-    :class:`GeneratorLoop` resumes at that round with the kernel's
-    metering.  ``basic`` runs similarity → trials → ladder →
-    final-reduce with no generator at all.  A run the stop monitor or
-    ``max_rounds`` ends inside the kernel publishes the state of
-    exactly the resumes that executed.
+    ``improved`` runs trials → similarity → ladder → LearnPalette →
+    finish and ``basic`` similarity → trials → ladder → final-reduce,
+    with no generator at all.  Only on the LearnPalette handler path
+    (``small_delta`` False) or with forward batches narrower than Δ
+    does ``improved`` hand the generators LearnPalette and finish
+    after the ladder: the programs are materialized with the kernel's
+    end-state and ``_kernel_prefix = 3`` (the sections done), and the
+    :class:`GeneratorLoop` resumes at the next round with the kernel's
+    metering.  A run the stop monitor or ``max_rounds`` ends inside
+    the kernel publishes the state of exactly the resumes that
+    executed.
 
     Declines (event ``kernel.decline`` with its cause, before anything
     is written): custom ``stop_when`` monitors, self-loops,
@@ -2186,6 +2395,8 @@ def _randomized_d2_kernel(
                 data.get("constants"),
                 tuple(map(tuple, data.get("ladder"))),
                 data.get("lottery_filter_bits"),
+                data.get("learn_config"),
+                data.get("forward_per_round", 1),
             )
             for _i, data in plan.input_groups()
         }
@@ -2194,7 +2405,7 @@ def _randomized_d2_kernel(
     if len(configs) != 1:
         return _decline("inputs")
     (palette, variant, trials, sim_config, constants, ladder,
-     filter_bits) = configs.pop()
+     filter_bits, learn_config, forward_per_round) = configs.pop()
     if (
         variant not in ("improved", "basic")
         or not isinstance(sim_config, SimilarityConfig)
@@ -2204,6 +2415,14 @@ def _randomized_d2_kernel(
         or not isinstance(trials, int)
         or trials <= 0
         or not isinstance(filter_bits, int)
+        or not isinstance(forward_per_round, int)
+        or (
+            variant == "improved"
+            and not (
+                isinstance(learn_config, LearnPaletteConfig)
+                and learn_config.palette == palette
+            )
+        )
     ):
         return _decline("inputs")
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
@@ -2215,10 +2434,11 @@ def _randomized_d2_kernel(
         check_stop=stop_when is not None, palette=palette,
         variant=variant, trials=trials, sim_config=sim_config,
         constants=constants, ladder=ladder, filter_bits=filter_bits,
+        learn_config=learn_config, forward_per_round=forward_per_round,
     )
     if run.traffic.metered and (
         not _try_phases_fit(network, palette - 1)
-        or _worst_reduce_bits(run) > network._budget
+        or _worst_payload_bits(run) > network._budget
     ):
         return _decline("budget")
     try:
@@ -2234,10 +2454,13 @@ def _randomized_d2_kernel(
     # adopts recorded, the ladder logged — which the writeback books.
     resumes = run.r + 1 if handoff else run.r
     plan.counters[:] = run.draws.counters
+    phase_log, phase = _phase_state(run, resumes)
     _publish(
         network,
         _randomized_writeback(run, resumes, handoff),
         color=_color_table(order, run.st.colors),
+        phase_log=lambda: {node: list(phase_log) for node in order},
+        phase=lambda: dict.fromkeys(order, phase),
     )
     if not handoff:
         return _finish(
@@ -2245,7 +2468,8 @@ def _randomized_d2_kernel(
             status == "timeout", max_rounds, raise_on_timeout,
         )
 
-    # --- hand LearnPalette and finish to the generators --------------
+    # --- hand LearnPalette and finish to the generators (handler path,
+    # narrow forward batches) ------------------------------------------
     loop = GeneratorLoop(network)  # materializes; applies the writeback
     loop.round_index = loop.rounds = run.r
     loop.total_messages = run.traffic.messages
@@ -2277,15 +2501,9 @@ def _randomized_d2_kernel(
     return loop.result()
 
 
-def _randomized_writeback(run, resumes, handoff):
-    """The program state after ``resumes`` resumes of the kernel's
-    sections: colors, neighbor tables, phase log and phase, similarity
-    state, Reduce counters (RNG counters come from the plan)."""
-    csr, order = run.csr, run.order
-    st = run.st
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, st.colors, st.adopt_iter, resumes - 1
-    )
+def _phase_state(run, resumes):
+    """``(phase_log, phase)`` after ``resumes`` resumes: the sections
+    completed and the one running (the first one before any resume)."""
     phase_log = [
         (name, rounds)
         for name, start, rounds in run.sections
@@ -2294,15 +2512,35 @@ def _randomized_writeback(run, resumes, handoff):
     entered = [
         name for name, start, _rounds in run.sections if start < resumes
     ]
-    phase = entered[-1] if entered else None
-    sim_done = any(
-        name == "similarity" and start + rounds < resumes
-        for name, start, rounds in run.sections
+    return phase_log, (entered or [run.sections[0][0]])[-1]
+
+
+def _randomized_writeback(run, resumes, handoff):
+    """The program state after ``resumes`` resumes of the kernel's
+    sections: colors, neighbor tables, phase log and phase, similarity
+    state, Reduce counters, LearnPalette's free sets and drop count,
+    finish's phase count (RNG counters come from the plan)."""
+    csr, order = run.csr, run.order
+    st = run.st
+    nbr_tables = _nbr_colors_writeback(
+        csr, order, st.colors, st.adopt_iter, resumes - 1
+    )
+    phase_log, phase = _phase_state(run, resumes)
+    done = {name for name, _rounds in phase_log}
+    starts = {
+        name: start for name, start, _rounds in run.sections
+        if start < resumes
+    }
+    finish_phases = (
+        -(-(resumes - starts["finish"]) // FINISH_PHASE_ROUNDS)
+        if "finish" in starts
+        else None
     )
     stats = run.stats.copy()
 
     def writeback(programs):
-        own_sets = _own_sets(run) if sim_done else None
+        own_sets = _own_sets(run) if "similarity" in done else None
+        free_sets = _free_sets(run) if "learn-palette" in done else {}
         g_indptr, g_indices = csr.g_indptr, csr.g_indices
         for i, node in enumerate(order):
             program = programs[node]
@@ -2310,8 +2548,12 @@ def _randomized_writeback(run, resumes, handoff):
             program.color = c if c >= 0 else None
             program.nbr_colors = nbr_tables(i)
             program.phase_log = list(phase_log)
-            if phase is not None:
-                program.phase = phase
+            program.phase = phase
+            if "learn-palette" in starts:
+                program.learn_drops = 0
+                program.free_colors = free_sets.get(i)
+            if finish_phases is not None:
+                program.finish_phases = finish_phases
             if own_sets is not None:
                 row = g_indices[g_indptr[i]:g_indptr[i + 1]].tolist()
                 program.similarity = SimilarityState(
@@ -2327,6 +2569,17 @@ def _randomized_writeback(run, resumes, handoff):
                 program._kernel_prefix = len(run.sections)
 
     return writeback
+
+
+def _free_sets(run):
+    """LearnPalette's result per live dense index: the palette minus
+    the colors of its G² row when learning started."""
+    live = np.flatnonzero(run.learn_colors < 0)
+    rows = run.free_rows(live, run.learn_colors, two_hop=True)
+    return {
+        i: set(np.flatnonzero(row).tolist())
+        for i, row in zip(live.tolist(), rows)
+    }
 
 
 def _own_sets(run):

@@ -33,6 +33,7 @@ from repro.congest.message import int_bits
 from repro.congest.network import Network, UniformInputs
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.core import sampling
+from repro.core.finish import FINISH_PHASE_ROUNDS
 from repro.core.reduce import REDUCE_PHASE_ROUNDS
 from repro.core.d2color import (
     RandomizedD2Program,
@@ -52,6 +53,7 @@ from repro.det.linial import (
 )
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
+from repro.graphs.instances import hoffman_singleton
 from repro.exec import get_backend, use_backend, vectorized
 from repro.exec.base import ExecutionBackend
 from repro.obs import NullRecorder, use_recorder
@@ -118,6 +120,17 @@ def _first_input(network):
     its group comes first."""
     _index, data = next(network.plan().input_groups())
     return data
+
+
+def _with_input(network, **changes):
+    """A factory of copies of ``network`` whose every node gets its
+    first node's input with ``changes`` applied."""
+    data = dict(_first_input(network), **changes)
+    return lambda: Network(
+        network.graph, network.program_factory, seed=network._seed,
+        policy=network.policy, delta=network.delta,
+        inputs={v: data for v in network.graph},
+    )
 
 
 def _luby_network(graph, seed, k=2, policy=None):
@@ -1273,9 +1286,26 @@ class TestStep0Fallback:
 
 
 class TestRandomizedD2Kernel:
-    """The kernel for d2-Color / Improved-d2-Color: trials, similarity
-    and every Reduce-Phase as array work; ``improved`` resumes the
-    generators for LearnPalette and finish."""
+    """The kernel for d2-Color / Improved-d2-Color: trials, similarity,
+    every Reduce-Phase, LearnPalette and finish as array work;
+    ``improved`` resumes the generators for LearnPalette and finish
+    only on the handler path or with forward batches narrower than
+    Δ."""
+
+    @pytest.mark.parametrize(
+        "color, last",
+        [(improved_d2_color, "finish"), (basic_d2_color, "final-reduce")],
+        ids=["improved", "basic"],
+    )
+    def test_runs_without_building_programs(self, color, last):
+        # The phase table comes from the kernel's published tables, so
+        # neither variant builds a node program.
+        capture = _Capturing("vectorized")
+        with use_backend(capture):
+            result = color(hoffman_singleton(), seed=1, max_rounds=2_000)
+        [net] = capture.networks
+        assert not net.materialized
+        assert result.phases[-1].name == last
 
     @pytest.mark.parametrize(
         "color",
@@ -1371,6 +1401,8 @@ def _randomized_state(network):
             if sim is None
             else (sim.own_set, sim.nbr_sets, sim.dropped_items),
             program.free_colors,
+            getattr(program, "learn_drops", None),
+            getattr(program, "finish_phases", None),
             program.ctx.rng.counter,
         )
     return state
@@ -1523,20 +1555,130 @@ class TestReduceLadderKernel:
         # One item per pipelined list: the generators drop the rest of
         # every neighbor list and similarity set.
         net = _ladder_recipe("improved", "hs-s0")[0]()
-        data = dict(_first_input(net))
-        data["sim_config"] = dataclasses.replace(
-            data["sim_config"], forward_rounds=1, own_rounds=1,
-            per_message=1,
+        make = _with_input(
+            net,
+            sim_config=dataclasses.replace(
+                _first_input(net)["sim_config"], forward_rounds=1,
+                own_rounds=1, per_message=1,
+            ),
         )
+        self._assert_declined(make, "similarity-drops")
+
+
+class TestLearnFinishKernel:
+    """LearnPalette by flooding and FinishColoring on arrays: cut-offs
+    inside them, the runs whose tail the kernel hands back to the
+    generators, and the uniform-config check."""
+
+    @pytest.mark.parametrize("cell", ["hs-s0", "pg7-s0"])
+    def test_cutoff_at_every_round_of_learn_and_two_finish_phases(
+        self, cell
+    ):
+        make, run_kwargs = _ladder_recipe("improved", cell)
+        ref_net = _assert_randomized_parity(make, **run_kwargs)
+        log = dict(next(iter(ref_net.programs.values())).phase_log)
+        learn = log["trials"] + log["similarity"] + log["reduce-ladder"]
+        end = learn + log["learn-palette"] + 2 * FINISH_PHASE_ROUNDS
+        for cut in range(learn, end + 1):
+            _assert_randomized_parity(
+                make, **dict(run_kwargs, max_rounds=cut)
+            )
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_parity_multi_round_flood(self, shuffle):
+        # Two colors per relay message: Δ = 7 lists take up to three
+        # rounds (the fourth is empty), and which colors share a chunk
+        # follows the loop's inbox order.
+        graph, seed, kwargs = _LADDER_CELLS["hs-s0"]
+        if shuffle:
+            graph = _shuffled(graph, 7)
+        net = _recipe(
+            lambda: improved_d2_color(
+                graph, seed=seed, max_rounds=0, **kwargs
+            )
+        )()
+        cfg = _first_input(net)["learn_config"]
+        make = _with_input(
+            net,
+            learn_config=dataclasses.replace(
+                cfg, per_message=2, flood_rounds=4
+            ),
+        )
+        _, run_kwargs = _ladder_recipe("improved", "hs-s0")
+        ref_net = _assert_randomized_parity(make, **run_kwargs)
+        log = dict(next(iter(ref_net.programs.values())).phase_log)
+        learn = log["trials"] + log["similarity"] + log["reduce-ladder"]
+        for cut in range(learn, learn + 6):
+            _assert_randomized_parity(
+                make, **dict(run_kwargs, max_rounds=cut)
+            )
+
+    @pytest.mark.parametrize("delta", [1, 2])
+    def test_parity_with_an_undersized_palette(self, delta):
+        # A palette below the d2-degree empties remaining sets, so live
+        # nodes fall back to the palette minus their 1-hop colors — and
+        # with Δ = 1 that pool empties too (a coin with no pick).
+        make = _recipe(
+            lambda: improved_d2_color(
+                GRAPHS["petersen"], seed=0, delta=delta, max_rounds=0,
+                allow_deterministic_fallback=False,
+            )
+        )
+        _assert_randomized_parity(
+            make, max_rounds=600, stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+
+    def test_parity_without_a_stop_monitor(self):
+        # Nobody is live after the first finish phases, yet every phase
+        # still sends its round of empty forwards until max_rounds.
+        make, _ = _ladder_recipe("improved", "hs-s0")
+        _assert_randomized_parity(
+            make, max_rounds=3_001, raise_on_timeout=False
+        )
+
+    @pytest.mark.parametrize("case", ["handlers", "narrow-batch"])
+    def test_handoff_parity(self, case):
+        graph, seed, kwargs = _LADDER_CELLS["hs-s0"]
+        if case == "handlers":
+            make = _recipe(
+                lambda: improved_d2_color(
+                    graph, seed=seed, max_rounds=0,
+                    force_learn_handlers=True, **kwargs
+                )
+            )
+        else:
+            make = _with_input(
+                _ladder_recipe("improved", "hs-s0")[0](),
+                forward_per_round=1,
+            )
+        _, run_kwargs = _ladder_recipe("improved", "hs-s0")
+        _assert_randomized_parity(make, **run_kwargs)
+        net = make()
+        net.run(backend="vectorized", **run_kwargs)
+        assert {p._kernel_prefix for p in net.programs.values()} == {3}
+
+    def test_declines_non_uniform_learn_config(self):
+        net = _ladder_recipe("improved", "hs-s0")[0]()
+        data = _first_input(net)
+        other = dict(
+            data,
+            learn_config=dataclasses.replace(
+                data["learn_config"], flood_rounds=2
+            ),
+        )
+        first = next(iter(net.graph))
 
         def make():
             return Network(
                 net.graph, net.program_factory, seed=net._seed,
                 policy=net.policy, delta=net.delta,
-                inputs={v: data for v in net.graph},
+                inputs={
+                    v: other if v == first else data for v in net.graph
+                },
             )
 
-        self._assert_declined(make, "similarity-drops")
+        TestReduceLadderKernel._assert_declined(make, "inputs")
 
 
 def _materialized_case(program_cls):

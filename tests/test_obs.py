@@ -493,9 +493,8 @@ class TestTryPhasesSpan:
 
 class TestRandomizedSectionSpans:
     """A traced Hoffman–Singleton run books every round to exactly one
-    span: the trials window, similarity, the Reduce ladder (kernel
-    spans) and LearnPalette + finish (the resumed generators'
-    ``exec.run``)."""
+    kernel span: the trials window, similarity, the Reduce ladder and,
+    for ``improved``, LearnPalette and finish — no generator runs."""
 
     @pytest.mark.parametrize("variant", ["improved", "basic"])
     def test_span_rounds_sum_to_the_run(self, variant, tmp_path):
@@ -523,13 +522,18 @@ class TestRandomizedSectionSpans:
             r for r in ends
             if r["name"] in (
                 "kernel.try_phases", "kernel.similarity",
-                "kernel.reduce_phases", "exec.run",
+                "kernel.reduce_phases", "kernel.learn_palette",
+                "kernel.finish",
             )
         ]
         names = [r["name"] for r in sections]
         assert "kernel.similarity" in names
         assert "kernel.reduce_phases" in names
-        assert ("exec.run" in names) == (variant == "improved")
+        assert "exec.run" not in [r["name"] for r in ends]
+        tail = {"kernel.learn_palette", "kernel.finish"}
+        assert tail & set(names) == (
+            tail if variant == "improved" else set()
+        )
         assert sum(r["attrs"]["rounds"] for r in sections) == result.rounds
         for key in ("messages", "bits"):
             assert sum(r["attrs"][key] for r in sections) == getattr(
