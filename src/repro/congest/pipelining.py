@@ -10,9 +10,7 @@ protocols stay CONGEST-compliant by construction.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
-
-from repro.congest.message import bit_size
+from typing import Any, List, Sequence, Tuple
 
 #: Bits reserved in each chunk for the protocol tag and sequencing.
 _CHUNK_HEADER_BITS = 24
@@ -54,51 +52,3 @@ def rounds_needed(
         return 0
     per_message = items_per_message(item_bits, budget_bits)
     return -(-num_items // per_message)
-
-
-def max_item_bits(items: Iterable[Any]) -> int:
-    """Size of the largest item, for sizing a chunk plan."""
-    sizes = [bit_size(item) for item in items]
-    return max(sizes) if sizes else 1
-
-
-def exchange_lists(ctx, per_neighbor_items, item_bits, budget_bits, tag):
-    """Sub-protocol: pipeline a (possibly different) list to each
-    neighbor while collecting the lists the neighbors pipeline back.
-
-    ``per_neighbor_items`` maps neighbor -> sequence of items.  All
-    nodes must enter this sub-protocol in the same round and it runs
-    for a globally agreed number of rounds, which is why the caller
-    passes ``budget_bits`` explicitly: every node derives the same
-    chunking geometry from the same global parameters.
-
-    Returns ``{neighbor: [items received]}``.  The number of rounds
-    consumed is ``rounds_needed(max_len, item_bits, budget_bits)``
-    where ``max_len`` is the globally agreed maximum list length,
-    taken here as ``ctx.data['pipeline_rounds']`` if present or
-    computed from the local maximum otherwise (callers that need exact
-    lockstep pass the global bound).
-    """
-    plans = {
-        neighbor: plan_chunks(list(items), item_bits, budget_bits)
-        for neighbor, items in per_neighbor_items.items()
-    }
-    local_rounds = max((len(p) for p in plans.values()), default=0)
-    total_rounds = ctx.data.get("pipeline_rounds", local_rounds)
-    total_rounds = max(total_rounds, local_rounds)
-
-    received = {neighbor: [] for neighbor in ctx.neighbors}
-    for round_i in range(total_rounds):
-        outbox = {}
-        for neighbor, plan in plans.items():
-            if round_i < len(plan):
-                outbox[neighbor] = (tag,) + plan[round_i]
-        inbox = yield outbox
-        for sender, payload in inbox.items():
-            if (
-                isinstance(payload, tuple)
-                and payload
-                and payload[0] == tag
-            ):
-                received[sender].extend(payload[1:])
-    return received

@@ -14,10 +14,9 @@ never build a Python dict per node.
 
 Views are immutable (mutators raise); callers that need to mutate —
 ``high_girth``, ``sampling_palette_graph``, ``with_max_degree`` —
-call :meth:`CSRGraphView.copy`, which returns a *real* ``nx.Graph``.
-When the view was built by a generator port, ``copy`` replays the
-original networkx construction (``nx_factory``) so downstream
-mutation walks adjacency in the byte-identical legacy order.
+call :meth:`CSRGraphView.copy`, which returns a *real* ``nx.Graph``
+built from the arrays: nodes ``0..n-1``, then the edges in canonical
+order (sorted ``(u, v)`` with ``u < v``).
 
 ``graph.materialized`` reports whether the dict fallback was ever
 taken; the huge-tier CI budget assertion uses it to fail if nx
@@ -31,7 +30,7 @@ behaves exactly like a plain ``nx.Graph`` — every override delegates.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import networkx as nx
 import numpy as np
@@ -196,12 +195,11 @@ class CSRGraphView(nx.Graph):
     numpy.
     """
 
-    def __init__(self, csr=None, nx_factory: Optional[Callable] = None):
+    def __init__(self, csr=None):
         # Deliberately skips nx.Graph.__init__: _adj/_node stay lazy.
         self.graph = {}
         self.__networkx_cache__ = {}
         self.csr_adjacency = csr
-        self._nx_factory = nx_factory
         if csr is None:
             self.__dict__["_adj"] = {}
             self.__dict__["_node"] = {}
@@ -314,20 +312,18 @@ class CSRGraphView(nx.Graph):
         return _CSRDegreeView(self)
 
     def copy(self, as_view: bool = False) -> nx.Graph:
-        """A *real* ``nx.Graph`` twin (mutation-safe).
-
-        Replays the original networkx construction when the generator
-        supplied a factory — downstream code that mutates and walks
-        adjacency in insertion order stays byte-identical with the
-        pre-CSR pipeline.
-        """
+        """A *real* ``nx.Graph`` twin (mutation-safe), built from the
+        arrays: nodes ``0..n-1``, edges in canonical order."""
         if as_view or self.csr_adjacency is None:
             return super().copy(as_view=as_view)
-        if self._nx_factory is not None:
-            return self._nx_factory()
+        # Imported here: repro.exec imports the algorithm modules, and
+        # they import repro.graphs.
+        from repro.exec.arrays import csr_upper_edges
+
+        us, vs = csr_upper_edges(self.csr_adjacency)
         graph = nx.Graph()
         graph.add_nodes_from(range(self.csr_adjacency.n))
-        graph.add_edges_from(self.edges)
+        graph.add_edges_from(zip(us.tolist(), vs.tolist()))
         return graph
 
     # -- immutability ---------------------------------------------------

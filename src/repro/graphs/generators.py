@@ -9,10 +9,10 @@ networkx sampling loop (bit-identical ``random.Random`` consumption,
 pinned by tests against networkx itself) collects edge arrays, and the
 result is a :class:`~repro.graphs.csrgraph.CSRGraphView` born with its
 :class:`~repro.exec.arrays.CSRAdjacency` — no dict-of-dicts is ever
-built on the huge-tier hot path.  Each view carries an ``nx_factory``
-replaying the legacy networkx construction, so mutating consumers
-(``high_girth``, ``sampling_palette_graph``, ``with_max_degree``)
-``.copy()`` into a byte-identical real ``nx.Graph`` first.
+built on the huge-tier hot path.  Mutating consumers (``high_girth``,
+``sampling_palette_graph``, ``with_max_degree``) ``.copy()`` the view
+into a real ``nx.Graph`` built from its arrays (canonical edge order)
+first.
 """
 
 from __future__ import annotations
@@ -114,12 +114,7 @@ def random_regular(degree: int, n: int, seed: int = 0) -> nx.Graph:
     edges = sorted(_regular_edge_set(degree, n, seed))
     us = [u for u, _ in edges]
     vs = [v for _, v in edges]
-    return CSRGraphView(
-        build_csr_from_edges(n, us, vs),
-        nx_factory=lambda: ensure_int_labels(
-            nx.random_regular_graph(degree, n, seed=seed)
-        ),
-    )
+    return CSRGraphView(build_csr_from_edges(n, us, vs))
 
 
 def gnp(n: int, p: float, seed: int = 0) -> nx.Graph:
@@ -167,12 +162,7 @@ def gnp_fast(n: int, p: float, seed: int = 0) -> nx.Graph:
     from repro.exec.arrays import build_csr_from_edges
 
     us, vs = _fast_gnp_edges(n, p, seed)
-    return CSRGraphView(
-        build_csr_from_edges(n, us, vs),
-        nx_factory=lambda: ensure_int_labels(
-            nx.fast_gnp_random_graph(n, p, seed=seed)
-        ),
-    )
+    return CSRGraphView(build_csr_from_edges(n, us, vs))
 
 
 def unit_disk(
@@ -372,8 +362,6 @@ def high_girth(
     when girth > 4) — the regime where similarity filtering and the
     single-2-path checks of Reduce-Phase are exercised hardest.
     """
-    # .copy() replays the legacy nx construction: the edge-removal
-    # loop below walks graph.edges in the historical insertion order.
     graph = random_regular(degree, n, seed=seed).copy()
     for _ in range(max_passes):
         shortest = _shortest_cycle_edge(graph, girth)
@@ -525,14 +513,7 @@ def power_law(
             if u < v:
                 us.append(u)
                 vs.append(v)
-    return CSRGraphView(
-        build_csr_from_edges(n, us, vs),
-        nx_factory=lambda: ensure_int_labels(
-            nx.powerlaw_cluster_graph(
-                n, attach, triangle_p, seed=seed
-            )
-        ),
-    )
+    return CSRGraphView(build_csr_from_edges(n, us, vs))
 
 
 def weighted_gnp(
@@ -643,7 +624,6 @@ def sampling_palette_graph(
     workload specs built on this family carry a ``palette_slack``
     parameter recording the intended palette/d2-degree ratio.
     """
-    # .copy() replays the legacy nx construction before mutating.
     graph = random_regular(degree, n, seed=seed).copy()
     rng = random.Random(seed ^ 0x5DEECE66)
     size = graph.number_of_nodes()

@@ -12,8 +12,6 @@ of Sec. 2.1.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import networkx as nx
 
 from repro.graphs.generators import double_star, ensure_int_labels
@@ -103,40 +101,3 @@ def verification_lower_bound_tree(delta: int) -> nx.Graph:
     lower bound: edge {a, b} with (n-2)/2 leaves on each endpoint.
     ``delta`` is the resulting maximum degree (leaves + 1)."""
     return double_star(delta - 1)
-
-
-#: Legacy spellings of the extremal instances, now registered as
-#: ``"named"``-tagged workloads in :mod:`repro.workloads.corpus`.
-_NAMED_ALIASES = {
-    "c5": "cycle5",
-    "hoffman_singleton": "hoffman-singleton",
-}
-
-
-def named_instance(name: str, seed: int = 0) -> nx.Graph:
-    """Look up a named extremal instance (cached).
-
-    Delegates to the workload registry — the table that used to live
-    here is the ``"named"`` tag slice of :mod:`repro.workloads` — so
-    benches and examples get the content-addressed instance cache for
-    free.  Old names (``c5``, ``hoffman_singleton``) keep working.
-    """
-    from repro.workloads import (
-        get_workload,
-        instance_cache,
-        workload_names,
-    )
-
-    key = _NAMED_ALIASES.get(name, name)
-    try:
-        spec = get_workload(key)
-    except KeyError:
-        known = sorted(
-            set(workload_names("named")) | set(_NAMED_ALIASES)
-        )
-        raise KeyError(
-            f"unknown instance {name!r}; have {known}"
-        ) from None
-    # A copy, preserving this function's historical contract: callers
-    # may mutate the result without corrupting the shared cache.
-    return instance_cache().get(spec, seed).graph().copy()

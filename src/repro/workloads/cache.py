@@ -151,10 +151,11 @@ class Instance:
     as a :class:`CSRGraphView`) keep the arrays as the *primary*
     artifact: the node/edge tuples, the content digest, Δ, and the
     d2-degree table all come straight from the CSR, and the nx graph
-    is materialized only if a fallback/reference path asks for it.
+    is built (as a copy of the view) only if a fallback/reference
+    path asks for it.
 
     The graph returned by :meth:`graph` is the shared cached object —
-    callers must not mutate it (copy first; ``named_instance`` does).
+    callers must not mutate it (copy first).
     """
 
     __slots__ = (
@@ -208,7 +209,8 @@ class Instance:
         self._edge_attrs = edge_attrs or {}
         self._graph = graph
         #: The compatibility view a CSR-born instance was built from
-        #: (not pickled — rebuilt from the CSR after a boundary).
+        #: (not pickled — rebuilt from the CSR after a boundary);
+        #: :meth:`graph` is its ``copy()``.
         self._graphlike = graphlike
         self._csr_born = csr is not None and nodes is None
         self._delta: Optional[int] = None
@@ -318,15 +320,10 @@ class Instance:
         prefer :meth:`graphlike`, which keeps CSR-born instances on
         the array view.  Shared: do not mutate."""
         if self._graph is None:
-            graph = nx.Graph()
             if self._csr_born:
-                csr = self._csr
-                graph.add_nodes_from(range(csr.n))
-                us, vs = csr_upper_edges(csr)
-                graph.add_edges_from(
-                    zip(us.tolist(), vs.tolist())
-                )
+                graph = self.graphlike().copy()
             else:
+                graph = nx.Graph()
                 graph.add_nodes_from(self.nodes)
                 graph.add_edges_from(self.edges)
                 for v, data in self._node_attrs.items():

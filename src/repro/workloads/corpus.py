@@ -18,8 +18,8 @@ Three slices, selected by tag:
     Opt-in only (never part of a default corpus): G(n, p) at n in the
     several-thousands for throughput work.
 
-Plus ``"named"`` — the extremal instances that used to live as an
-ad-hoc table in ``repro.graphs.instances.named_instance`` — and
+Plus ``"named"`` — the extremal instances of
+:mod:`repro.graphs.instances` (Moore graphs, projective planes) — and
 ``"showcase"`` — the head-to-head set ``examples/compare_algorithms``
 runs.
 """
@@ -309,7 +309,7 @@ _w(
     "target; only sweepable through the vectorized kernels (opt-in)",
 )
 
-# -- named extremal instances (ex graphs.instances.named_instance) ------
+# -- named extremal instances (repro.graphs.instances) -----------------
 
 _w(
     "hoffman-singleton", "moore",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.congest.pipelining import (
     items_per_message,
-    max_item_bits,
     plan_chunks,
     rounds_needed,
 )
@@ -61,11 +60,3 @@ class TestPlanChunks:
             assert len(chunks) == rounds_needed(
                 count, item_bits, budget
             )
-
-
-class TestMaxItemBits:
-    def test_empty(self):
-        assert max_item_bits([]) == 1
-
-    def test_dominant_item(self):
-        assert max_item_bits([1, 2**20]) == 21

@@ -1285,6 +1285,28 @@ class TestStep0Fallback:
         assert report.valid, report.explain()
 
 
+class TestNoNxOnKernelPath:
+    """Tier-1 guard of "no nx.Graph on the huge-tier path": kernel
+    runs on CSR-born instances read the arrays only."""
+
+    @pytest.mark.parametrize("workload", ["rr4_24", "powerlaw24"])
+    @pytest.mark.parametrize(
+        "spec", ["trial", "improved-d2color", "deterministic-d2"]
+    )
+    def test_view_never_materializes(self, workload, spec):
+        from repro import registry
+        from repro.workloads import InstanceCache
+
+        instance = InstanceCache().get(workload, 0)
+        assert instance._csr_born
+        result = registry.get_algorithm(spec).run_on(
+            instance, seed=0, backend="vectorized"
+        )
+        assert result.complete
+        assert not instance.graphlike().materialized
+        assert instance._graph is None
+
+
 class TestRandomizedD2Kernel:
     """The kernel for d2-Color / Improved-d2-Color: trials, similarity,
     every Reduce-Phase, LearnPalette and finish as array work;

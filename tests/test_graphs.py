@@ -16,7 +16,9 @@ from repro.graphs.generators import (
     double_star,
     ensure_int_labels,
     gnp,
+    gnp_fast,
     grid,
+    power_law,
     random_bipartite_tasks,
     random_regular,
     star_of_stars,
@@ -220,6 +222,51 @@ class TestGenerators:
         graph.add_edge("x", "y")
         relabeled = ensure_int_labels(graph)
         assert set(relabeled.nodes) == {0, 1}
+
+
+def _canonical_edges(graph):
+    return sorted(tuple(sorted(edge)) for edge in graph.edges)
+
+
+class TestSamplerPorts:
+    """The CSR-direct generators are exact ports of networkx's
+    samplers: same ``random.Random`` stream, same sampled graph.  This
+    is what ties every CSR-born instance to networkx's samples."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("degree,n", [(3, 10), (4, 30), (5, 64)])
+    def test_random_regular(self, degree, n, seed):
+        assert _canonical_edges(
+            random_regular(degree, n, seed=seed)
+        ) == _canonical_edges(nx.random_regular_graph(degree, n, seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,p", [(20, 0.2), (200, 0.03), (500, 0.004)])
+    def test_gnp_fast(self, n, p, seed):
+        assert _canonical_edges(
+            gnp_fast(n, p, seed=seed)
+        ) == _canonical_edges(nx.fast_gnp_random_graph(n, p, seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "n,attach,triangle_p", [(24, 2, 0.1), (100, 3, 0.5), (300, 1, 0.0)]
+    )
+    def test_power_law(self, n, attach, triangle_p, seed):
+        assert _canonical_edges(
+            power_law(n, attach, triangle_p, seed=seed)
+        ) == _canonical_edges(
+            nx.powerlaw_cluster_graph(n, attach, triangle_p, seed)
+        )
+
+    def test_copy_is_the_canonical_real_graph(self):
+        view = power_law(60, 2, 0.3, seed=4)
+        copy = view.copy()
+        assert type(copy) is nx.Graph
+        assert list(copy.nodes) == list(range(60))
+        assert list(copy.edges) == _canonical_edges(view)
+        assert not view.materialized
+        copy.remove_edge(*next(iter(view.edges)))  # mutable twin
+        assert view.number_of_edges() == copy.number_of_edges() + 1
 
 
 class TestInstances:

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import graphs
-from repro.graphs.instances import named_instance
 from repro.registry import get_algorithm
 from repro.verify.checker import check_d2_coloring
 from repro.workloads import (
@@ -101,14 +100,15 @@ class TestRegistry:
         assert scenario.graph(3).number_of_nodes() == 5
 
     def test_named_instances_resolve_through_registry(self):
-        # Old spellings from graphs.instances.named_instance.
-        assert named_instance("c5").number_of_nodes() == 5
-        assert (
-            named_instance("hoffman_singleton").number_of_nodes() == 50
-        )
-        assert named_instance("pg2_3").number_of_nodes() == 26
+        cache = instance_cache()
+        for name, n in (
+            ("cycle5", 5), ("hoffman-singleton", 50), ("pg2_3", 26)
+        ):
+            spec = get_workload(name)
+            assert "named" in spec.tags
+            assert cache.get(spec, 0).n == n
         try:
-            named_instance("nope")
+            get_workload("nope")
         except KeyError as exc:
             assert "pg2_3" in str(exc)
         else:  # pragma: no cover
