@@ -7,73 +7,20 @@ the experiment's invariant checks.  Wall-clock timing via
 pytest-benchmark is secondary — the measured quantity of interest is
 CONGEST rounds, which lives in the tables.
 
-Benches that track a perf trajectory across PRs additionally write a
-machine-readable ``results/BENCH_<name>.json`` via
-:func:`write_bench_json` (wall-clock, rounds, messages — whatever the
-bench measures).  Each file is an *append-only per-commit record* —
-``{"schema": 2, "entries": [{commit, timestamp, metrics}, ...]}``, see
-:mod:`repro.harness.benchstore` — so regressions diff as a
-trajectory, and ``python -m repro.harness.benchstore check`` gates
-the newest entry against the previous one in CI.
+The benches keep no timing history; pytest-benchmark prints each
+run's timings.  The cross-change performance gate is ``perfbench/``,
+which runs each workload in a fresh child process and compares it
+with its parent.  A bench asserts only what one process can measure
+honestly: invariants, fingerprints and same-process speed ratios.  A
+bench that needs a peak-RSS reading takes it in a child process of
+its own.
 """
 
 from __future__ import annotations
 
 import pathlib
-import sys
-from typing import Any, Dict
-
-from repro.harness.benchstore import append_entry
-
-try:  # POSIX-only; benches degrade to timing-only elsewhere
-    import resource
-except ImportError:  # pragma: no cover - linux container has it
-    resource = None
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def peak_rss_mb() -> float:
-    """Process-wide peak resident set size in MiB (0.0 if unknown).
-
-    ``ru_maxrss`` is a monotone high-water mark for the whole process:
-    benches that compare memory footprints must run the lean variant
-    *first* and snapshot before running the heavy one.
-    """
-    if resource is None:
-        return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes.
-    divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
-    return peak / divisor
-
-
-def write_bench_json(
-    name: str,
-    payload: Dict[str, Any],
-    obs: Dict[str, Any] = None,
-) -> pathlib.Path:
-    """Append one bench run's metrics to the bench's trajectory.
-
-    ``payload`` must be JSON-serializable; it is appended as the
-    newest ``{commit, timestamp, metrics}`` entry of
-    ``benchmarks/results/BENCH_<name>.json`` (re-runs on the same
-    commit replace that commit's entry, so local iteration does not
-    grow the file).  The process-wide peak RSS at write time is
-    recorded alongside the bench's own metrics under
-    ``peak_rss_mb`` (unless the payload already provides one, e.g. a
-    snapshot taken before a heavier comparison run polluted the
-    high-water mark).
-
-    ``obs``, when given, is a structured observability payload (a
-    :meth:`repro.obs.MetricsRegistry.snapshot` or similar) stored on
-    the entry alongside ``metrics`` — informational only, never read
-    by the regression gates.
-    """
-    if "peak_rss_mb" not in payload:
-        payload = dict(payload)
-        payload["peak_rss_mb"] = round(peak_rss_mb(), 1)
-    return append_entry(RESULTS_DIR, name, payload, obs=obs)
 
 
 def registry_specs(kind=None, distributed=None):

@@ -129,11 +129,6 @@ class Constants:
         delta_sq = max(delta * delta, 1)
         return min(1.0, self.c10 * math.log2(max(n, 2)) / delta_sq)
 
-    def similarity_sample_threshold(self, n: int, k: int) -> float:
-        """|S_v ∩ S_u| threshold for H_{1-1/k} (Thm 2.2):
-        (1 - 1/(2k)) · c10 · log2 n."""
-        return (1.0 - 1.0 / (2.0 * k)) * self.c10 * math.log2(max(n, 2))
-
     def ladder(self, n: int, delta: int) -> list:
         """The (φ, τ) schedule of the main phase:
         τ ← c1Δ²; while τ > c2·log n: Reduce(2τ, τ); τ ← τ/2."""

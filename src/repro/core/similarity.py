@@ -156,12 +156,6 @@ class SimilarityState:
             u for u in self.nbr_sets if self.is_h(self.node, u)
         )
 
-    def hhat_immediate(self) -> FrozenSet[int]:
-        """Immediate neighbors that are Ĥ-neighbors of this node."""
-        return frozenset(
-            u for u in self.nbr_sets if self.is_hhat(self.node, u)
-        )
-
 
 class SimilarityMixin:
     """Sub-protocol building :class:`SimilarityState` at every node.

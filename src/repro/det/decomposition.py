@@ -45,31 +45,12 @@ class NetworkDecomposition:
     def num_clusters(self) -> int:
         return len(self.members)
 
-    @property
-    def num_colors(self) -> int:
-        return len(set(self.color_of_cluster.values()))
-
     def color_classes(self) -> Dict[int, List[int]]:
         """color -> list of cluster ids."""
         classes: Dict[int, List[int]] = {}
         for cluster, color in self.color_of_cluster.items():
             classes.setdefault(color, []).append(cluster)
         return classes
-
-    def max_diameter(self, graph: nx.Graph) -> int:
-        """Maximum weak diameter (distance in G) over clusters."""
-        worst = 0
-        for nodes in self.members.values():
-            if len(nodes) <= 1:
-                continue
-            source = nodes[0]
-            lengths = nx.single_source_shortest_path_length(
-                graph, source
-            )
-            worst = max(
-                worst, max(lengths[v] for v in nodes if v in lengths)
-            )
-        return worst
 
     def validate(self, graph: nx.Graph) -> bool:
         """Same-color clusters must be > k apart in G (property iii

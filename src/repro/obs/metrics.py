@@ -13,8 +13,7 @@ convention::
 Unlike tracing, the registry is always on — counters are plain int
 adds behind one lock, far off any per-round hot path (publishers are
 per-run / per-cell / per-lease-event).  Snapshots are plain dicts,
-embeddable in a trace (``TraceRecorder.metrics``) and in benchstore
-entries (``append_entry(..., obs=...)``).
+embeddable in a trace (``TraceRecorder.metrics``).
 
 Merging (:meth:`MetricsRegistry.merge_snapshot`) combines snapshots
 from multiple workers or shards: counters add, gauges keep the

@@ -35,9 +35,6 @@ class Poly1:
     def __call__(self, x: int) -> int:
         return (self.a + self.b * x) % self.q
 
-    def is_constant(self) -> bool:
-        return self.b == 0
-
     def agreements(self, other: "Poly1") -> int:
         """Number of x in F_q where self(x) == other(x).
 

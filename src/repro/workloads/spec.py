@@ -32,7 +32,7 @@ workloads by key while still merging byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -103,14 +103,6 @@ class WorkloadSpec:
     def graph(self, seed: int = 0) -> nx.Graph:
         """Build the instance for ``seed`` (deterministic)."""
         return self.builder(seed, **self.param_dict())
-
-    def with_tags(self, *tags: str) -> "WorkloadSpec":
-        """A copy of the spec with ``tags`` added."""
-        return replace(self, tags=self.tags | frozenset(tags))
-
-    def cache_key(self, seed: int) -> Tuple[str, ParamsKey, int]:
-        """The (family+name, params, seed) identity the cache keys on."""
-        return (self.name, self.params, seed)
 
 
 def workload(
