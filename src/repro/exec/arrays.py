@@ -26,6 +26,8 @@ from typing import Tuple
 import networkx as nx
 import numpy as np
 
+from repro.obs import trace as obs_trace
+
 _EMPTY_INDPTR = np.zeros(1, dtype=np.int64)
 _EMPTY_INDICES = np.zeros(0, dtype=np.int64)
 
@@ -177,9 +179,11 @@ class CSRAdjacency:
 
     def _ensure_square(self) -> None:
         if self._g2_indptr is None:
-            self._g2_indptr, self._g2_indices = _square_rows(
-                self.n, self.g_indptr, self.g_indices
-            )
+            with obs_trace.span("graphs.square") as sp:
+                self._g2_indptr, self._g2_indices = _square_rows(
+                    self.n, self.g_indptr, self.g_indices
+                )
+                sp.annotate(nnz=int(self._g2_indices.size))
 
     @property
     def g2_indptr(self) -> np.ndarray:
@@ -238,6 +242,35 @@ def square_csr(csr: CSRAdjacency) -> CSRAdjacency:
     )
 
 
+def _csr_rows(
+    n: int, us: np.ndarray, vs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(g_indptr, g_indices)`` of the undirected edges ``us``/``vs``
+    (dense indices, each edge listed once, no self-loops), rows
+    sorted.
+
+    One in-place sort of the fused keys ``src * n + dst`` orders the
+    entries by row, then column; ``key % n`` is the column.  The keys
+    are int64, so ``n² < 2⁶³`` is required.  Distinct edges give
+    distinct keys, so the result does not depend on the input's edge
+    order.
+    """
+    if n * n >= 1 << 63:
+        raise ValueError(
+            f"n={n}: the fused CSR sort key needs n² < 2⁶³"
+        )
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    keys = np.concatenate((us * n + vs, vs * n + us))
+    keys.sort()
+    g_indices = keys % n
+    counts = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    g_indptr = np.concatenate(
+        (_EMPTY_INDPTR, np.cumsum(counts))
+    ).astype(np.int64)
+    return g_indptr, g_indices
+
+
 def build_csr_from_edges(
     n: int, us: np.ndarray, vs: np.ndarray
 ) -> CSRAdjacency:
@@ -245,19 +278,13 @@ def build_csr_from_edges(
 
     The CSR-direct generators call this — no ``nx.Graph`` is ever
     constructed.  ``us``/``vs`` must be self-loop-free and duplicate
-    free (undirected edges listed once, either orientation); that is
-    what the generators produce.
+    free (undirected edges listed once, either orientation, in any
+    order); that is what the generators produce.  The rows come from
+    one sort of fused ``src * n + dst`` int64 keys, so ``n`` must
+    satisfy ``n² < 2⁶³`` (a ``ValueError`` otherwise).
     """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    src = np.concatenate((us, vs))
-    dst = np.concatenate((vs, us))
-    sort = np.lexsort((dst, src))
-    g_indices = dst[sort]
-    counts = np.bincount(src, minlength=n)
-    g_indptr = np.concatenate(
-        (_EMPTY_INDPTR, np.cumsum(counts))
-    ).astype(np.int64)
+    with obs_trace.span("graphs.csr"):
+        g_indptr, g_indices = _csr_rows(n, us, vs)
     return CSRAdjacency(
         n=n,
         order=range(n),
@@ -272,23 +299,15 @@ def _csr_from_labeled_edges(
     order, index, edge_iter, has_selfloops: bool
 ) -> CSRAdjacency:
     n = len(order)
-    rows = []
-    cols = []
-    for u, v in edge_iter:
-        if u == v:
-            continue
-        rows.append(index[u])
-        cols.append(index[v])
-    us = np.asarray(rows, dtype=np.int64)
-    vs = np.asarray(cols, dtype=np.int64)
-    src = np.concatenate((us, vs))
-    dst = np.concatenate((vs, us))
-    sort = np.lexsort((dst, src))
-    g_indices = dst[sort]
-    counts = np.bincount(src, minlength=n)
-    g_indptr = np.concatenate(
-        (_EMPTY_INDPTR, np.cumsum(counts))
-    ).astype(np.int64)
+    with obs_trace.span("graphs.csr"):
+        rows = []
+        cols = []
+        for u, v in edge_iter:
+            if u == v:
+                continue
+            rows.append(index[u])
+            cols.append(index[v])
+        g_indptr, g_indices = _csr_rows(n, rows, cols)
     return CSRAdjacency(
         n=n,
         order=order,

@@ -4,25 +4,29 @@ All generators return graphs with consecutive integer node labels
 (required by the simulator: labels double as O(log n)-bit IDs).
 
 The scalable families — :func:`gnp_fast`, :func:`random_regular`,
-:func:`power_law` — are *CSR-direct*: a pure-Python port of the exact
-networkx sampling loop (bit-identical ``random.Random`` consumption,
-pinned by tests against networkx itself) collects edge arrays, and the
-result is a :class:`~repro.graphs.csrgraph.CSRGraphView` born with its
+:func:`power_law` — are *CSR-direct*: they sample exactly the edge
+set networkx would for the seed (same ``random.Random`` stream, pinned
+by tests against networkx itself), collect it in edge arrays, and
+return a :class:`~repro.graphs.csrgraph.CSRGraphView` born with its
 :class:`~repro.exec.arrays.CSRAdjacency` — no dict-of-dicts is ever
-built on the huge-tier hot path.  Mutating consumers (``high_girth``,
-``sampling_palette_graph``, ``with_max_degree``) ``.copy()`` the view
-into a real ``nx.Graph`` built from its arrays (canonical edge order)
-first.
+built on the huge-tier hot path.  :func:`gnp_fast` draws its whole
+sample with numpy (bulk geometric skips); the other two replay
+networkx's sampling loop in Python.  Mutating consumers
+(``high_girth``, ``sampling_palette_graph``, ``with_max_degree``)
+``.copy()`` the view into a real ``nx.Graph`` built from its arrays
+(canonical edge order) first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import defaultdict
 from typing import List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.csrgraph import CSRGraphView
 
@@ -111,10 +115,13 @@ def random_regular(degree: int, n: int, seed: int = 0) -> nx.Graph:
     # they import repro.graphs.
     from repro.exec.arrays import build_csr_from_edges
 
-    edges = sorted(_regular_edge_set(degree, n, seed))
-    us = [u for u, _ in edges]
-    vs = [v for _, v in edges]
-    return CSRGraphView(build_csr_from_edges(n, us, vs))
+    edges = _regular_edge_set(degree, n, seed)
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(edges),
+        dtype=np.int64,
+        count=2 * len(edges),
+    ).reshape(-1, 2)
+    return CSRGraphView(build_csr_from_edges(n, pairs[:, 0], pairs[:, 1]))
 
 
 def gnp(n: int, p: float, seed: int = 0) -> nx.Graph:
@@ -122,37 +129,99 @@ def gnp(n: int, p: float, seed: int = 0) -> nx.Graph:
     return ensure_int_labels(nx.gnp_random_graph(n, p, seed=seed))
 
 
+#: Most uniform doubles :func:`_fast_gnp_edges` draws per refill.
+_GNP_CHUNK = 1 << 22
+
+#: A skip quotient this close to an integer (relative) is recomputed
+#: with ``math.log``: numpy's vector ``log`` may differ from the C
+#: library's by an ulp, which must never move an ``int()``.
+_LOG_GUARD = 1e-9
+
+
+def _geometric_skips(r: np.ndarray, lp: float, cap: int) -> np.ndarray:
+    """``int(math.log(1 - x) / lp)`` for every double ``x`` of ``r``,
+    as int64, with values above ``cap`` clipped to ``cap``.
+
+    One ``np.log`` pass; quotients within :data:`_LOG_GUARD` of an
+    integer are recomputed with ``math.log`` so the result matches the
+    scalar formula exactly.
+    """
+    q = np.log(1.0 - r)
+    q /= lp
+    near = np.abs(q - np.rint(q)) <= _LOG_GUARD * q
+    for i in np.flatnonzero(near).tolist():
+        q[i] = math.log(1.0 - float(r[i])) / lp
+    np.minimum(q, cap, out=q)
+    return np.floor(q).astype(np.int64)
+
+
 def _fast_gnp_edges(
     n: int, p: float, seed: int
-) -> Tuple[List[int], List[int]]:
-    """Exact port of ``nx.fast_gnp_random_graph``'s geometric-skip
-    loop (undirected): same ``random.Random`` stream, same edges."""
-    rng = random.Random(seed)
-    us: List[int] = []
-    vs: List[int] = []
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges ``nx.fast_gnp_random_graph(n, p, seed)`` samples
+    (undirected), as ``(us, vs)`` int64 arrays in its order.
+
+    networkx walks the lower-triangle pairs ``(v, w)``, ``w < v``, in
+    row-major order and jumps ``1 + int(log(1 - r) / log(1 - p))``
+    pairs per ``random.Random(seed).random()`` draw.  Here the same
+    doubles come from ``np.random.RandomState`` started from the
+    seeded Mersenne Twister's state, the jumps are summed into pair
+    indices ``v(v-1)/2 + w`` in chunks until one passes the last
+    pair, and an integer square root maps each index back to
+    ``(v, w)``.
+    """
+    total = n * (n - 1) // 2
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     lp = math.log(1.0 - p)
-    v = 1
-    w = -1
-    while v < n:
-        lr = math.log(1.0 - rng.random())
-        w = w + 1 + int(lr / lp)
-        while w >= v and v < n:
-            w = w - v
-            v = v + 1
-        if v < n:
-            us.append(v)
-            vs.append(w)
-    return us, vs
+    if lp == 0.0:
+        # p below the double resolution of 1: the scalar loop
+        # divides by zero, and so does this port.
+        raise ZeroDivisionError("float division by zero")
+    mt_state = random.Random(seed).getstate()[1]
+    mt = np.random.RandomState()
+    mt.set_state(
+        ("MT19937", np.array(mt_state[:-1], dtype=np.uint32), mt_state[-1])
+    )
+    expected = p * total
+    chunk = min(_GNP_CHUNK, int(expected + 6.0 * math.sqrt(expected)) + 16)
+    pieces = []
+    last = -1
+    while True:
+        pos = _geometric_skips(mt.random_sample(chunk), lp, total)
+        pos += 1
+        pos[0] += last
+        # Pair indices.  Every jump is at most total + 1, so the sums
+        # stay below 2·total until the first one that passes the end.
+        np.cumsum(pos, out=pos)
+        past = pos >= total
+        if past.any():
+            pieces.append(pos[: int(past.argmax())])
+            break
+        pieces.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(pieces)
+    # v = floor((1 + sqrt(1 + 8·pos)) / 2), corrected for rounding.
+    v = np.floor((1.0 + np.sqrt(8.0 * pos + 1.0)) / 2.0).astype(np.int64)
+    while True:
+        high = v * (v - 1) // 2 > pos
+        low = v * (v + 1) // 2 <= pos
+        if not (high.any() or low.any()):
+            break
+        v -= high
+        v += low
+    return v, pos - v * (v - 1) // 2
 
 
 def gnp_fast(n: int, p: float, seed: int = 0) -> nx.Graph:
     """Erdős–Rényi G(n, p) via the O(n + m) geometric-skip sampler.
 
-    Same distribution as :func:`gnp`, different sample for the same
-    seed — used for the huge tier, where the O(n²) sampler takes
-    minutes.  CSR-direct: the sample is drawn straight into edge
-    arrays and returned as a :class:`CSRGraphView`; no ``nx.Graph``
-    is built at any size.
+    The sample ``nx.fast_gnp_random_graph`` draws for this seed: same
+    distribution as :func:`gnp`, different sample for the same seed —
+    used for the huge tier, where the O(n²) sampler takes minutes.
+    CSR-direct: :func:`_fast_gnp_edges` draws the sample in bulk with
+    numpy straight into edge arrays, returned as a
+    :class:`CSRGraphView`; no ``nx.Graph`` is built at any size.
     """
     if p <= 0 or p >= 1:
         # Degenerate densities take networkx's gnp fallback.

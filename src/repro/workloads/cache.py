@@ -32,6 +32,7 @@ from repro.exec.arrays import (
 )
 from repro.graphs.csrgraph import CSRGraphView
 from repro.graphs.square import max_d2_degree as graph_max_d2_degree
+from repro.obs import trace as obs_trace
 from repro.workloads.spec import ParamsKey, get_workload
 
 #: str-chunk size for the streaming digest / payload materialization.
@@ -356,6 +357,13 @@ class Instance:
         return len(self._nodes)
 
     @property
+    def m(self) -> int:
+        """Number of edges (self-loops of a payload included)."""
+        if self._edges is None:
+            return int(self._csr.g_indices.size) // 2
+        return len(self._edges)
+
+    @property
     def delta(self) -> int:
         """Maximum degree (memoized, computable without the graph)."""
         if self._delta is None:
@@ -511,14 +519,9 @@ class Instance:
         self._stats = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        m = (
-            self._csr.g_indices.size // 2
-            if self._edges is None
-            else len(self._edges)
-        )
         return (
             f"<Instance {self.workload!r} seed={self.seed} "
-            f"n={self.n} m={m}>"
+            f"n={self.n} m={self.m}>"
         )
 
 
@@ -687,10 +690,14 @@ class InstanceCache:
             return hit
         self.stats.misses += 1
         self.stats.builds += 1
-        instance = Instance.from_graph(
-            spec.name, seed, spec.graph(seed), spec.params,
-            registered=True,
-        )
+        with obs_trace.span(
+            "workloads.build", workload=spec.name, seed=seed
+        ) as sp:
+            instance = Instance.from_graph(
+                spec.name, seed, spec.graph(seed), spec.params,
+                registered=True,
+            )
+            sp.annotate(n=instance.n, m=instance.m)
         return self._store(key, instance)
 
     def intern(

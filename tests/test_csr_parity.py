@@ -11,6 +11,10 @@ Three equivalences the CSR-native instance pipeline rests on:
    colorings;
 3. a CSR-born instance and its nx-built twin intern to the *same*
    content digest (cache identity is representation-independent).
+
+The huge-tier digests are pinned too: the bulk G(n,p) sampler must
+keep drawing the samples these fingerprints name, whatever numpy
+build or CPU evaluates its ``log``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.arrays import build_csr, square_csr
+from repro.exec.arrays import build_csr, build_csr_from_edges, square_csr
 from repro.graphs.csrgraph import CSRGraphView
 from repro.graphs.generators import gnp_fast, power_law, random_regular
 from repro.graphs.square import (
@@ -30,7 +34,7 @@ from repro.graphs.square import (
     max_degree,
 )
 from repro.verify.checker import check_distance_k_coloring
-from repro.workloads.cache import Instance
+from repro.workloads.cache import Instance, InstanceCache
 
 
 @st.composite
@@ -75,6 +79,35 @@ def csr_rows_as_sets(csr):
         v: frozenset(indices[indptr[i]:indptr[i + 1]].tolist())
         for i, v in enumerate(csr.order)
     }
+
+
+class TestCsrRows:
+    """The fused-key sort gives every row sorted, whatever order and
+    orientation the edges arrive in."""
+
+    @given(random_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_rows_sorted_for_any_edge_order(self, graph, rnd):
+        edges = [
+            (u, v) if rnd.random() < 0.5 else (v, u)
+            for u, v in graph.edges
+        ]
+        rnd.shuffle(edges)
+        n = graph.number_of_nodes()
+        csr = build_csr_from_edges(
+            n, [u for u, _ in edges], [v for _, v in edges]
+        )
+        for v in range(n):
+            row = csr.g_indices[csr.g_indptr[v]:csr.g_indptr[v + 1]]
+            assert row.tolist() == sorted(graph[v])
+        nx_built = build_csr(graph)
+        assert csr.g_indptr.tolist() == nx_built.g_indptr.tolist()
+        assert csr.g_indices.tolist() == nx_built.g_indices.tolist()
+
+    def test_key_limit_is_checked_before_any_allocation(self):
+        # 3037000500² is the first square past 2⁶³.
+        with pytest.raises(ValueError, match="2⁶³"):
+            build_csr_from_edges(3037000500, [], [])
 
 
 class TestSquareCsrMatchesOracle:
@@ -294,3 +327,38 @@ class TestDigestStability:
         clone = pickle.loads(pickle.dumps(born))
         assert clone.digest() == born.digest()
         assert clone._csr_born
+
+
+class TestHugeDigestPins:
+    """Seed-0 content digests of the CSR-born huge tier.  A drift in
+    the sampler (or in numpy's ``log`` on another CPU or version)
+    moves one of these instead of silently moving every fingerprint
+    built on it."""
+
+    PINS = {
+        "gnp-huge-16384": "08375081f518c671145518eb5fa6579b"
+        "38f1a3cd601960c8b77c48bd0e5d17a7",
+        "gnp-huge-65536": "7fa2b12f943631d2dccb22dc507d7457"
+        "96c3cf38a8cf2da884376b0346e53bfd",
+        "rr4-huge-16384": "6c7bd9069d3b9f79c9188fb7b079cb51"
+        "7a3387c2c779b29378a3c8f832443619",
+        "gnp-huge-262144": "f3dd0491a9a137f113baea0fd4e5ed04"
+        "f8ad768a0383129df86df0a88b1b5afe",
+        "gnp-huge-1048576": "2c0303a90e9f76aa92875a613b0437bd"
+        "efeedee02806192af19681d14eb88021",
+    }
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            "gnp-huge-16384",
+            "gnp-huge-65536",
+            "rr4-huge-16384",
+            pytest.param("gnp-huge-262144", marks=pytest.mark.slow),
+            pytest.param("gnp-huge-1048576", marks=pytest.mark.slow),
+        ],
+    )
+    def test_seed0_digest(self, workload):
+        instance = InstanceCache().get(workload, 0)
+        assert instance._csr_born
+        assert instance.digest() == self.PINS[workload]

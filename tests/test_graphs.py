@@ -2,12 +2,15 @@
 paper instances."""
 
 import math
+import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import generators
 from repro.graphs.generators import (
     caterpillar,
     clique_clusters,
@@ -267,6 +270,115 @@ class TestSamplerPorts:
         assert not view.materialized
         copy.remove_edge(*next(iter(view.edges)))  # mutable twin
         assert view.number_of_edges() == copy.number_of_edges() + 1
+
+
+def _loop_gnp_edges(n, p, seed):
+    """The oracle for the bulk sampler: ``nx.fast_gnp_random_graph``'s
+    geometric-skip loop (undirected), one ``random.Random`` draw and
+    one ``math.log`` per step, edges in the order it finds them."""
+    rng = random.Random(seed)
+    us, vs = [], []
+    lp = math.log(1.0 - p)
+    v = 1
+    w = -1
+    while v < n:
+        lr = math.log(1.0 - rng.random())
+        w = w + 1 + int(lr / lp)
+        while w >= v and v < n:
+            w = w - v
+            v = v + 1
+        if v < n:
+            us.append(v)
+            vs.append(w)
+    return us, vs
+
+
+def _bulk_gnp_edges(n, p, seed):
+    us, vs = generators._fast_gnp_edges(n, p, seed)
+    assert us.dtype == vs.dtype == np.int64
+    return us.tolist(), vs.tolist()
+
+
+class TestBulkGnpSampler:
+    """``_fast_gnp_edges`` draws ``gnp_fast``'s sample with numpy; the
+    scalar loop above is its oracle, edge for edge and in order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "n,p",
+        [
+            (0, 0.3),
+            (1, 0.3),
+            (2, 0.5),
+            (20, 0.2),
+            (500, 0.01),
+            (65536, 2.0 / 65536),
+        ],
+    )
+    def test_matches_the_loop(self, n, p, seed):
+        assert _bulk_gnp_edges(n, p, seed) == _loop_gnp_edges(n, p, seed)
+
+    @pytest.mark.parametrize("n", [2, 100, 4096])
+    def test_first_skip_overshoots(self, n):
+        # Expected edges ~1e-8: the first jump passes the last pair.
+        assert _bulk_gnp_edges(n, 1e-15, 0) == ([], [])
+        assert _loop_gnp_edges(n, 1e-15, 0) == ([], [])
+
+    def test_p_below_double_resolution_raises_like_the_loop(self):
+        with pytest.raises(ZeroDivisionError):
+            _loop_gnp_edges(10, 1e-17, 0)
+        with pytest.raises(ZeroDivisionError):
+            _bulk_gnp_edges(10, 1e-17, 0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_chunk_refill(self, monkeypatch, chunk, seed):
+        monkeypatch.setattr(generators, "_GNP_CHUNK", chunk)
+        for n, p in ((40, 0.3), (2000, 0.002)):
+            assert _bulk_gnp_edges(n, p, seed) == _loop_gnp_edges(
+                n, p, seed
+            )
+
+    @pytest.mark.parametrize(
+        "p", [0.5, 0.1, 2.0 / 65536, 2.0 / 1048576, 1e-9]
+    )
+    def test_skips_match_math_log_at_integer_quotients(self, p):
+        # r = 1 - exp(k·lp) puts log(1 - r) / lp right at the integer
+        # k; there an ulp of log rounding decides int().  The doubles
+        # next to each r straddle the integer.
+        lp = math.log(1.0 - p)
+        ks = np.unique(
+            np.concatenate(
+                (
+                    np.arange(0, 200),
+                    np.geomspace(200, 5e7, 400).astype(np.int64),
+                )
+            )
+        )
+        r = 1.0 - np.exp(ks * lp)
+        r = r[(r >= 0.0) & (r < 1.0)]
+        r = np.concatenate(
+            [
+                r,
+                np.nextafter(r, 0.0),
+                np.nextafter(r, 1.0),
+                np.nextafter(np.nextafter(r, 0.0), 0.0),
+                np.nextafter(np.nextafter(r, 1.0), 1.0),
+            ]
+        )
+        r = r[(r >= 0.0) & (r < 1.0)]
+        expect = [int(math.log(1.0 - x) / lp) for x in r.tolist()]
+        cap = max(expect) + 1
+        assert generators._geometric_skips(r, lp, cap).tolist() == expect
+
+    def test_skips_clip_at_the_cap(self):
+        lp = math.log(1.0 - 1e-12)
+        r = np.array([0.0, 0.5, 0.999999])
+        assert generators._geometric_skips(r, lp, 1000).tolist() == [
+            0,
+            1000,
+            1000,
+        ]
 
 
 class TestInstances:

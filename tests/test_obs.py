@@ -51,7 +51,7 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.workloads import get_workload, instance_cache
-from repro.workloads.cache import CacheStats
+from repro.workloads.cache import CacheStats, InstanceCache
 
 SEED = 17
 
@@ -297,6 +297,89 @@ class TestReadAndValidate:
 
 # ----------------------------------------------------------------------
 # the determinism guard: tracing never perturbs results
+
+
+class TestSetupSpans:
+    """The library books instance set-up itself: ``workloads.build``
+    around a cache miss, ``graphs.csr`` in the CSR builders (inside
+    the build for CSR-born instances) and ``graphs.square`` around the
+    G² derivation."""
+
+    def _spans(self, tmp_path, body, name="t.jsonl"):
+        path = str(tmp_path / name)
+        rec = TraceRecorder(path)
+        with use_recorder(rec):
+            body()
+        rec.close()
+        records = read_trace(path, strict=True)
+        assert validate_trace(records) == []
+        begins = {
+            r["id"]: r
+            for r in records
+            if r["kind"] == "span" and r["phase"] == "B"
+        }
+        return begins, list(iter_spans(records))
+
+    def test_csr_born_build_nests_and_a_hit_emits_nothing(self, tmp_path):
+        cache = InstanceCache()
+
+        def setup():
+            with span("setup.build"):
+                instance = cache.get("rr4_24", 0)
+            with span("setup.square"):
+                instance.square_csr()
+            return instance
+
+        begins, ends = self._spans(tmp_path, setup)
+        instance = cache.get("rr4_24", 0)
+        assert instance._csr_born
+        by_name = {r["name"]: r for r in ends}
+        assert set(by_name) == {
+            "setup.build",
+            "setup.square",
+            "workloads.build",
+            "graphs.csr",
+            "graphs.square",
+        }
+        parent = {
+            begins[r["id"]]["name"]: begins.get(
+                begins[r["id"]].get("parent"), {}
+            ).get("name")
+            for r in ends
+        }
+        assert parent["workloads.build"] == "setup.build"
+        assert parent["graphs.csr"] == "workloads.build"
+        assert parent["graphs.square"] == "setup.square"
+        assert begins[by_name["workloads.build"]["id"]]["attrs"] == {
+            "workload": "rr4_24",
+            "seed": 0,
+        }
+        assert by_name["workloads.build"]["attrs"] == {"n": 24, "m": 48}
+        csr = instance.csr()
+        assert by_name["graphs.square"]["attrs"] == {
+            "nnz": int(csr.g2_indices.size)
+        }
+
+        def hit():
+            cache.get("rr4_24", 0).square_csr()
+
+        _, ends = self._spans(tmp_path, hit, name="hit.jsonl")
+        assert ends == []
+
+    def test_nx_born_csr_is_built_outside_the_build(self, tmp_path):
+        cache = InstanceCache()
+
+        def setup():
+            cache.get("cycle5", 0).square_csr()
+
+        begins, ends = self._spans(tmp_path, setup)
+        assert [r["name"] for r in ends] == [
+            "workloads.build",
+            "graphs.csr",
+            "graphs.square",
+        ]
+        assert all("parent" not in b for b in begins.values())
+        assert ends[0]["attrs"] == {"n": 5, "m": 5}
 
 
 class TestTracingNeverPerturbs:
