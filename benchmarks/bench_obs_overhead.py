@@ -37,7 +37,6 @@ from repro.obs import (
     disable,
     enable,
     read_trace,
-    registry as obs_registry,
     validate_trace,
 )
 from repro.workloads import get_workload, instance_cache
@@ -83,7 +82,6 @@ def test_tracing_overhead_and_fingerprint(tmp_path):
 
         trace_dir = tmp_path / f"trace{repeat}"
         trace_dir.mkdir()
-        obs_registry().clear()
         enable(trace_dir)
         try:
             wall, traced_sweep = _timed_sweep(cells)

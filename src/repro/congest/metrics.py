@@ -56,21 +56,3 @@ class RunMetrics:
             f"max_msg_bits={self.max_message_bits}/{self.budget_bits} "
             f"violations={self.violations}"
         )
-
-    def publish(self, target=None, prefix: str = "run") -> None:
-        """Add this run's totals into a metrics registry (the process
-        global by default) under ``<prefix>.*`` names.  Purely
-        additive: publishing twice counts the run twice, so callers
-        aggregating repeatedly should publish each run exactly once.
-        """
-        from repro.obs.metrics import registry
-
-        reg = target if target is not None else registry()
-        reg.counter(f"{prefix}.runs").inc()
-        reg.counter(f"{prefix}.rounds").inc(self.rounds)
-        reg.counter(f"{prefix}.messages").inc(self.total_messages)
-        reg.counter(f"{prefix}.bits").inc(self.total_bits)
-        reg.counter(f"{prefix}.violations").inc(self.violations)
-        reg.gauge(f"{prefix}.max_message_bits").set_max(
-            self.max_message_bits
-        )

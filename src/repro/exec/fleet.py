@@ -51,7 +51,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.exec.shards import (
     ShardManifest,
@@ -260,7 +259,6 @@ class LeaseStore:
             worker=self.worker_id,
             takeovers=takeovers,
         )
-        obs_metrics.registry().counter("fleet.claims").inc()
         return Lease(self, shard, token, 0, takeovers)
 
     def try_reclaim(self, shard: int) -> Optional[Lease]:
@@ -308,7 +306,6 @@ class LeaseStore:
                 previous_owner=data.get("owner"),
                 takeovers=takeovers + 1,
             )
-            obs_metrics.registry().counter("fleet.reclaims").inc()
         return lease
 
     def _write_atomic(self, path: str, blob: bytes) -> None:
@@ -330,7 +327,6 @@ class LeaseStore:
                 worker=self.worker_id,
                 new_owner=(data or {}).get("owner"),
             )
-            obs_metrics.registry().counter("fleet.lease_lost").inc()
             raise LeaseLostError(
                 f"lease on shard {lease.shard} was reclaimed"
                 + (
@@ -355,7 +351,6 @@ class LeaseStore:
             worker=self.worker_id,
             counter=lease.counter,
         )
-        obs_metrics.registry().counter("fleet.heartbeats").inc()
 
     def _release(self, lease: Lease) -> None:
         data = self.read(lease.shard)
@@ -369,7 +364,6 @@ class LeaseStore:
                 shard=lease.shard,
                 worker=self.worker_id,
             )
-            obs_metrics.registry().counter("fleet.releases").inc()
         self._observed.pop(lease.shard, None)
 
 
@@ -710,6 +704,16 @@ def _emit(record: Dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MiB (``ru_maxrss``:
+    KiB on Linux, bytes on macOS)."""
+    import resource
+    import sys
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
     import hashlib
@@ -818,8 +822,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 4
         finally:
             if rec is not None:
-                obs_metrics.sample_peak_rss()
-                rec.metrics(obs_metrics.registry().snapshot())
+                obs_trace.event("process.peak_rss", mb=_peak_rss_mb())
                 obs_trace.disable()
         _emit(_report_record(report), args.json, report.summary())
         return 0

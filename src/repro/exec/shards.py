@@ -41,7 +41,6 @@ from typing import (
 
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.exec.sweep import (
     CellResult,
@@ -513,11 +512,9 @@ def run_shard(
         manifest.grid_digest,
         owned=manifest.shard_indices(shard),
     )
-    reg = obs_metrics.registry()
     if damaged:
         _repair_checkpoint(path, done, manifest.grid_digest)
         obs_trace.event("shard.repair", shard=shard, kept=len(done))
-        reg.counter("shard.repairs").inc()
     pending = [(i, cell) for i, cell in owned if i not in done]
     from repro.workloads import instance_cache
 
@@ -553,12 +550,11 @@ def run_shard(
                 executed += 1
                 if on_cell is not None:
                     on_cell(index, result)
-        sp.annotate(executed=executed)
-    reg.counter("shard.cells_resumed").inc(len(done))
-    reg.counter("shard.cells_executed").inc(executed)
-    # Cache activity of this invocation, accumulated into the shard's
-    # sidecar (cumulative across resumes) for merge_shards to pick up.
-    delta = cache.stats.delta(stats_baseline).snapshot()
+        # Cache activity of this invocation: traced on the span and
+        # accumulated into the shard's sidecar (cumulative across
+        # resumes) for merge_shards to pick up.
+        delta = cache.stats.delta(stats_baseline).snapshot()
+        sp.annotate(executed=executed, cache=delta)
     sidecar = stats_path(checkpoint_dir, shard)
     previous = _read_stats(sidecar)
     _write_stats(

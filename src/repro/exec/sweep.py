@@ -456,13 +456,12 @@ class SweepBackend(ExecutionBackend):
                 _CellRunner(self.inner), cells, instances=instances
             )
             errors = sum(1 for c in results if not c.ok)
-            sp.annotate(errors=errors)
-        # The cache activity this grid caused in *this* process
-        # (prebuild + serial/thread cells; process-pool workers keep
-        # their own caches).  Published as counters and attached to
-        # the result — never part of the fingerprint.
-        delta = cache.stats.delta(baseline)
-        delta.publish()
+            # The cache activity this grid caused in *this* process
+            # (prebuild + serial/thread cells; process-pool workers
+            # keep their own caches).  Traced on the span and
+            # attached to the result — never part of the fingerprint.
+            delta = cache.stats.delta(baseline)
+            sp.annotate(errors=errors, cache=delta.snapshot())
         return SweepResult(cells=results, cache_stats=delta)
 
 

@@ -1,25 +1,16 @@
-"""repro.obs — unified tracing, metrics, and profiling hooks.
+"""repro.obs — one measurement system: the trace.
 
-Three layers (see ``docs/OBSERVABILITY.md``):
+Two layers (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.trace` — nested spans and point events to
-  append-only JSONL, zero-overhead when no recorder is installed;
-- :mod:`repro.obs.metrics` — the process-global registry of typed
-  counters/gauges/timers every subsystem publishes into;
+  append-only JSONL, zero-overhead when no recorder is installed.
+  Counts ride on the spans and events that cause them (cache
+  activity as the ``cache`` attr of ``sweep.grid``/``shard.run``,
+  lease transitions as ``fleet.*`` events);
 - :mod:`repro.obs.report` — aggregation of read traces into the
   tables ``python -m repro.obs`` renders.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
-    merge_snapshots,
-    peak_rss_mb,
-    registry,
-    sample_peak_rss,
-)
 from repro.obs.trace import (
     NULL_SPAN,
     NullRecorder,
@@ -40,25 +31,17 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "NULL_SPAN",
     "NullRecorder",
     "Span",
     "TRACE_SCHEMA_VERSION",
-    "Timer",
     "TraceRecorder",
     "disable",
     "enable",
     "event",
     "iter_spans",
-    "merge_snapshots",
-    "peak_rss_mb",
     "read_trace",
     "recorder",
-    "registry",
-    "sample_peak_rss",
     "span",
     "trace_file_path",
     "tracing_active",

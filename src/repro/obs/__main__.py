@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    summary  <trace>   span/event/metrics rollup
+    summary  <trace>   span/event rollup
     phases   <trace>   per-phase wall/rounds/messages/bits table
     cache    <trace>   cache hit/miss breakdown
     fleet    <trace>   per-shard lease activity
@@ -62,7 +62,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     {
                         "spans": report.span_rollup(records),
                         "events": report.event_rollup(records),
-                        "metrics": report.merged_metrics(records),
                     },
                     indent=2,
                     sort_keys=True,

@@ -10,21 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import merge_snapshots
 from repro.obs.trace import iter_spans
 from repro.util.tables import ascii_table
-
-
-def merged_metrics(records: List[Dict]) -> Dict[str, Any]:
-    """All ``metrics`` records of a trace folded into one snapshot
-    (counters add, gauges max, timers combine)."""
-    return merge_snapshots(
-        *(
-            r.get("data", {})
-            for r in records
-            if r.get("kind") == "metrics"
-        )
-    )
 
 
 def span_rollup(records: List[Dict]) -> Dict[str, Dict[str, Any]]:
@@ -73,8 +60,7 @@ def event_rollup(records: List[Dict]) -> Dict[str, int]:
 
 
 def render_summary(records: List[Dict]) -> str:
-    """The ``summary`` view: span rollup + event counts + merged
-    registry counters."""
+    """The ``summary`` view: span rollup + event counts."""
     out: List[str] = []
     rollup = span_rollup(records)
     if rollup:
@@ -103,16 +89,6 @@ def render_summary(records: List[Dict]) -> str:
                 [[name, n] for name, n in sorted(events.items())],
             )
         )
-    snapshot = merged_metrics(records)
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    if counters or gauges:
-        out.append("metrics:")
-        rows = [[name, value] for name, value in counters.items()]
-        rows += [
-            [name, round(value, 2)] for name, value in gauges.items()
-        ]
-        out.append(ascii_table(["metric", "value"], rows))
     if not out:
         return "empty trace"
     return "\n".join(out)
@@ -143,15 +119,20 @@ def render_phases(records: List[Dict]) -> str:
 def cache_breakdown(
     records: List[Dict],
 ) -> Optional[Dict[str, Any]]:
-    """The ``cache.*`` counters of the merged snapshot plus a derived
-    hit rate, or ``None`` when the trace recorded no cache metrics."""
-    counters = merged_metrics(records).get("counters", {})
-    cache = {
-        name.split(".", 1)[1]: value
-        for name, value in counters.items()
-        if name.startswith("cache.")
-    }
-    if not cache:
+    """The ``cache`` attrs of completed spans (``sweep.grid`` and
+    ``shard.run`` annotate the instance-cache activity they caused)
+    summed, plus a derived hit rate; ``None`` when no span carries
+    one."""
+    cache: Optional[Dict[str, Any]] = None
+    for record in iter_spans(records):
+        counts = (record.get("attrs") or {}).get("cache")
+        if not isinstance(counts, dict):
+            continue
+        if cache is None:
+            cache = {}
+        for name, value in counts.items():
+            cache[name] = cache.get(name, 0) + value
+    if cache is None:
         return None
     hits = cache.get("hits", 0)
     misses = cache.get("misses", 0)
@@ -205,8 +186,15 @@ def fleet_rollup(
         }.get(name)
         if key is not None:
             entry[key] += 1
+    # Numeric ids in numeric order; the "?" placeholder (an event
+    # without a shard attr) and any other non-int id after them.
     return sorted(
-        shards.items(), key=lambda item: (str(item[0]), item[0] is None)
+        shards.items(),
+        key=lambda item: (
+            (0, item[0])
+            if isinstance(item[0], int)
+            else (1, str(item[0]))
+        ),
     )
 
 

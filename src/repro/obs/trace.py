@@ -22,7 +22,6 @@ Record kinds (one JSON object per line; schema
     {"kind": "span",  "phase": "X", "id": 9, "parent": 3,
      "name": "kernel.try_phases", "t": ..., "dur": ..., "attrs": {...}}
     {"kind": "event", "name": "fleet.claim", "t": ..., "attrs": {...}}
-    {"kind": "metrics", "t": ..., "data": {...}}
 
 ``B``/``E`` bracket a nested span; ``X`` is a *complete* span written
 in one record at exit (used by instrumentation sites that cannot wrap
@@ -47,7 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 TRACE_SCHEMA_VERSION = 1
 
 #: Record kinds a valid trace may contain.
-RECORD_KINDS = ("meta", "span", "event", "metrics")
+RECORD_KINDS = ("meta", "span", "event")
 
 #: Span phases: begin, end, complete (single-record span).
 SPAN_PHASES = ("B", "E", "X")
@@ -119,9 +118,6 @@ class NullRecorder:
         return None
 
     def complete(self, name, t0, attrs=None) -> None:
-        return None
-
-    def metrics(self, data: Dict) -> None:
         return None
 
     def clock(self) -> float:
@@ -259,12 +255,6 @@ class TraceRecorder:
         if attrs:
             record["attrs"] = attrs
         self._write(record)
-
-    def metrics(self, data: Dict) -> None:
-        """Embed a metrics-registry snapshot into the trace."""
-        self._write(
-            {"kind": "metrics", "t": self._clock(), "data": data}
-        )
 
     def close(self) -> None:
         with self._lock:
@@ -439,12 +429,15 @@ def validate_trace(
 
     Checked per record: a known ``kind``; spans carry ``phase``/
     ``id``/``name``/``t`` (plus ``dur`` on E/X); events carry
-    ``name``/``t``; metrics carry ``data``; meta carries a supported
-    ``schema``.  Cross-record: every E closes a B of the same id, and
-    no B is left unclosed (per source pid, since files interleave).
+    ``name``/``t``; meta carries a supported ``schema``.
+    Cross-record: every E closes a B of the same id, and no B is left
+    unclosed.  Span ids restart at 1 with every recorder, so ids are
+    matched per source: the records after one ``meta`` record (each
+    recorder writes one when it opens its file).
     """
     problems: List[str] = []
-    open_spans: Dict[Tuple, str] = {}
+    open_spans: Dict[Tuple[int, int], str] = {}
+    source = 0
 
     def check(cond: bool, message: str) -> None:
         if not cond:
@@ -457,16 +450,11 @@ def validate_trace(
             problems.append(f"{where}: unknown kind {kind!r}")
             continue
         if kind == "meta":
+            source += 1
             check(
                 record.get("schema") == TRACE_SCHEMA_VERSION,
                 f"{where}: unsupported schema "
                 f"{record.get('schema')!r}",
-            )
-            continue
-        if kind == "metrics":
-            check(
-                isinstance(record.get("data"), dict),
-                f"{where}: metrics without a data object",
             )
             continue
         check(
@@ -492,7 +480,7 @@ def validate_trace(
                 isinstance(record.get("dur"), (int, float)),
                 f"{where}: {phase} span without dur",
             )
-        key = (record.get("pid"), record.get("id"))
+        key = (source, record.get("id"))
         if phase == "B":
             open_spans[key] = record.get("name", "?")
         elif phase == "E":

@@ -565,18 +565,6 @@ class CacheStats:
         self.square_builds += other.square_builds
         self.csr_builds += other.csr_builds
 
-    def publish(self, target=None, prefix: str = "cache") -> None:
-        """Add the counters into a metrics registry (the process
-        global by default) under ``<prefix>.<counter>`` names.  Like
-        :meth:`RunMetrics.publish`, additive per call — publish deltas
-        (:meth:`delta`) when sampling a long-lived cache repeatedly."""
-        from repro.obs.metrics import registry
-
-        reg = target if target is not None else registry()
-        for name, value in self.snapshot().items():
-            if value:
-                reg.counter(f"{prefix}.{name}").inc(value)
-
 
 class InstanceCache:
     """Memoizing store of built :class:`Instance` objects.

@@ -545,10 +545,10 @@ class TestFleetCLIStructuredOutput:
             if r.get("kind") == "span"
         }
         assert "shard.run" in spans
-        # The worker embedded its final metrics snapshot.
-        (metrics,) = [
-            r for r in records if r["kind"] == "metrics"
+        # The worker recorded its peak RSS as one event.
+        (peak,) = [
+            r
+            for r in records
+            if r["kind"] == "event" and r["name"] == "process.peak_rss"
         ]
-        counters = metrics["data"]["counters"]
-        assert counters["fleet.claims"] >= 1
-        assert metrics["data"]["gauges"]["process.peak_rss_mb"] > 0
+        assert peak["attrs"]["mb"] > 0

@@ -1,5 +1,5 @@
-"""The observability layer: tracing, metrics, reports, and the
-determinism guard.
+"""The observability layer: tracing, reports, and the determinism
+guard.
 
 The load-bearing contract is the guard in
 :class:`TestTracingNeverPerturbs`: sweep fingerprints and instance
@@ -7,10 +7,9 @@ digests must be byte-identical whether tracing is absent (the
 zero-overhead default), explicitly nulled, or live — tracing
 *observes* runs, it never participates in them.  The rest pins the
 trace schema (span nesting, torn-line-tolerant reads, validation),
-the registry's merge semantics (counters add, gauges max, timers
-combine), the publish hooks on :class:`RunMetrics` /
-:class:`CacheStats`, the cache-stats plumbing through sweeps and
-shard merges, and the ``python -m repro.obs`` report CLI.
+:class:`CacheStats` arithmetic, the cache-stats plumbing through
+sweeps, shard merges and the ``cache`` span attrs, and the
+``python -m repro.obs`` report CLI.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import pytest
 
 from repro import registry as algo_registry
-from repro.congest.metrics import RunMetrics
 from repro.exec import (
     ShardManifest,
     SweepBackend,
@@ -31,18 +29,14 @@ from repro.exec import (
 )
 from repro.exec.shards import stats_path
 from repro.obs import (
-    MetricsRegistry,
     NULL_SPAN,
     NullRecorder,
     TraceRecorder,
     disable,
     enable,
     iter_spans,
-    merge_snapshots,
     read_trace,
     recorder,
-    registry,
-    sample_peak_rss,
     span,
     trace_file_path,
     tracing_active,
@@ -50,6 +44,7 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.__main__ import main as obs_main
+from repro.obs.report import fleet_rollup
 from repro.workloads import get_workload, instance_cache
 from repro.workloads.cache import CacheStats, InstanceCache
 
@@ -70,13 +65,10 @@ def small_grid():
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends with tracing off; the global
-    registry is cleared so counter assertions are hermetic."""
+    """Every test starts and ends with tracing off."""
     disable()
-    registry().clear()
     yield
     disable()
-    registry().clear()
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +180,17 @@ class TestTraceRecorder:
         assert leaf["attrs"] == {"n": 5}
 
     def test_events_and_metrics_records(self, tmp_path):
-        def body(rec):
-            rec.event("fleet.claim", {"shard": 0})
-            rec.metrics({"counters": {"cache.hits": 3}})
-
-        records = self._trace(tmp_path, body)
+        records = self._trace(
+            tmp_path, lambda rec: rec.event("fleet.claim", {"shard": 0})
+        )
         assert validate_trace(records) == []
-        kinds = [r["kind"] for r in records]
-        assert kinds == ["meta", "event", "metrics"]
+        assert [r["kind"] for r in records] == ["meta", "event"]
+        # The registry snapshot record kind is retired: counts ride
+        # on spans and events, and an old snapshot is unknown.
+        stale = {"kind": "metrics", "t": 1.0, "data": {}}
+        assert validate_trace(records + [stale]) == [
+            "record 2: unknown kind 'metrics'"
+        ]
 
     def test_trace_file_path_is_unique_per_worker(self, tmp_path):
         a = trace_file_path(str(tmp_path), worker="w-1")
@@ -280,6 +275,33 @@ class TestReadAndValidate:
             ]
         )
         assert problems == ["span 1 ('x') opened but never closed"]
+
+    def test_span_ids_are_matched_per_source(self):
+        # Span ids restart at 1 in every worker file: worker A was
+        # killed inside its span 1, worker B opened and closed its
+        # own span 1 — B's E must not close A's B.
+        def meta(pid):
+            return {"kind": "meta", "schema": 1, "pid": pid, "t": 0.0}
+
+        def b(name):
+            return {
+                "kind": "span", "phase": "B", "id": 1, "name": name,
+                "t": 1.0,
+            }
+
+        def e(name):
+            return {
+                "kind": "span", "phase": "E", "id": 1, "name": name,
+                "t": 2.0, "dur": 1.0,
+            }
+
+        worker_a = [meta(101), b("shard.run")]
+        worker_b = [meta(202), b("shard.run"), e("shard.run")]
+        expected = ["span 1 ('shard.run') opened but never closed"]
+        assert validate_trace(worker_a) == expected
+        assert validate_trace(worker_a + worker_b) == expected
+        assert validate_trace(worker_b + worker_a) == expected
+        assert validate_trace(worker_b) == []
 
     def test_directory_reads_merge_all_worker_files(self, tmp_path):
         for worker in ("a", "b"):
@@ -627,92 +649,10 @@ class TestRandomizedSectionSpans:
 
 
 # ----------------------------------------------------------------------
-# the metrics registry
-
-
-class TestMetricsRegistry:
-    def test_instruments_accumulate(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(2.0)
-        reg.gauge("g").set_max(1.0)  # below the high-water mark
-        reg.timer("t").observe(0.5)
-        with reg.timer("t").time():
-            pass
-        snap = reg.snapshot()
-        assert snap["counters"] == {"c": 5}
-        assert snap["gauges"] == {"g": 2.0}
-        assert snap["timers"]["t"]["count"] == 2
-        assert snap["timers"]["t"]["max"] == 0.5
-        assert len(reg) == 3
-
-    def test_a_name_is_one_kind_only(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.timer("x")
-
-    def test_merge_semantics(self):
-        a = {
-            "counters": {"c": 2},
-            "gauges": {"g": 700.0},
-            "timers": {"t": {"count": 1, "total": 1.0, "max": 1.0}},
-        }
-        b = {
-            "counters": {"c": 3, "d": 1},
-            "gauges": {"g": 500.0},
-            "timers": {"t": {"count": 2, "total": 0.5, "max": 0.4}},
-        }
-        merged = merge_snapshots(a, b)
-        assert merged["counters"] == {"c": 5, "d": 1}
-        assert merged["gauges"] == {"g": 700.0}  # max, not sum
-        assert merged["timers"]["t"] == {
-            "count": 3,
-            "total": 1.5,
-            "max": 1.0,
-        }
-
-    def test_snapshot_is_json_ready_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("b.z").inc()
-        reg.counter("a.y").inc()
-        snap = json.loads(json.dumps(reg.snapshot()))
-        assert list(snap["counters"]) == ["a.y", "b.z"]
-
-    def test_sample_peak_rss_records_a_gauge(self):
-        reg = MetricsRegistry()
-        value = sample_peak_rss(target=reg)
-        snap = reg.snapshot()
-        assert snap["gauges"]["process.peak_rss_mb"] == value
-        assert value > 0.0  # linux container has getrusage
-
-
-# ----------------------------------------------------------------------
-# the publish hooks
+# cache-stats arithmetic
 
 
 class TestPublishHooks:
-    def test_run_metrics_publish(self):
-        reg = MetricsRegistry()
-        metrics = RunMetrics(
-            rounds=3,
-            total_messages=10,
-            total_bits=80,
-            max_message_bits=8,
-            violations=0,
-        )
-        metrics.publish(target=reg)
-        metrics.publish(target=reg)
-        snap = reg.snapshot()
-        assert snap["counters"]["run.runs"] == 2
-        assert snap["counters"]["run.rounds"] == 6
-        assert snap["counters"]["run.messages"] == 20
-        assert snap["counters"]["run.bits"] == 160
-        assert snap["gauges"]["run.max_message_bits"] == 8.0
-
     def test_cache_stats_delta_add_publish(self):
         stats = CacheStats()
         stats.hits, stats.misses = 5, 2
@@ -727,13 +667,6 @@ class TestPublishHooks:
         other.hits, other.square_builds = 1, 4
         delta.add(other)
         assert delta.hits == 4 and delta.square_builds == 4
-
-        reg = MetricsRegistry()
-        delta.publish(target=reg)
-        snap = reg.snapshot()
-        assert snap["counters"]["cache.hits"] == 4
-        assert snap["counters"]["cache.csr_builds"] == 1
-        assert "cache.misses" not in snap["counters"]  # zero: omitted
 
 
 # ----------------------------------------------------------------------
@@ -808,6 +741,47 @@ class TestSweepCacheStats:
         # Shard 1's sidecar still contributes.
         assert merged.cache_stats is not None
 
+    @staticmethod
+    def _cache_json(trace, capsys):
+        assert obs_main(["cache", "--json", trace]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data.pop("hit_rate")
+        return data
+
+    def test_traced_run_shard_annotates_its_sidecar_delta(
+        self, tmp_path, capsys
+    ):
+        manifest = compile_manifest(small_grid(), 2)
+        (tmp_path / "ckpt").mkdir()
+        checkpoints = str(tmp_path / "ckpt")
+        manifest.save(checkpoints)
+        trace = str(tmp_path / "trace.jsonl")
+        enable(trace)
+        try:
+            run_shard(manifest, 0, checkpoints)
+        finally:
+            disable()
+        sidecar = json.loads(
+            open(stats_path(checkpoints, 0), encoding="utf-8").read()
+        )
+        assert sidecar["hits"] + sidecar["misses"] > 0
+        assert self._cache_json(trace, capsys) == sidecar
+
+    def test_traced_run_grid_annotates_its_cache_delta(
+        self, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "trace.jsonl")
+        enable(trace)
+        try:
+            sweep = SweepBackend(executor="serial").run_grid(
+                small_grid()
+            )
+        finally:
+            disable()
+        expected = sweep.cache_stats.snapshot()
+        assert expected["hits"] > 0
+        assert self._cache_json(trace, capsys) == expected
+
 
 # ----------------------------------------------------------------------
 # the report CLI
@@ -819,18 +793,16 @@ class TestObsCli:
         path = str(tmp_path / "t.jsonl")
         rec = TraceRecorder(path, worker="w0")
         with use_recorder(rec):
-            with span("sweep.grid", cells=2):
+            with span("sweep.grid", cells=2) as sp:
                 t0 = rec.clock()
                 rec.complete(
                     "exec.run",
                     t0,
                     {"rounds": 4, "messages": 20, "bits": 160},
                 )
+                sp.annotate(cache={"hits": 3, "misses": 1})
             rec.event("fleet.claim", {"shard": 0, "worker": "w0"})
             rec.event("fleet.release", {"shard": 0, "worker": "w0"})
-            rec.metrics(
-                {"counters": {"cache.hits": 3, "cache.misses": 1}}
-            )
         rec.close()
         return path
 
@@ -840,7 +812,11 @@ class TestObsCli:
         assert obs_main(["summary", trace_path]) == 0
         out = capsys.readouterr().out
         assert "sweep.grid" in out and "exec.run" in out
-        assert "cache.hits" in out
+        assert "fleet.claim" in out
+        assert "metrics:" not in out
+        assert obs_main(["summary", "--json", trace_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert sorted(data) == ["events", "spans"]
 
     def test_phases_table(self, trace_path, capsys):
         assert obs_main(["phases", trace_path]) == 0
@@ -867,6 +843,29 @@ class TestObsCli:
                 "lost": 0,
             }
         }
+
+    def test_cache_view_without_cache_attrs(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"kind":"event","name":"a","t":1.0}\n', encoding="utf-8"
+        )
+        assert obs_main(["cache", str(path)]) == 0
+        assert "no cache metrics in trace" in capsys.readouterr().out
+        assert obs_main(["cache", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {}
+
+    def test_fleet_rollup_orders_shards_numerically(self):
+        records = [
+            {"kind": "event", "name": "fleet.claim", "t": 1.0,
+             "attrs": {"shard": shard}}
+            for shard in (10, 2, 1)
+        ]
+        records.append(
+            {"kind": "event", "name": "fleet.claim", "t": 1.0}
+        )
+        assert [shard for shard, _ in fleet_rollup(records)] == [
+            1, 2, 10, "?",
+        ]
 
     def test_validate_exit_codes(self, trace_path, tmp_path, capsys):
         assert obs_main(["validate", trace_path]) == 0
