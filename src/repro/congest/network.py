@@ -171,13 +171,19 @@ class NetworkPlan:
     materialization hands every ``NodeContext`` its key and current
     counter, so generator draws continue where the kernel's stopped.
     Once the network is materialized the contexts own the counters.
+
+    The plan holds only what it reads of its network (seed, inputs,
+    node set), never the network itself: a back-reference would make
+    every network and its arrays cyclic garbage after a run.
     """
 
-    __slots__ = ("network", "csr", "counters", "_keys")
+    __slots__ = ("csr", "counters", "_keys", "_seed", "_inputs", "_nodes")
 
-    def __init__(self, network: "Network", csr):
-        self.network = network
+    def __init__(self, csr, seed: Any, inputs: Mapping, nodes):
         self.csr = csr
+        self._seed = seed
+        self._inputs = inputs
+        self._nodes = nodes
         self.counters = np.zeros(csr.n, dtype=np.uint64)
         self._keys: Optional[np.ndarray] = None
 
@@ -192,7 +198,7 @@ class NetworkPlan:
         if self._keys is None:
             rec = obs_trace.recorder()
             trace_t0 = rec.clock() if rec is not None else 0.0
-            self._keys = node_keys(self.network._seed, self.order)
+            self._keys = node_keys(self._seed, self.order)
             if rec is not None:
                 rec.complete(
                     "plan.bulk_rng", trace_t0, {"n": len(self._keys)}
@@ -217,10 +223,8 @@ class NetworkPlan:
         every node for a :class:`UniformInputs` that covers the
         network, else one int per node (a node without inputs gets an
         empty dict).  Payloads are never copied; do not mutate them."""
-        inputs = self.network._inputs
-        if isinstance(inputs, UniformInputs) and inputs.covers(
-            self.network.graph.nodes
-        ):
+        inputs = self._inputs
+        if isinstance(inputs, UniformInputs) and inputs.covers(self._nodes):
             yield slice(None), inputs.payload
             return
         get = inputs.get
@@ -375,7 +379,10 @@ class Network:
             rec = obs_trace.recorder()
             trace_t0 = rec.clock() if rec is not None else 0.0
             self._plan = NetworkPlan(
-                self, arrays.csr_for_graph(self.graph)
+                arrays.csr_for_graph(self.graph),
+                self._seed,
+                self._inputs,
+                self.graph.nodes,
             )
             if rec is not None:
                 rec.complete(

@@ -71,6 +71,7 @@ from repro.exec.shards import (
 )
 from repro.exec.sweep import (
     CellResult,
+    Coloring,
     SweepBackend,
     SweepCell,
     SweepResult,
@@ -87,6 +88,7 @@ SWEEP = register_backend(SweepBackend())
 
 __all__ = [
     "CellResult",
+    "Coloring",
     "ExecutionBackend",
     "FleetStalledError",
     "FleetTimeoutError",

@@ -24,10 +24,10 @@ key through :mod:`repro.workloads` and its instance cache.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -39,11 +39,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.obs import trace as obs_trace
 from repro.exec.sweep import (
     CellResult,
+    Coloring,
     SweepCell,
     SweepResult,
     prebuild_instances,
@@ -52,8 +55,12 @@ from repro.exec.sweep import (
 
 #: 2: per-node randomness became the counter hash of repro.congest.rng.
 #: 3: checkpoint records carry the coloring as two flat columns.
+#: 4: int columns are packed binary (see _column_to_json).
 #: Part of every grid digest, so older checkpoints never resume.
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
+
+#: Packed int column dtypes, narrowest first.
+_PACKED_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 MANIFEST_NAME = "manifest.json"
 
@@ -176,11 +183,58 @@ def _metrics_from_json(data: Dict) -> RunMetrics:
     )
 
 
+def _column_to_json(col: np.ndarray) -> Any:
+    """One coloring column of a record: an int column equal to
+    ``arange(n)`` is ``["range", n]``, any other int column is
+    ``[dtype, base64]`` in the narrowest of :data:`_PACKED_DTYPES`
+    that holds it, and an object column is a plain JSON list."""
+    if col.dtype == object:
+        values = col.tolist()
+        if _tagged(values):
+            raise ValueError(
+                f"object column {values!r} reads as a packed column"
+            )
+        return values
+    if np.array_equal(col, np.arange(len(col))):
+        return ["range", len(col)]
+    lo, hi = col.min(), col.max()
+    dtype = next(
+        d
+        for d in _PACKED_DTYPES
+        if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
+    )
+    return [dtype, base64.b64encode(col.astype(dtype)).decode("ascii")]
+
+
+def _tagged(data: List) -> bool:
+    return (
+        len(data) == 2
+        and isinstance(data[0], str)
+        and (data[0] == "range" or data[0] in _PACKED_DTYPES)
+    )
+
+
+def _column_from_json(data: List) -> np.ndarray:
+    """Inverse of :func:`_column_to_json`.  Raises ``ValueError`` (or
+    ``TypeError``) on anything it could not have written, such as an
+    int column as a plain list, so such a record reads as damage."""
+    if not isinstance(data, list):
+        raise TypeError(f"coloring column is not a list: {data!r}")
+    if _tagged(data):
+        tag, payload = data
+        if tag == "range":
+            if type(payload) is not int or payload < 0:
+                raise ValueError(f"bad range column length {payload!r}")
+            return np.arange(payload, dtype=np.int64)
+        raw = base64.b64decode(payload, validate=True)
+        return np.frombuffer(raw, dtype=tag).astype(np.int64)
+    col = Coloring.column(data)
+    if col.dtype != object:
+        raise ValueError("int coloring column stored as a plain list")
+    return col
+
+
 def result_to_json(result: CellResult) -> Dict:
-    # Two flat columns instead of a list per node: the coloring is by
-    # far the largest part of a record at n = 2**20.
-    nodes = list(map(itemgetter(0), result.coloring))
-    colors = list(map(itemgetter(1), result.coloring))
     return {
         "algorithm": result.algorithm,
         "scenario": result.scenario,
@@ -189,7 +243,10 @@ def result_to_json(result: CellResult) -> Dict:
         "palette_size": result.palette_size,
         "rounds": result.rounds,
         "metrics": _metrics_to_json(result.metrics),
-        "coloring": {"nodes": nodes, "colors": colors},
+        "coloring": {
+            "nodes": _column_to_json(result.coloring.nodes),
+            "colors": _column_to_json(result.coloring.colors),
+        },
         "error": result.error,
     }
 
@@ -203,12 +260,9 @@ def result_from_json(data: Dict) -> CellResult:
         palette_size=data["palette_size"],
         rounds=data["rounds"],
         metrics=_metrics_from_json(data["metrics"]),
-        coloring=tuple(
-            zip(
-                data["coloring"]["nodes"],
-                data["coloring"]["colors"],
-                strict=True,
-            )
+        coloring=Coloring(
+            _column_from_json(data["coloring"]["nodes"]),
+            _column_from_json(data["coloring"]["colors"]),
         ),
         error=data["error"],
     )

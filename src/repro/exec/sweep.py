@@ -32,7 +32,9 @@ round-level engine is expected.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 from dataclasses import dataclass, field
+from operator import countOf
 from typing import (
     Any,
     Callable,
@@ -44,6 +46,7 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthPolicy
@@ -163,6 +166,104 @@ class SweepCell:
         return self.instance().delta
 
 
+class Coloring:
+    """A cell's coloring as two aligned columns: ``nodes`` (strictly
+    ascending) and ``colors``.
+
+    A column is int64 when every value is an exact ``int`` (not
+    ``bool``) inside int64, and an object array otherwise (a ``None``
+    left by a cut-off run, an int beyond int64); ``dtype == object``
+    is the one branch its readers take.  Iteration yields ``(node,
+    color)`` pairs in node order, so ``dict(coloring)`` is the plain
+    mapping.  ``repr`` and equality go through :attr:`sha256`, a
+    digest of the canonical bytes, so a 2**20-node coloring prints in
+    one short line.  Immutable.
+    """
+
+    __slots__ = ("nodes", "colors", "_sha256")
+
+    def __init__(self, nodes=(), colors=()):
+        nodes, colors = self.column(nodes), self.column(colors)
+        if len(nodes) != len(colors):
+            raise ValueError(
+                f"coloring columns differ in length: {len(nodes)} "
+                f"nodes, {len(colors)} colors"
+            )
+        if nodes.dtype != object and not _ascending(nodes):
+            raise ValueError("coloring nodes must be strictly ascending")
+        self.nodes = nodes
+        self.colors = colors
+        self._sha256: Optional[str] = None
+
+    @staticmethod
+    def column(values) -> np.ndarray:
+        """``values`` (a sized, re-iterable collection) as a read-only
+        int64 column when every value is an exact int inside int64,
+        else as an object column."""
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            col = values.view()
+        else:
+            col = None
+            if countOf(map(type, values), int) == len(values):
+                try:
+                    col = np.fromiter(values, np.int64, len(values))
+                except OverflowError:
+                    pass
+            if col is None:
+                col = np.fromiter(values, object, len(values))
+        col.flags.writeable = False
+        return col
+
+    @classmethod
+    def from_mapping(cls, mapping) -> "Coloring":
+        """The coloring of a ``{node: color}`` mapping, sorted by node
+        (argsorted only when the keys are not already ascending)."""
+        nodes = cls.column(mapping.keys())
+        colors = cls.column(mapping.values())
+        if nodes.dtype == object:
+            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        elif not _ascending(nodes):
+            order = np.argsort(nodes, kind="stable")
+        else:
+            return cls(nodes, colors)
+        return cls(nodes[order], colors[order])
+
+    @property
+    def sha256(self) -> str:
+        """Hex digest of both columns' canonical bytes: an int64
+        column hashes as little-endian int64, an object column as the
+        ``repr`` of its list; each under its own tag and length."""
+        if self._sha256 is None:
+            digest = hashlib.sha256()
+            for col in (self.nodes, self.colors):
+                if col.dtype == object:
+                    tag, data = b"object", repr(col.tolist()).encode()
+                else:
+                    tag, data = b"<i8", col.astype("<i8").tobytes()
+                digest.update(b"%s:%d:" % (tag, len(data)))
+                digest.update(data)
+            self._sha256 = digest.hexdigest()
+        return self._sha256
+
+    def __iter__(self):
+        return zip(self.nodes.tolist(), self.colors.tolist())
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return self.sha256 == other.sha256
+
+    def __repr__(self) -> str:
+        return f"Coloring(n={len(self)}, sha256={self.sha256})"
+
+
+def _ascending(col: np.ndarray) -> bool:
+    return bool((col[1:] > col[:-1]).all())
+
+
 @dataclass
 class CellResult:
     """Outcome of one executed :class:`SweepCell`."""
@@ -174,8 +275,9 @@ class CellResult:
     palette_size: int = 0
     rounds: int = 0
     metrics: RunMetrics = field(default_factory=RunMetrics)
-    #: Canonical coloring fingerprint: sorted ``(node, color)`` pairs.
-    coloring: Tuple[Tuple[int, Any], ...] = ()
+    #: The final coloring, node-sorted columns (``dict(coloring)`` is
+    #: the ``{node: color}`` mapping; ``repr`` is its digest).
+    coloring: Coloring = field(default_factory=Coloring)
     error: Optional[str] = None
 
     @property
@@ -219,7 +321,10 @@ class SweepResult:
         return merged
 
     def fingerprint(self) -> bytes:
-        """Canonical byte serialization, for determinism checks."""
+        """Canonical byte serialization, for determinism checks: the
+        ``repr`` of every cell's fields, so each coloring enters as
+        its :class:`Coloring` digest and a cell costs a few hundred
+        bytes however large its instance."""
         return repr(
             [
                 (
@@ -288,7 +393,7 @@ def run_cell(cell: SweepCell, inner: str = "reference") -> CellResult:
             palette_size=result.palette_size,
             rounds=result.rounds,
             metrics=result.metrics,
-            coloring=tuple(sorted(result.coloring.items())),
+            coloring=Coloring.from_mapping(result.coloring),
         )
     )
 

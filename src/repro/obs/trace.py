@@ -271,6 +271,10 @@ RecorderLike = Union[TraceRecorder, NullRecorder]
 #: and the module-level helpers are near-free.
 _RECORDER: Optional[RecorderLike] = None
 
+#: The recorder :func:`enable` last installed; it owns it, so it closes
+#: it when replacing it.  A :class:`use_recorder` one stays the caller's.
+_ENABLED: Optional[TraceRecorder] = None
+
 
 def recorder() -> Optional[RecorderLike]:
     """The active recorder, ``None`` when tracing is off."""
@@ -301,22 +305,27 @@ def enable(
     """Install a :class:`TraceRecorder` writing to ``path`` (a file,
     or a directory — then a per-process file inside it) as this
     process's active recorder.  Returns it; :func:`disable` (or
-    installing another) detaches it."""
-    global _RECORDER
+    installing another) detaches it.  An active recorder that
+    ``enable`` itself installed is closed first."""
+    global _RECORDER, _ENABLED
     path = os.fspath(path)
     if os.path.isdir(path) or path.endswith(os.sep):
         path = trace_file_path(path, worker=worker)
     rec = TraceRecorder(path, worker=worker)
-    _RECORDER = rec
+    if _RECORDER is not None and _RECORDER is _ENABLED:
+        _RECORDER.close()
+    _RECORDER = _ENABLED = rec
     return rec
 
 
 def disable() -> None:
     """Detach (and close) the active recorder, restoring the
     zero-overhead default."""
-    global _RECORDER
+    global _RECORDER, _ENABLED
     rec = _RECORDER
     _RECORDER = None
+    if rec is _ENABLED:
+        _ENABLED = None
     if rec is not None:
         rec.close()
 

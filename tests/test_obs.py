@@ -209,6 +209,28 @@ class TestTraceRecorder:
         assert validate_trace(records) == []
         assert any(r.get("name") == "x" for r in records)
 
+    def test_enable_closes_the_recorder_it_replaces(self, tmp_path):
+        a = enable(str(tmp_path / "a.jsonl"))
+        try:
+            b = enable(str(tmp_path / "b.jsonl"))
+            assert recorder() is b
+            assert a._handle.closed and not b._handle.closed
+        finally:
+            disable()
+        assert a._handle.closed and b._handle.closed
+
+    def test_enable_leaves_a_use_recorder_recorder_open(self, tmp_path):
+        rec = TraceRecorder(str(tmp_path / "r.jsonl"))
+        try:
+            with use_recorder(rec):
+                inner = enable(str(tmp_path / "e.jsonl"))
+                assert recorder() is inner
+                assert not rec._handle.closed
+                disable()
+            assert not rec._handle.closed and inner._handle.closed
+        finally:
+            rec.close()
+
 
 # ----------------------------------------------------------------------
 # reading and validating

@@ -13,17 +13,24 @@ process workers from rebuilding per cell.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import registry
+from repro.congest.network import Network, NetworkPlan
 from repro.exec import (
+    CellResult,
+    Coloring,
     ShardIncompleteError,
     ShardManifest,
     SweepBackend,
+    SweepCell,
     compile_manifest,
     grid_cells,
     merge_shards,
@@ -32,12 +39,14 @@ from repro.exec import (
     shard_status,
 )
 from repro.exec.shards import (
+    _column_to_json,
     cell_from_json,
     cell_to_json,
     checkpoint_path,
     result_from_json,
     result_to_json,
 )
+from repro.exec.sweep import run_cell
 from repro.workloads import get_workload
 
 SEED = 13
@@ -252,9 +261,13 @@ class TestManifest:
         "change",
         [
             # a timed-out cell leaves nodes uncolored
-            {"coloring": ((0, None), (1, 3), (2, None))},
-            {"coloring": ((0, 2**63), (1, 2**64 + 5), (2, -(2**63) - 1))},
-            {"coloring": (), "error": "ValueError: boom"},
+            {"coloring": Coloring.from_mapping({0: None, 1: 3, 2: None})},
+            {
+                "coloring": Coloring.from_mapping(
+                    {0: 2**63, 1: 2**64 + 5, 2: -(2**63) - 1}
+                )
+            },
+            {"coloring": Coloring(), "error": "ValueError: boom"},
         ],
     )
     def test_result_codec_keeps_edge_cases(self, unsharded, change):
@@ -274,16 +287,22 @@ class TestManifest:
                 "nodes": [v for v, _ in pairs],
                 "colors": [c for _, c in pairs][:-1],
             },
+            # version 3: int columns as plain JSON lists
+            lambda pairs: {
+                "nodes": [v for v, _ in pairs],
+                "colors": [c for _, c in pairs],
+            },
         ],
-        ids=["pair-list", "ragged-columns"],
+        ids=["pair-list", "ragged-columns", "v3-int-lists"],
     )
     def test_unreadable_coloring_records_are_damage(
         self, tmp_path, unsharded, coloring
     ):
         """A version-2 record stores the coloring as ``[node, color]``
-        pairs.  Even stamped with the current grid digest it must be
-        repaired and recomputed, never crash or reach a merge; so must
-        a record whose two columns disagree in length."""
+        pairs, a version-3 one as plain int lists.  Even stamped with
+        the current grid digest either must be repaired and
+        recomputed, never crash or reach a merge; so must a record
+        whose two columns disagree in length."""
         from repro.exec.shards import _checkpoint_record
 
         manifest = compile_manifest(small_grid(), 2)
@@ -629,3 +648,132 @@ def test_run_sharded_writes_manifest_and_checkpoints(tmp_path):
         for status in shard_status(manifest, str(tmp_path))
         if not status.complete
     ] == []
+
+
+# ----------------------------------------------------------------------
+# the coloring columns and their record encoding
+
+#: Each packed dtype's limits, one past them, and beyond int64.
+_BOUNDARIES = [
+    bound + step
+    for bits in (8, 16, 32, 64)
+    for bound in (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    for step in ((-1, 0) if bound < 0 else (0, 1))
+] + [2**64 + 5]
+
+_colors = st.one_of(
+    st.none(),
+    st.integers(-300, 300),
+    st.sampled_from(_BOUNDARIES),
+)
+
+
+@st.composite
+def colorings(draw):
+    if draw(st.booleans()):
+        nodes = list(range(draw(st.integers(0, 40))))
+    else:
+        nodes = draw(
+            st.lists(
+                st.one_of(
+                    st.integers(-(2**40), 2**40),
+                    st.sampled_from(_BOUNDARIES),
+                ),
+                unique=True,
+                max_size=40,
+            )
+        )
+    return {node: draw(_colors) for node in nodes}
+
+
+class TestColoringCodec:
+    @given(colorings())
+    @settings(max_examples=200, deadline=None)
+    def test_record_round_trip(self, mapping):
+        coloring = Coloring.from_mapping(mapping)
+        result = CellResult("trial", "adhoc", 0, coloring=coloring)
+        back = result_from_json(
+            json.loads(json.dumps(result_to_json(result)))
+        ).coloring
+        assert back == coloring
+        assert repr(back) == repr(coloring)
+        assert dict(back) == mapping
+        assert list(back) == sorted(mapping.items())
+
+    def test_none_and_int64_min_have_different_digests(self):
+        cut = Coloring.from_mapping({0: None})
+        low = Coloring.from_mapping({0: -(2**63)})
+        assert cut.colors.dtype == object and low.colors.dtype != object
+        assert cut != low and repr(cut) != repr(low)
+
+    def test_only_exact_ints_pack(self):
+        assert Coloring.from_mapping({0: 1, 1: 2}).colors.dtype != object
+        for odd in (True, 1.0, 2**63, None):
+            coloring = Coloring.from_mapping({0: 1, 1: odd})
+            assert coloring.colors.dtype == object
+            assert list(coloring) == [(0, 1), (1, odd)]
+
+    @pytest.mark.parametrize(
+        "color, dtype",
+        [
+            (127, "<i1"),
+            (-128, "<i1"),
+            (128, "<i2"),
+            (-129, "<i2"),
+            (2**15, "<i4"),
+            (2**31, "<i8"),
+            (-(2**63), "<i8"),
+        ],
+    )
+    def test_narrowest_dtype_packs(self, color, dtype):
+        coloring = Coloring.from_mapping({3: color, 7: color})
+        assert _column_to_json(coloring.colors)[0] == dtype
+        assert _column_to_json(coloring.nodes)[0] == "<i1"
+
+    def test_dense_nodes_are_a_range(self):
+        coloring = Coloring.from_mapping({2: 5, 0: 5, 1: 6})
+        assert list(coloring) == [(0, 5), (1, 6), (2, 5)]
+        assert _column_to_json(coloring.nodes) == ["range", 3]
+
+    def test_unsorted_or_ragged_columns_are_refused(self):
+        with pytest.raises(ValueError):
+            Coloring([1, 0], [5, 5])
+        with pytest.raises(ValueError):
+            Coloring([0, 1], [5])
+
+
+class TestHugeTierCell:
+    """One ``trial x gnp-huge-16384`` cell on the vectorized engine."""
+
+    CELL = SweepCell.from_workload("trial", "gnp-huge-16384", 0)
+
+    def test_fingerprint_is_small(self):
+        cells = [self.CELL, dataclasses.replace(self.CELL, seed=1)]
+        swept = SweepBackend(
+            executor="serial", inner="vectorized"
+        ).run_grid(cells)
+        assert swept.ok, [c.error for c in swept.failures]
+        assert len(swept.fingerprint()) < 2048 * len(cells)
+
+    def test_a_run_leaves_no_cyclic_network(self):
+        """A network and its plan are freed by reference counting
+        alone: no cycle keeps the 2**20-node arrays alive until the
+        next gen-2 collection."""
+        run_cell(self.CELL, inner="vectorized")  # warm the cache
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = run_cell(self.CELL, inner="vectorized")
+            gc.collect()
+            cyclic = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (Network, NetworkPlan))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert result.ok, result.error
+        assert cyclic == []
