@@ -4,7 +4,8 @@ Regenerates the E21 table: the round-level backends (``reference``,
 ``vectorized``) must produce identical colorings and round counts on
 the large-tier workloads, ``vectorized`` must beat the ``reference``
 generator loop wall-clock where a kernel applies, and a sweep grid
-must aggregate byte-identically at any worker count.
+(the grid executor over those two engines) must aggregate
+byte-identically at any worker count.
 
 pytest-benchmark prints the timing rows: the per-backend wall-clock
 on the largest corpus workload, the vectorized-over-reference speedup
@@ -16,8 +17,8 @@ locally-iterative / part-offset poly-phase kernels behind
 deterministic-d2 and eps-d2-coloring.  Both legs of each ratio run
 back to back in this process, so the floors compare like with like.
 The instance-cache test asserts one G² build per instance, shared by
-every cell's contract checks, and prints what the cached adjacency
-saves the checker.
+every cell's contract checks, and prints what the cached G² CSR rows
+save the checker.
 """
 
 import random
@@ -270,7 +271,7 @@ def test_kernel_speedup_poly_phase(benchmark, kernel):
 
 def test_sweep_backend_grid_smoke(benchmark):
     """A registry × workload × seed grid through the process pool."""
-    assert set(available_backends()) >= {"reference", "vectorized", "sweep"}
+    assert available_backends() == ("reference", "vectorized")
     cells = grid_cells(
         specs=[
             registry.get_algorithm(name)
@@ -330,7 +331,7 @@ def test_instance_cache_removes_per_cell_square_rebuild(benchmark):
     assert stats["square_builds"] == 1, stats
     assert len(conformance.records) == len(specs)
 
-    # Quantify the removed work: checker with the cached adjacency vs
+    # Quantify the removed work: checker with the cached G² rows vs
     # the per-cell BFS recomputation it replaced.
     instance = cache.get(workload, 21)
     coloring = dict(
@@ -344,7 +345,7 @@ def test_instance_cache_removes_per_cell_square_rebuild(benchmark):
     t0 = time.perf_counter()
     cached = check_d2_coloring(
         instance.graph(), coloring, bound,
-        adjacency=instance.d2_adjacency(),
+        adjacency=instance.square_csr(),
     )
     cached_s = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -353,5 +354,5 @@ def test_instance_cache_removes_per_cell_square_rebuild(benchmark):
     assert cached.valid == bfs.valid
     print(
         f"{workload.name}: checker {cached_s * 1e3:.2f} ms with the "
-        f"cached G² adjacency, {bfs_s * 1e3:.2f} ms rebuilding it"
+        f"cached G² rows, {bfs_s * 1e3:.2f} ms rebuilding it"
     )

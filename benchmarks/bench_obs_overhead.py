@@ -11,8 +11,9 @@ halves of that contract on the ``gnp-huge-262144`` vectorized tier:
   fingerprint** to the untraced twin — tracing observes the run, it
   never perturbs RNG, fingerprints, or digests;
 - the traced sweep's wall clock must stay within 5% of the untraced
-  one (best of three per side, to keep allocator/IO noise out of the
-  ratio).
+  one (best of five per side, to keep allocator/IO noise out of the
+  ratio; the two sides interleave and take turns running first, so
+  neither always runs on the warmer or the colder machine).
 
 Not part of the CI bench smoke subset: run on demand with
 ``pytest -m slow benchmarks/bench_obs_overhead.py``.
@@ -45,7 +46,7 @@ pytestmark = pytest.mark.slow
 
 WORKLOAD = "gnp-huge-262144"
 MAX_OVERHEAD = 1.05
-REPEATS = 3
+REPEATS = 5
 
 
 def _single_shard_sweep(cells, tmp):
@@ -77,17 +78,19 @@ def test_tracing_overhead_and_fingerprint(tmp_path):
     plain_walls, traced_walls = [], []
     plain_sweep = traced_sweep = None
     for repeat in range(REPEATS):
-        wall, plain_sweep = _timed_sweep(cells)
-        plain_walls.append(wall)
-
         trace_dir = tmp_path / f"trace{repeat}"
-        trace_dir.mkdir()
-        enable(trace_dir)
-        try:
-            wall, traced_sweep = _timed_sweep(cells)
-        finally:
-            disable()
-        traced_walls.append(wall)
+        for traced in (False, True) if repeat % 2 else (True, False):
+            if not traced:
+                wall, plain_sweep = _timed_sweep(cells)
+                plain_walls.append(wall)
+                continue
+            trace_dir.mkdir()
+            enable(trace_dir)
+            try:
+                wall, traced_sweep = _timed_sweep(cells)
+            finally:
+                disable()
+            traced_walls.append(wall)
 
     assert plain_sweep.ok and traced_sweep.ok
     assert traced_sweep.fingerprint() == plain_sweep.fingerprint(), (

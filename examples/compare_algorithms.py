@@ -11,8 +11,8 @@ Hoffman–Singleton, whose squares are complete, plus a random regular
 graph), or naming any registered workloads with ``--workloads``.
 
 Instances come from the workload cache, so the graph and its G²
-artifacts are built once however many algorithms run, and the
-validity check reuses the cached adjacency.
+rows are built once however many algorithms run, and the validity
+check scans the cached G² CSR rows.
 
 The execution engine is selectable (see docs/BACKENDS.md): pass
 ``--backend vectorized`` for the array engine, or
@@ -46,7 +46,7 @@ def run_all(instance, backend=None):
             graph,
             result.coloring,
             result.palette_size,
-            adjacency=instance.d2_adjacency(),
+            adjacency=instance.square_csr(),
         ).valid
         rows.append(
             [
@@ -96,7 +96,7 @@ def run_all_swept(instances, workers, backend=None):
             instance.graph(),
             dict(cell.coloring),
             cell.palette_size,
-            adjacency=instance.d2_adjacency(),
+            adjacency=instance.square_csr(),
         ).valid
         rows.append(
             [
@@ -116,7 +116,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=[b for b in available_backends() if b != "sweep"],
+        choices=available_backends(),
         default=None,
         help="execution engine for each run (default: reference)",
     )

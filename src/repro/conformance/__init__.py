@@ -9,9 +9,9 @@ d2-coloring algorithm must satisfy and checks it on a shared corpus:
   families), re-exported here;
 - :mod:`repro.conformance.runner` — the differential runner executing
   every :data:`repro.registry.ALGORITHMS` spec on every applicable
-  scenario, validating with :mod:`repro.verify.checker` against the
-  cached per-instance G² adjacency and metering bandwidth via
-  :mod:`repro.congest.metrics`.
+  scenario through one sweep grid, validating with
+  :mod:`repro.verify.checker` against the cached per-instance G² CSR
+  rows and metering bandwidth via :mod:`repro.congest.metrics`.
 
 Quick sweep::
 

@@ -3,11 +3,11 @@
 Executes every registered algorithm on every applicable scenario and
 checks the shared contract:
 
-- the coloring is checker-valid (``repro.verify.checker``; the
-  distance-2 adjacency comes from the workload instance cache, so G²
-  is derived once per instance instead of once per spec × scenario —
-  the checker-vs-square agreement itself is property-tested
-  independently in ``tests/test_checker_properties.py``);
+- the coloring is checker-valid (``repro.verify.checker``, reading
+  the G² CSR rows of the workload instance cache, so G² is derived
+  once per instance instead of once per spec × scenario — the
+  CSR-vs-BFS agreement itself is property-tested independently in
+  ``tests/test_csr_parity.py``);
 - the coloring is complete and uses at most the spec's palette bound;
 - distributed runs are metered by :mod:`repro.congest.metrics`
   against the bandwidth policy (budget recorded, zero violations when
@@ -51,8 +51,6 @@ def coloring_fingerprint(result: ColoringResult) -> Tuple:
 def _scenario_instance(scenario, seed: int) -> Instance:
     """The cached instance behind a scenario (registered workloads hit
     the registry cache; ad-hoc scenarios are interned by content)."""
-    from repro.workloads import is_registered_spec
-
     cache = instance_cache()
     if is_registered_spec(scenario):
         return cache.get(scenario, seed)
@@ -154,18 +152,12 @@ def _check_record(
     """Validate one run against the contract.
 
     ``instance``, when given, supplies the cached derived artifacts
-    (Δ, the G² adjacency) so the checks reuse one computation per
+    (Δ, the G² CSR rows) so the checks reuse one computation per
     instance instead of recomputing per spec × scenario.
     """
     if instance is not None:
         delta = instance.delta
-        csr = instance.square_csr()
-        if csr.has_selfloops:
-            adjacency = instance.d2_adjacency()
-        else:
-            # Array fast path: the checker scans the G² CSR rows
-            # instead of walking a set-of-sets adjacency.
-            adjacency = csr
+        adjacency = instance.square_csr()
     else:
         delta = max_degree(graph)
         adjacency = None
@@ -268,7 +260,7 @@ class _CellEvaluator:
     metering, repeatability) *inside* the worker, so the expensive
     part of large-instance conformance parallelizes instead of
     serializing in the parent.  The cell's instance — including the
-    prebuilt G² adjacency shipped through the pool initializer — comes
+    prebuilt G² rows shipped through the pool initializer — comes
     from the worker's :func:`~repro.workloads.instance_cache`, so the
     checks never recompute the square graph per cell.
 
@@ -350,21 +342,23 @@ def run_conformance(
     """Differentially run ``specs`` × ``scenarios`` and check them all.
 
     Scenario instances come from the workload cache, built once per
-    scenario with their derived artifacts (Δ, G² adjacency) shared by
-    every algorithm — that is what makes the sweep differential
+    scenario with their derived artifacts (Δ, the G² CSR rows) shared
+    by every algorithm — that is what makes the sweep differential
     rather than a set of independent smoke tests, and what keeps the
     contract checks off the per-cell G²-rebuild path.
 
-    ``backend`` selects the execution engine (see ``docs/BACKENDS.md``):
-    a round-level engine name ("reference", "vectorized") runs the usual
-    serial matrix on that engine; a
-    :class:`~repro.exec.sweep.SweepBackend` (or the name "sweep") fans
-    the whole registry × scenario grid across its worker pool — with
-    the contract checks executing inside the workers, against prebuilt
-    instances shipped through the pool initializer.  Reports are
+    The matrix is always a grid of cells mapped through a
+    :class:`~repro.exec.sweep.SweepBackend`, with the contract checks
+    executing inside its workers against prebuilt instances.
+    ``backend`` is that grid executor, or the engine every cell runs
+    on (a name such as "vectorized", an engine object, or ``None``
+    for the ambient engine), run on a serial grid.  Reports are
     identical either way — cells are self-contained and collected in
     grid order.
     """
+    from repro.exec import get_backend
+    from repro.exec.sweep import SweepBackend, SweepCell
+
     # Read ALGORITHMS through the module attribute (not a frozen
     # from-import) so specs registered after import are swept too.
     specs = (
@@ -374,106 +368,69 @@ def run_conformance(
         list(scenarios) if scenarios is not None else build_corpus()
     )
     policy = policy or BandwidthPolicy()
+    grid = (
+        backend
+        if isinstance(backend, SweepBackend)
+        else SweepBackend(executor="serial", inner=backend)
+    )
+    # An unknown engine name raises here, not inside every cell.
+    get_backend(grid.inner)
     report = ConformanceReport()
 
-    from repro.exec import get_backend
-    from repro.exec.sweep import SweepBackend, SweepCell
-
-    engine = get_backend(backend) if backend is not None else None
-    if isinstance(engine, SweepBackend):
-        # Grid path: build all cells up front, fan out, re-group.
-        cells = []
-        instances = []
-        stats = {}  # scenario name -> (scenario, n, delta)
-        for scenario in scenarios:
-            instance = _scenario_instance(scenario, seed)
-            # Prewarm the expensive artifact once, in the parent, so
-            # process workers receive it prebuilt (the G² CSR rows —
-            # what the checker fast path consumes).
-            instance.square_csr()
-            instances.append(instance)
-            graph = instance.graphlike()
-            stats[scenario.name] = (
-                scenario,
-                instance.n,
-                instance.delta,
-            )
-            for spec in specs:
-                if not spec.applicable(graph):
-                    report.skipped.append((scenario.name, spec.name))
-                    continue
-                # The evaluator carries the policy; cells stay lean:
-                # workload-keyed when registered (resolved through
-                # the worker cache seeded with the prebuilt
-                # instances), payload-carrying otherwise.
-                if is_registered_spec(scenario):
-                    cells.append(
-                        SweepCell.from_workload(
-                            spec.name, scenario.name, seed
-                        )
-                    )
-                else:
-                    cells.append(
-                        SweepCell(
-                            algorithm=spec.name,
-                            scenario=scenario.name,
-                            seed=seed,
-                            nodes=instance.nodes,
-                            edges=instance.edges,
-                        )
-                    )
-        extra_specs = {}
-        for spec in specs:
-            try:
-                registered = registry.get_algorithm(spec.name)
-            except KeyError:
-                registered = None
-            if registered is not spec:
-                extra_specs[spec.name] = spec
-        evaluator = _CellEvaluator(
-            policy, check_repeatability, engine.inner, extra_specs
-        )
-        report.records = engine.map(evaluator, cells, instances=instances)
-        by_scenario: Dict[str, List[ConformanceRecord]] = {}
-        for record in report.records:
-            if not record.raised:
-                by_scenario.setdefault(record.scenario, []).append(
-                    record
-                )
-        for name, records in by_scenario.items():
-            scenario, n, delta = stats[name]
-            _differential_checks(scenario, n, delta, records)
-        return report
-
-    for scenario in scenarios:
+    cells = []
+    positions = []  # the scenario position of each cell
+    instances = []
+    for position, scenario in enumerate(scenarios):
         instance = _scenario_instance(scenario, seed)
+        instances.append(instance)
         graph = instance.graphlike()
-        delta = instance.delta
-        scenario_records: List[ConformanceRecord] = []
+        keyed = is_registered_spec(scenario)
+        first_cell = len(cells)
         for spec in specs:
             if not spec.applicable(graph):
                 report.skipped.append((scenario.name, spec.name))
                 continue
-            record = evaluate_pair(
-                spec,
-                graph,
-                scenario.name,
-                seed,
-                policy,
-                check_repeatability,
-                engine,
-                instance=instance,
-            )
-            report.records.append(record)
-            if not record.raised:
-                scenario_records.append(record)
+            # The evaluator carries the policy; cells stay lean:
+            # workload-keyed when registered (resolved through the
+            # worker cache seeded with the prebuilt instances),
+            # payload- and attribute-carrying otherwise.
+            if keyed:
+                cells.append(
+                    SweepCell.from_workload(spec.name, scenario.name, seed)
+                )
+            else:
+                cells.append(
+                    SweepCell.from_graph(
+                        spec.name, scenario.name, seed, graph
+                    )
+                )
+            positions.append(position)
+        if len(cells) > first_cell:
+            # Derive G² once, in the parent, so process workers
+            # receive the rows prebuilt.
+            instance.square_csr()
+    extra_specs = {}
+    for spec in specs:
+        try:
+            registered = registry.get_algorithm(spec.name)
+        except KeyError:
+            registered = None
+        if registered is not spec:
+            extra_specs[spec.name] = spec
+    evaluator = _CellEvaluator(
+        policy, check_repeatability, grid.inner, extra_specs
+    )
+    report.records = grid.map(evaluator, cells, instances=instances)
 
-        # Differential cross-checks over the scenario's result set.
-        if scenario_records:
-            _differential_checks(
-                scenario,
-                instance.n,
-                delta,
-                scenario_records,
-            )
+    # Differential cross-checks over each scenario's result set,
+    # grouped by position: two scenarios may share a name.
+    by_position: Dict[int, List[ConformanceRecord]] = {}
+    for position, record in zip(positions, report.records):
+        if not record.raised:
+            by_position.setdefault(position, []).append(record)
+    for position, records in by_position.items():
+        instance = instances[position]
+        _differential_checks(
+            scenarios[position], instance.n, instance.delta, records
+        )
     return report

@@ -2,7 +2,7 @@
 
 ``repro.exec`` decouples *what* a run means (the lockstep CONGEST
 semantics fixed by :class:`~repro.congest.network.Network`) from *how*
-it is executed.  Three engines ship by default:
+it is executed.  Two engines ship by default:
 
 ``reference``
     The one generator round loop
@@ -13,12 +13,14 @@ it is executed.  Three engines ship by default:
     the hottest program classes (trial/slack, Luby MIS, the
     deterministic chain), with automatic fallback to ``reference``
     for everything else — the engine for the huge tier.
-``sweep``
-    A grid executor fanning algorithm × instance × seed cells across
-    ``concurrent.futures`` workers, with deterministic aggregation.
-    Cells reference workloads by key; prebuilt instances (graph, Δ,
-    G² adjacency from :mod:`repro.workloads`) ship to process workers
-    through the pool initializer.
+
+:class:`~repro.exec.sweep.SweepBackend` is not an engine but a grid
+executor: it fans algorithm × instance × seed cells across
+``concurrent.futures`` workers, each cell running on its ``inner``
+engine, with deterministic aggregation.  Cells reference workloads
+by key; prebuilt instances (graph, Δ, the CSR/G² arrays from
+:mod:`repro.workloads`) ship to process workers through the pool
+initializer.
 
 Grids also compile to *shard manifests* (:mod:`repro.exec.shards`):
 deterministic JSON, independently runnable and resumable shards with
@@ -84,7 +86,6 @@ from repro.exec.vectorized import VectorizedBackend
 #: The default engine instances, registered in order.
 REFERENCE = register_backend(ReferenceBackend())
 VECTORIZED = register_backend(VectorizedBackend())
-SWEEP = register_backend(SweepBackend())
 
 __all__ = [
     "CellResult",
@@ -98,7 +99,6 @@ __all__ = [
     "REFERENCE",
     "ReclaimPolicy",
     "ReferenceBackend",
-    "SWEEP",
     "ShardIncompleteError",
     "ShardManifest",
     "ShardStatus",

@@ -1,4 +1,4 @@
-"""The sweep execution backend: batch grids over worker pools.
+"""The sweep grid executor: batch grids over worker pools.
 
 A *sweep* executes a grid of independent cells — algorithm × instance
 × seed — and aggregates the results.  Cells are self-contained and
@@ -11,8 +11,8 @@ serial loop, a thread pool, a process pool — or sharded across hosts
 through :mod:`repro.exec.shards`.
 
 Workload-keyed cells are the fast path: the parent prebuilds each
-referenced instance once (graph, Δ, and — when a caller prewarms it —
-the G² adjacency) and process-pool workers receive the prebuilt
+referenced instance once (graph, Δ, and whatever CSR/G² arrays the
+caller has derived) and process-pool workers receive the prebuilt
 artifact through the pool initializer instead of rebuilding per cell.
 
 Determinism is a contract, not an accident: results are collected in
@@ -23,10 +23,8 @@ scheduling interleaving (property-tested in
 ``tests/test_sweep_properties.py``; shard-merge equivalence in
 ``tests/test_sweep_shards.py``).
 
-Single-network execution (the :class:`ExecutionBackend` duty) is
-delegated to the configured ``inner`` backend — by default
-``reference`` — so ``use_backend("sweep")`` is safe anywhere a
-round-level engine is expected.
+A :class:`SweepBackend` is not an engine: each cell runs on its
+``inner`` engine (``reference`` or ``vectorized``).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import numpy as np
 
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthPolicy
-from repro.exec.base import ExecutionBackend
 from repro.obs import trace as obs_trace
 
 #: Admissible ``executor`` values for :class:`SweepBackend`.
@@ -400,7 +397,6 @@ def run_cell(cell: SweepCell, inner: str = "reference") -> CellResult:
 
 def prebuild_instances(
     cells: Sequence[SweepCell],
-    prewarm_square: bool = False,
     prewarm_csr: bool = False,
 ) -> List:
     """Build (once, via the cache) every instance a grid references.
@@ -408,10 +404,8 @@ def prebuild_instances(
     Returns the distinct :class:`~repro.workloads.cache.Instance`
     objects in first-reference order — the payload
     :meth:`SweepBackend.map` ships to process-pool workers.  With
-    ``prewarm_square`` the G² adjacency is computed in the parent too,
-    so workers never rebuild it (the conformance contract checks are
-    the consumer); ``prewarm_csr`` does the same for the CSR arrays
-    the ``vectorized`` engine consumes.
+    ``prewarm_csr`` the CSR arrays the ``vectorized`` engine consumes
+    are built in the parent too, so workers never rebuild them.
     """
     seen = {}
     for cell in cells:
@@ -436,14 +430,12 @@ def prebuild_instances(
     instances = list(seen.values())
     for instance in instances:
         instance.delta  # noqa: B018 - memoize before pickling
-        if prewarm_square:
-            instance.d2_adjacency()
         if prewarm_csr:
             instance.csr()
     return instances
 
 
-class SweepBackend(ExecutionBackend):
+class SweepBackend:
     """Grid executor over :mod:`concurrent.futures` workers.
 
     Parameters
@@ -456,11 +448,10 @@ class SweepBackend(ExecutionBackend):
         simulator), ``"thread"`` (cheap startup, useful for small
         grids and property tests) or ``"serial"``.
     inner:
-        Round-level backend name workers run each cell with, and the
-        engine single ``execute`` calls delegate to.
+        Engine each cell runs on: a registered engine name, or (on
+        the serial executor) an engine object or ``None`` for the
+        ambient engine.
     """
-
-    name = "sweep"
 
     def __init__(
         self,
@@ -475,16 +466,6 @@ class SweepBackend(ExecutionBackend):
         self.max_workers = max_workers
         self.executor = executor
         self.inner = inner
-
-    # -- round-level duty ------------------------------------------------
-
-    def execute(self, network, **kwargs):
-        """A single network run has no grid to fan out; delegate."""
-        from repro.exec.base import get_backend
-
-        return get_backend(self.inner).execute(network, **kwargs)
-
-    # -- grid execution --------------------------------------------------
 
     def _pool(self, instances: Sequence = ()):
         if self.executor == "thread":
@@ -530,11 +511,7 @@ class SweepBackend(ExecutionBackend):
             futures = [pool.submit(fn, item) for item in items]
             return [future.result() for future in futures]
 
-    def run_grid(
-        self,
-        cells: Sequence[SweepCell],
-        prewarm_square: bool = False,
-    ) -> SweepResult:
+    def run_grid(self, cells: Sequence[SweepCell]) -> SweepResult:
         """Execute every cell and aggregate, deterministically.
 
         Instances referenced by the grid are prebuilt once in the
@@ -553,9 +530,7 @@ class SweepBackend(ExecutionBackend):
         ) as sp:
             with obs_trace.span("sweep.prebuild"):
                 instances = prebuild_instances(
-                    cells,
-                    prewarm_square=prewarm_square,
-                    prewarm_csr=(self.inner == "vectorized"),
+                    cells, prewarm_csr=(self.inner == "vectorized")
                 )
             results = self.map(
                 _CellRunner(self.inner), cells, instances=instances

@@ -9,7 +9,7 @@ the CONGEST protocols themselves never touch G² directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 import networkx as nx
 
@@ -52,15 +52,12 @@ def d2_degree(
 ) -> int:
     """Degree of ``node`` in G² (number of d2-neighbors).
 
-    ``adjacency`` short-circuits the BFS with a precomputed artifact:
-    either a ``{node: d2-neighbors}`` map or a
+    ``adjacency`` short-circuits the BFS with a precomputed
     :class:`~repro.exec.arrays.CSRAdjacency` (whose lazily derived G²
     degree array is read directly, no Python sets involved).
     """
     if adjacency is not None:
-        if hasattr(adjacency, "g_indptr"):
-            return int(adjacency.d2_degrees[adjacency.index[node]])
-        return len(adjacency[node])
+        return int(adjacency.d2_degrees[adjacency.index[node]])
     return len(d2_neighbors(graph, node))
 
 
@@ -81,20 +78,16 @@ def max_d2_degree(
 ) -> int:
     """Maximum degree of G²; at most Δ² for Δ the max degree of G.
 
-    ``adjacency`` (a ``{node: d2-neighbors}`` map or a
-    :class:`~repro.exec.arrays.CSRAdjacency`) skips the set-based
-    :func:`d2_neighborhoods` rebuild.  A CSR-backed graph view that
-    carries its arrays (``graph.csr_adjacency``) is detected
-    automatically, so array-born instances never pay for the dict.
+    ``adjacency`` (a :class:`~repro.exec.arrays.CSRAdjacency`) skips
+    the set-based :func:`d2_neighborhoods` rebuild.  A CSR-backed
+    graph view that carries its arrays (``graph.csr_adjacency``) is
+    detected automatically, so array-born instances never pay for the
+    dict.
     """
     if adjacency is None:
         adjacency = getattr(graph, "csr_adjacency", None)
     if adjacency is not None:
-        if hasattr(adjacency, "g_indptr"):
-            return int(adjacency.d2_degrees.max(initial=0))
-        return max(
-            (len(nbrs) for nbrs in adjacency.values()), default=0
-        )
+        return int(adjacency.d2_degrees.max(initial=0))
     neighborhoods = d2_neighborhoods(graph)
     return max((len(nbrs) for nbrs in neighborhoods.values()), default=0)
 

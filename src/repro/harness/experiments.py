@@ -1076,8 +1076,8 @@ def e20_conformance(seed: int = 20, backend=None) -> ExperimentTable:
     automatically.
 
     ``backend`` is forwarded to :func:`run_conformance`: pass a
-    :class:`~repro.exec.sweep.SweepBackend` (or "sweep") and the whole
-    matrix fans out across workers with identical results.
+    :class:`~repro.exec.sweep.SweepBackend` and the whole matrix fans
+    out across workers with identical results.
     """
     from repro.conformance import build_corpus, run_conformance
 

@@ -6,11 +6,11 @@ with a plain per-node BFS so that a bug in the shared square-graph
 code cannot mask itself in the tests
 (``tests/test_checker_properties.py`` pins the two against each
 other).  Hot paths that check many colorings of the *same* instance —
-the conformance sweep, the shard workers — may pass a precomputed
-``adjacency`` (the cached G² adjacency from
-:meth:`repro.workloads.Instance.d2_adjacency`) to skip the per-call
-BFS; the independence guarantee then rests on the property test
-rather than on every call.
+the conformance sweep, the shard workers — may pass the instance's
+CSR arrays (:meth:`repro.workloads.Instance.square_csr`) as
+``adjacency`` to scan G² rows instead of the per-call BFS; the
+independence guarantee then rests on the parity suite
+(``tests/test_csr_parity.py``) rather than on every call.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import NoneType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -91,10 +91,10 @@ def _colors_used(coloring) -> int:
 
 def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
     """Array fast path over CSR rows; ``None`` declines the check
-    (self-loops, unsupported ``k``, or colors int64 can't compare
-    exactly), in which case the caller falls back to BFS."""
-    if csr.has_selfloops:
-        return None
+    (unsupported ``k``, or colors int64 can't compare exactly), in
+    which case the caller falls back to BFS.  The rows hold no
+    self-loops and G² no diagonal, so a self-loop never conflicts,
+    as in the BFS."""
     if k == 1:
         indptr, indices = csr.g_indptr, csr.g_indices
     elif k == 2:
@@ -170,20 +170,18 @@ def check_distance_k_coloring(
 ) -> CheckReport:
     """Check that nodes within distance ``k`` have distinct colors.
 
-    ``adjacency``, when given, is either a precomputed ``{node:
-    distance-<=k neighbors}`` map (e.g. the cached G² adjacency for
-    ``k == 2``) used instead of the per-node BFS, or a
-    :class:`~repro.exec.arrays.CSRAdjacency` of G — the array fast
+    ``adjacency``, when given, is the
+    :class:`~repro.exec.arrays.CSRAdjacency` of G: the array fast
     path then checks every pair with a handful of vectorized passes
     over the CSR rows (``k`` 1 and 2; anything it cannot replay
-    exactly falls back to BFS).  Same verdicts either way; conflict
-    pairs from the CSR path come out lexicographically sorted.
+    exactly falls back to the per-node BFS).  Same verdicts either
+    way; conflict pairs from the CSR path come out lexicographically
+    sorted.
     """
-    if adjacency is not None and hasattr(adjacency, "g_indptr"):
+    if adjacency is not None:
         report = _check_csr(adjacency, coloring, k, palette_size)
         if report is not None:
             return report
-        adjacency = None
     uncolored = [
         v for v in graph.nodes if coloring.get(v) is None
     ]
@@ -200,11 +198,7 @@ def check_distance_k_coloring(
         cv = coloring.get(v)
         if cv is None:
             continue
-        within = (
-            adjacency[v] if adjacency is not None
-            else _nodes_within(graph, v, k)
-        )
-        for u in within:
+        for u in _nodes_within(graph, v, k):
             if u <= v:
                 continue
             if coloring.get(u) == cv:
@@ -225,7 +219,7 @@ def check_d2_coloring(
     graph: nx.Graph,
     coloring: Dict[int, Optional[int]],
     palette_size: Optional[int] = None,
-    adjacency: Optional[Mapping[int, Iterable[int]]] = None,
+    adjacency: Optional[Any] = None,
 ) -> CheckReport:
     """Check a distance-2 coloring (the paper's main object)."""
     return check_distance_k_coloring(

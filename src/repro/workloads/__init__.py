@@ -11,7 +11,7 @@ workloads live:
   related-work families (color sampling 2021, congested relays 2023);
 - :mod:`repro.workloads.cache` — the content-addressed
   :class:`InstanceCache` memoizing built graphs and their expensive
-  derived artifacts (G² adjacency, Δ, d2-degree tables) so they are
+  derived artifacts (Δ, the CSR rows of G and G²) so they are
   computed once and shared across every spec × backend × seed cell.
 
 See ``docs/WORKLOADS.md``.

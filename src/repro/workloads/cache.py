@@ -1,10 +1,11 @@
 """Content-addressed instance cache with memoized derived artifacts.
 
-Building a workload graph is cheap; the *derived* artifacts — the G²
-adjacency, Δ, and the d2-degree table — are the dominant cost of a
-sweep cell now that the round loop is fast.  An :class:`Instance`
-bundles a built graph with those artifacts, computed lazily and
-exactly once; an :class:`InstanceCache` content-addresses instances by
+Building a workload graph is cheap; the *derived* artifacts — Δ and
+the CSR arrays of G and G² (:meth:`Instance.csr`,
+:meth:`Instance.square_csr`) — are the dominant cost of a sweep cell
+now that the round loop is fast.  An :class:`Instance` bundles a
+built graph with those artifacts, computed lazily and exactly once;
+an :class:`InstanceCache` content-addresses instances by
 ``(workload, params, seed)`` so every spec × backend × seed cell of a
 grid shares the same artifact instead of rebuilding it.
 
@@ -31,7 +32,6 @@ from repro.exec.arrays import (
     register_csr,
 )
 from repro.graphs.csrgraph import CSRGraphView
-from repro.graphs.square import max_d2_degree as graph_max_d2_degree
 from repro.obs import trace as obs_trace
 from repro.workloads.spec import ParamsKey, get_workload
 
@@ -151,7 +151,7 @@ class Instance:
     CSR-born instances (built by the CSR-direct generators, arriving
     as a :class:`CSRGraphView`) keep the arrays as the *primary*
     artifact: the node/edge tuples, the content digest, Δ, and the
-    d2-degree table all come straight from the CSR, and the nx graph
+    G² rows all come straight from the CSR, and the nx graph
     is built (as a copy of the view) only if a fallback/reference
     path asks for it.
 
@@ -172,9 +172,6 @@ class Instance:
         "_graphlike",
         "_csr_born",
         "_delta",
-        "_d2_adjacency",
-        "_d2_degrees",
-        "_square",
         "_csr",
         "_digest",
         "_stats",
@@ -215,9 +212,6 @@ class Instance:
         self._graphlike = graphlike
         self._csr_born = csr is not None and nodes is None
         self._delta: Optional[int] = None
-        self._d2_adjacency: Optional[Dict[Any, frozenset]] = None
-        self._d2_degrees: Optional[Dict[Any, int]] = None
-        self._square: Optional[nx.Graph] = None
         self._csr = csr
         self._digest: Optional[str] = None
         #: Stats of the owning cache (bound on get/intern/install) so
@@ -395,71 +389,6 @@ class Instance:
         csr.g2_indptr  # noqa: B018 - forces the lazy derivation
         return csr
 
-    def d2_adjacency(self) -> Dict[Any, frozenset]:
-        """``{node: frozenset of d2-neighbors}`` — the G² adjacency
-        in the set-of-sets form the conformance paths consume,
-        computed once per instance *from the CSR arrays* (the
-        set-based :func:`d2_neighborhoods` stays as the reference
-        oracle; a parity suite pins the equivalence)."""
-        if self._d2_adjacency is None:
-            csr = self.square_csr()
-            order = csr.order
-            indptr = csr.g2_indptr
-            indices = csr.g2_indices
-            if isinstance(order, range):
-                self._d2_adjacency = {
-                    v: frozenset(
-                        indices[indptr[v]:indptr[v + 1]].tolist()
-                    )
-                    for v in order
-                }
-            else:
-                self._d2_adjacency = {
-                    order[i]: frozenset(
-                        order[j]
-                        for j in indices[
-                            indptr[i]:indptr[i + 1]
-                        ].tolist()
-                    )
-                    for i in range(csr.n)
-                }
-        return self._d2_adjacency
-
-    def square(self) -> nx.Graph:
-        """G² as a graph object (memoized, built from the adjacency)."""
-        if self._square is None:
-            sq = nx.Graph()
-            sq.add_nodes_from(self.nodes)
-            for v, nbrs in self.d2_adjacency().items():
-                for u in nbrs:
-                    sq.add_edge(v, u)
-            self._square = sq
-        return self._square
-
-    def d2_degrees(self) -> Dict[Any, int]:
-        """Per-node d2-degree table (degree in G²)."""
-        if self._d2_degrees is None:
-            if self._d2_adjacency is not None:
-                self._d2_degrees = {
-                    v: len(nbrs)
-                    for v, nbrs in self._d2_adjacency.items()
-                }
-            else:
-                csr = self.square_csr()
-                counts = csr.d2_degrees.tolist()
-                self._d2_degrees = {
-                    v: counts[i]
-                    for i, v in enumerate(csr.order)
-                }
-        return self._d2_degrees
-
-    def max_d2_degree(self) -> int:
-        if self._d2_degrees is not None:
-            return max(self._d2_degrees.values(), default=0)
-        return graph_max_d2_degree(
-            None, adjacency=self.square_csr()
-        )
-
     def csr(self) -> CSRAdjacency:
         """The CSR-form G/G² adjacency arrays the ``vectorized``
         backend and the checker fast path execute over (see
@@ -492,8 +421,6 @@ class Instance:
             "edge_attrs": self._edge_attrs,
             "csr_born": self._csr_born,
             "delta": self._delta,
-            "d2_adjacency": self._d2_adjacency,
-            "d2_degrees": self._d2_degrees,
             "csr": self._csr,
             "digest": self._digest,
         }
@@ -510,10 +437,7 @@ class Instance:
         self._graph = None
         self._graphlike = None
         self._csr_born = state.get("csr_born", False)
-        self._square = None
         self._delta = state["delta"]
-        self._d2_adjacency = state["d2_adjacency"]
-        self._d2_degrees = state["d2_degrees"]
         self._csr = state.get("csr")
         self._digest = state["digest"]
         self._stats = None

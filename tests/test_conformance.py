@@ -209,3 +209,46 @@ class TestDifferentialSweep:
         assert [sorted(r.failures) for r in serial.records] == [
             sorted(r.failures) for r in swept.records
         ]
+
+    def test_grid_cells_keep_adhoc_attributes(self):
+        """An ad-hoc weighted scenario is one cached instance with one
+        G² derivation on a worker pool, as it is serially: its cells
+        carry the edge weights, so a worker interns the instance the
+        parent prebuilt instead of an attribute-free twin."""
+        from repro.exec import SweepBackend
+        from repro.graphs.generators import weighted_gnp
+        from repro.workloads import adhoc, instance_cache
+
+        scenario = adhoc("wg", lambda s: weighted_gnp(30, 0.2, seed=s))
+        cache = instance_cache()
+        cache.clear()
+        report = run_conformance(
+            specs=[get_algorithm("greedy-oracle")],
+            scenarios=[scenario],
+            seed=0,
+            backend=SweepBackend(executor="thread", max_workers=2),
+        )
+        assert report.ok, report.explain()
+        assert len(cache) == 1
+        assert cache.stats.square_builds == 1
+
+    def test_namesake_scenarios_checked_separately(self):
+        """Two ad-hoc scenarios sharing a name get their own
+        differential checks: each Moore graph needs exactly its own n
+        colors."""
+        from repro.exec import SweepBackend
+        from repro.graphs.instances import cycle5, petersen
+        from repro.workloads import adhoc
+
+        scenarios = [
+            adhoc("moore", lambda s: petersen(), tags={"tight"}),
+            adhoc("moore", lambda s: cycle5(), tags={"tight"}),
+        ]
+        report = run_conformance(
+            specs=[get_algorithm("greedy-oracle")],
+            scenarios=scenarios,
+            seed=0,
+            backend=SweepBackend(executor="serial"),
+        )
+        assert report.ok, report.explain()
+        assert [r.colors_used for r in report.records] == [10, 5]

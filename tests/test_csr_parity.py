@@ -72,6 +72,34 @@ def graph_with_wild_coloring(draw, max_n: int = 12):
     return graph, coloring, palette
 
 
+@st.composite
+def graph_with_selfloops_and_coloring(draw, max_n: int = 12):
+    """A graph with at least one self-loop and a maker of ``(coloring,
+    palette)`` pairs for distance ``k``: a greedy valid one and a
+    hostile one (see :func:`graph_with_wild_coloring`)."""
+    graph, wild, palette = draw(graph_with_wild_coloring(max_n=max_n))
+    loops = draw(
+        st.lists(
+            st.sampled_from(sorted(graph.nodes)), min_size=1, max_size=4
+        )
+    )
+    graph.add_edges_from((v, v) for v in loops)
+
+    def colorings(k):
+        hoods = (
+            d2_neighborhoods(graph)
+            if k == 2
+            else {v: set(graph[v]) - {v} for v in graph.nodes}
+        )
+        greedy = {}
+        for v in sorted(graph.nodes):
+            taken = {greedy.get(u) for u in hoods[v]}
+            greedy[v] = next(c for c in range(len(graph)) if c not in taken)
+        return (greedy, len(graph)), (wild, palette)
+
+    return graph, colorings
+
+
 def csr_rows_as_sets(csr):
     """``{node: frozenset(row)}`` of a CSR artifact's G rows."""
     indptr, indices = csr.g_indptr, csr.g_indices
@@ -131,19 +159,12 @@ class TestSquareCsrMatchesOracle:
     @settings(max_examples=100)
     def test_degree_helpers_accept_adjacency(self, graph):
         csr = build_csr(graph)
-        hoods = d2_neighborhoods(graph)
         assert max_d2_degree(graph) == max_d2_degree(
             None, adjacency=csr
-        )
-        assert max_d2_degree(graph) == max_d2_degree(
-            None, adjacency=hoods
         )
         for v in graph.nodes:
             assert d2_degree(graph, v) == d2_degree(
                 None, v, adjacency=csr
-            )
-            assert d2_degree(graph, v) == d2_degree(
-                None, v, adjacency=hoods
             )
 
     def test_view_detected_without_materializing(self):
@@ -278,16 +299,50 @@ class TestCsrCheckerMatchesBfs:
         # and the fallback must not have int64-truncated anything.
         assert report.valid
 
-    def test_selfloop_graphs_decline_fast_path(self):
+    def test_selfloop_graphs_take_fast_path(self):
+        from repro.verify.checker import _check_csr
+
         graph = nx.Graph([(0, 1), (1, 1), (1, 2)])
         csr = build_csr(graph)
         assert csr.has_selfloops
         coloring = {0: 0, 1: 1, 2: 0}
+        assert _check_csr(csr, coloring, 2, None) is not None
         report = check_distance_k_coloring(
             graph, coloring, 2, adjacency=csr
         )
         assert not report.valid
         assert (0, 2) in report.conflicts
+
+    @given(graph_with_selfloops_and_coloring(), st.integers(1, 2))
+    @settings(max_examples=200)
+    def test_selfloop_graphs_same_verdicts(self, case, k):
+        """A self-loop never makes a node its own distance-k
+        neighbor: the CSR rows skip it and G² has no diagonal, so the
+        fast path answers, and answers like the BFS, on valid and
+        invalid colorings alike."""
+        from repro.verify.checker import _check_csr
+
+        graph, colorings = case
+        csr = build_csr(graph)
+        pairs = colorings(k)
+        greedy, _ = pairs[0]
+        assert check_distance_k_coloring(graph, greedy, k).valid
+        for coloring, palette in pairs:
+            assert _check_csr(csr, coloring, k, palette) is not None
+            via_bfs = _sorted(
+                check_distance_k_coloring(graph, coloring, k, palette)
+            )
+            via_csr = _sorted(
+                check_distance_k_coloring(
+                    graph, coloring, k, palette, adjacency=csr
+                )
+            )
+            assert via_csr.valid == via_bfs.valid
+            assert via_csr.conflicts == via_bfs.conflicts
+            assert sorted(via_csr.uncolored) == sorted(via_bfs.uncolored)
+            assert sorted(via_csr.out_of_palette) == sorted(
+                via_bfs.out_of_palette
+            )
 
 
 class TestDigestStability:

@@ -54,7 +54,7 @@ def _metrics_tuple(metrics):
 
 class TestSelection:
     def test_default_backends_registered(self):
-        assert available_backends() == ("reference", "vectorized", "sweep")
+        assert available_backends() == ("reference", "vectorized")
 
     def test_get_backend_by_name_and_instance(self):
         assert get_backend("reference") is REFERENCE
@@ -64,6 +64,16 @@ class TestSelection:
         # Retired engine name: no alias resolves it.
         with pytest.raises(KeyError, match="fastpath"):
             get_backend("fastpath")
+
+    def test_retired_sweep_name_unknown(self):
+        # The grid executor is no engine: its old name resolves to
+        # nothing, and the conformance runner rejects it up front.
+        from repro.conformance import run_conformance
+
+        with pytest.raises(KeyError, match="sweep"):
+            get_backend("sweep")
+        with pytest.raises(KeyError, match="sweep"):
+            run_conformance(backend="sweep")
 
     def test_unknown_backend_lists_known_names(self):
         with pytest.raises(KeyError, match="reference"):
@@ -270,22 +280,6 @@ class TestSweepBackend:
         assert agg.total_messages == sum(
             c.metrics.total_messages for c in swept.cells
         )
-
-    def test_single_network_execute_delegates_to_inner(self):
-        def proto(ctx):
-            yield Broadcast(("m", ctx.node))
-            return None
-
-        result = run_protocol(
-            nx.cycle_graph(4),
-            proto_factory(proto),
-            policy=BandwidthPolicy.unbounded(),
-            backend="sweep",
-        )
-        # Inner engine is reference: UNBOUNDED runs count messages
-        # but do not size them.
-        assert result.metrics.total_bits == 0
-        assert result.metrics.total_messages == 4
 
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError):

@@ -1956,7 +1956,7 @@ class TestInstanceCSRArtifact:
         )
         graph = instance.graph()
         instance.csr()
-        instance.d2_adjacency()
+        instance.square_csr()
         base = cache.stats.snapshot()
 
         def run(backend):

@@ -351,7 +351,9 @@ class TestPrebuiltShipping:
         from repro.workloads import install_prebuilt
 
         cells = small_grid()[:4]
-        instances = prebuild_instances(cells, prewarm_square=True)
+        instances = prebuild_instances(cells)
+        for instance in instances:
+            instance.square_csr()
         ctx = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=2,
@@ -371,7 +373,7 @@ class TestPrebuiltShipping:
 
 def _probe_worker_cache(cell):
     """(worker-side) builds triggered by resolving ``cell`` and
-    whether its G² adjacency arrived prebuilt."""
+    whether its G² rows arrived prebuilt."""
     from repro.workloads import instance_cache
 
     cache = instance_cache()
@@ -379,7 +381,7 @@ def _probe_worker_cache(cell):
     instance = cell.instance()
     return (
         cache.stats.builds - before,
-        instance._d2_adjacency is not None,
+        instance.csr().has_square,
     )
 
 

@@ -200,21 +200,21 @@ class TestInstanceCache:
     def test_square_derived_once_and_matches_graphs_square(self):
         cache = InstanceCache()
         instance = cache.get("relay3x4", 2)
-        adjacency = instance.d2_adjacency()
-        instance.d2_adjacency()
-        instance.square()
-        instance.d2_degrees()
+        csr = instance.square_csr()
+        assert instance.square_csr() is csr
         assert cache.stats.square_builds == 1
-        graph = instance.graph()
-        from repro.graphs.square import d2_neighborhoods, square
+        from repro.graphs.square import d2_neighborhoods
 
-        assert adjacency == d2_neighborhoods(graph)
-        assert set(instance.square().edges) == set(
-            square(graph).edges
-        ) or instance.square().edges == square(graph).edges
-        assert instance.max_d2_degree() == max(
-            instance.d2_degrees().values()
-        )
+        indptr, indices = csr.g2_indptr, csr.g2_indices
+        rows = {
+            v: frozenset(
+                csr.order[j]
+                for j in indices[indptr[i]:indptr[i + 1]].tolist()
+            )
+            for i, v in enumerate(csr.order)
+        }
+        assert rows == d2_neighborhoods(instance.graph())
+        assert cache.stats.square_builds == 1
 
     def test_distinct_seeds_are_distinct_entries(self):
         cache = InstanceCache()
@@ -235,7 +235,7 @@ class TestInstanceCache:
     def test_pickle_ships_computed_artifacts(self):
         cache = InstanceCache()
         instance = cache.get("powerlaw24", 4)
-        instance.d2_adjacency()
+        instance.square_csr()
         delta = instance.delta
         shipped = pickle.loads(pickle.dumps(instance))
         # Artifacts arrive prebuilt: reading them must not recompute.
@@ -243,7 +243,10 @@ class TestInstanceCache:
         receiver.install([shipped])
         assert receiver.get("powerlaw24", 4) is shipped
         assert receiver.stats.builds == 0
-        assert shipped._d2_adjacency is not None
+        assert shipped.csr().has_square
+        shipped.square_csr()
+        assert receiver.stats.square_builds == 0
+        assert receiver.stats.csr_builds == 0
         assert shipped.delta == delta
         assert canonical(shipped.graph()) == canonical(
             instance.graph()
