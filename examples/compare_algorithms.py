@@ -10,9 +10,10 @@ automatically; so does tagging a workload ``"showcase"`` in
 Hoffman–Singleton, whose squares are complete, plus a random regular
 graph), or naming any registered workloads with ``--workloads``.
 
-Instances come from the workload cache, so the graph and its G²
+Instances come from the workload cache, so the graph and its CSR
 rows are built once however many algorithms run, and the validity
-check scans the cached G² CSR rows.
+check reads the cached CSR rows (every closed neighbourhood must be
+rainbow).
 
 The execution engine is selectable (see docs/BACKENDS.md): pass
 ``--backend vectorized`` for the array engine, or
@@ -46,7 +47,7 @@ def run_all(instance, backend=None):
             graph,
             result.coloring,
             result.palette_size,
-            adjacency=instance.square_csr(),
+            adjacency=instance.csr(),
         ).valid
         rows.append(
             [
@@ -96,7 +97,7 @@ def run_all_swept(instances, workers, backend=None):
             instance.graph(),
             dict(cell.coloring),
             cell.palette_size,
-            adjacency=instance.square_csr(),
+            adjacency=instance.csr(),
         ).valid
         rows.append(
             [

@@ -152,12 +152,13 @@ def _check_record(
     """Validate one run against the contract.
 
     ``instance``, when given, supplies the cached derived artifacts
-    (Δ, the G² CSR rows) so the checks reuse one computation per
-    instance instead of recomputing per spec × scenario.
+    (Δ, the CSR rows the checker's relay check reads) so the checks
+    reuse one computation per instance instead of recomputing per
+    spec × scenario.
     """
     if instance is not None:
         delta = instance.delta
-        adjacency = instance.square_csr()
+        adjacency = instance.csr()
     else:
         delta = max_degree(graph)
         adjacency = None
@@ -260,9 +261,9 @@ class _CellEvaluator:
     metering, repeatability) *inside* the worker, so the expensive
     part of large-instance conformance parallelizes instead of
     serializing in the parent.  The cell's instance — including the
-    prebuilt G² rows shipped through the pool initializer — comes
-    from the worker's :func:`~repro.workloads.instance_cache`, so the
-    checks never recompute the square graph per cell.
+    prebuilt CSR and G² rows shipped through the pool initializer —
+    comes from the worker's :func:`~repro.workloads.instance_cache`,
+    so neither the kernels nor the checks rebuild them per cell.
 
     Registered specs travel by name and are re-resolved from the
     worker's registry; ad-hoc specs (``run_conformance(specs=[...])``
@@ -407,7 +408,7 @@ def run_conformance(
             positions.append(position)
         if len(cells) > first_cell:
             # Derive G² once, in the parent, so process workers
-            # receive the rows prebuilt.
+            # running G²-reading kernels receive the rows prebuilt.
             instance.square_csr()
     extra_specs = {}
     for spec in specs:

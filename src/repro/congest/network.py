@@ -396,7 +396,9 @@ class Network:
         """``{node: color}`` after a run.
 
         Served from a kernel-published array table when the run never
-        built Python nodes; otherwise read from the programs.
+        built Python nodes — a read-only
+        :class:`~repro.results.ArrayColoring` over the kernel's color
+        array — otherwise a dict read from the programs.
         """
         table = self._vector_tables.get("color")
         if table is not None and not self.materialized:

@@ -15,7 +15,12 @@ rebuild.
 Everything here is plain numpy; the kernels in
 :mod:`repro.exec.vectorized`, the checker fast path in
 :mod:`repro.verify.checker`, and the instance cache are the
-consumers.
+consumers.  The try-phase conflict pass and the checker's distance-2
+path read only the G rows: they decide distance-2 clashes at the
+common neighbours (every closed neighbourhood N[x] must be rainbow),
+so a trial run and its check never derive G².  Their equivalence to
+the G²/BFS definitions rests on the relay parity suites
+(``tests/test_csr_parity.py``, ``tests/test_exec_vectorized.py``).
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ import numpy as np
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthPolicy
 from repro.obs import trace as obs_trace
+from repro.results import ArrayColoring
 
 #: Admissible ``executor`` values for :class:`SweepBackend`.
 EXECUTORS = ("serial", "thread", "process")
@@ -214,7 +215,11 @@ class Coloring:
     @classmethod
     def from_mapping(cls, mapping) -> "Coloring":
         """The coloring of a ``{node: color}`` mapping, sorted by node
-        (argsorted only when the keys are not already ascending)."""
+        (argsorted only when the keys are not already ascending).  An
+        :class:`~repro.results.ArrayColoring` hands over its columns
+        without a per-node pass."""
+        if isinstance(mapping, ArrayColoring):
+            return cls(*mapping.columns())
         nodes = cls.column(mapping.keys())
         colors = cls.column(mapping.values())
         if nodes.dtype == object:
@@ -241,6 +246,10 @@ class Coloring:
                 digest.update(data)
             self._sha256 = digest.hexdigest()
         return self._sha256
+
+    def columns(self):
+        """``(nodes, colors)``, the two columns as they are."""
+        return self.nodes, self.colors
 
     def __iter__(self):
         return zip(self.nodes.tolist(), self.colors.tolist())

@@ -133,6 +133,7 @@ from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
 from repro.exec.reference import GeneratorLoop
 from repro.obs import trace as obs_trace
+from repro.results import ArrayColoring
 from repro.util.primes import is_prime
 
 #: Values any node ever sends stay strictly inside int64 under this
@@ -329,39 +330,61 @@ def _finish(network, rounds, traffic, executed, stopped_early, timed_out,
 # colors reach distance 2; precolored nodes never announce), and no
 # other d2-neighbor tried ``c`` this same phase.  Colors and
 # announcements only change at round C, so every verdict server's
-# round-B knowledge equals the round-A array state.  The conflict pass
-# gathers only the triers' rows, so a phase costs the triers'
-# d2-degrees, not nnz(G²): the live set of a trial run shrinks
-# geometrically, and a Reduce-Phase try has a handful of triers.
+# round-B knowledge equals the round-A array state.
+#
+# The conflict pass never reads G²: two nodes are within distance 2
+# iff some closed neighbourhood N[x] holds both, so a clash shows up
+# at a common neighbour x, the relay.  Every middle x touching a
+# trier groups ``(x, value)`` keys over N[x] — the triers' candidates
+# and the announced holders' colors, plus x's own color when x is
+# precolored (a precolored node blocks its color at distance 1 only,
+# i.e. inside its own N[x]) — and a trier whose key repeats in some
+# group conflicts.  A phase costs the closed rows of the middles next
+# to its triers: the live set of a trial run shrinks geometrically,
+# and a Reduce-Phase try has a handful of triers.
 
 
 class _TryState:
-    """Mutable array state of a try-phase window."""
+    """Mutable array state of a try-phase window.
+
+    ``relay[i]`` is the value node ``i`` contributes to the conflict
+    pass: its color once announced, else ``-1`` (a trier's candidate
+    only while a pass runs)."""
 
     __slots__ = (
-        "colors", "announced", "adopt_iter", "cand",
-        "triers", "g2_scanned",
+        "colors", "fixed", "relay", "adopt_iter", "cand",
+        "triers", "relay_entries",
     )
 
     def __init__(self, n, colors=None):
-        self.colors = (
-            colors
-            if colors is not None
-            else np.full(n, -1, dtype=np.int64)
-        )
-        self.announced = np.zeros(n, dtype=bool)
+        if colors is None:
+            colors = np.full(n, -1, dtype=np.int64)
+        self.colors = colors
+        #: Whether some node is precolored (colored, never announced).
+        self.fixed = bool((colors >= 0).any())
+        self.relay = np.full(n, -1, dtype=np.int64)
         self.adopt_iter = np.full(n, -1, dtype=np.int64)
         self.cand = np.full(n, -1, dtype=np.int64)
-        #: Work counters: triers summed over phases, G² entries scanned.
+        #: Work counters, summed over phases: triers, and the entries of
+        #: the closed rows the conflict pass gathered.
         self.triers = 0
-        self.g2_scanned = 0
+        self.relay_entries = 0
 
 
-#: Triers per conflict-pass block.  A block's temporaries stay small
-#: and are reused by the next block; whole-phase gathers of tens of MB,
-#: once freed, stay resident in the allocator and raised the peak RSS
-#: of a 2²⁰-node trial run by ~5%.
-_TRIERS_PER_PASS = 1 << 14
+#: Closed-row entries per conflict-pass block (on average).  A block's
+#: temporaries stay small and are reused by the next block;
+#: whole-phase gathers of tens of MB, once freed, stay resident in the
+#: allocator and raise the peak RSS of a 2²⁰-node trial run.
+_ENTRIES_PER_PASS = 1 << 16
+
+#: Graphs with at most this many closed-row entries (n + 2m) group
+#: every middle in every phase: one pass over all of them costs less
+#: than finding the triers' neighbourhoods first.
+_ALL_MIDDLES_MAX = 1 << 12
+
+#: Candidate values below this bound are ranked through a lookup
+#: table; larger ones through a sorted search.
+_RANK_TABLE_MAX = 1 << 20
 
 #: Try-phase payload sizes: a ``(tag, candidate)`` try or adopt costs
 #: its base plus ``int_bits(candidate)``; a verdict is fixed-size.
@@ -388,7 +411,7 @@ def _run_try_phases(csr, st, traffic, draw, *, start_round, **kwargs):
     rec = obs_trace.recorder()
     trace_t0 = rec.clock() if rec is not None else 0.0
     messages0, bits0 = traffic.messages, traffic.bits
-    triers0, scanned0 = st.triers, st.g2_scanned
+    triers0, entries0 = st.triers, st.relay_entries
     r, rounds, status = _try_rounds(
         csr, st, traffic, draw, start_round=start_round, **kwargs
     )
@@ -404,7 +427,7 @@ def _run_try_phases(csr, st, traffic, draw, *, start_round, **kwargs):
                 "messages": traffic.messages - messages0,
                 "bits": traffic.bits - bits0,
                 "triers": st.triers - triers0,
-                "g2_scanned": st.g2_scanned - scanned0,
+                "relay_entries": st.relay_entries - entries0,
             },
         )
     return r, rounds, status
@@ -432,11 +455,8 @@ def _try_rounds(
     loop (stop monitor, then ``max_rounds``, then the window bound).
     """
     colors = st.colors
-    announced = st.announced
     adopt_iter = st.adopt_iter
     cand = st.cand
-    g_indptr, g_indices = csr.g_indptr, csr.g_indices
-    g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
     deg = csr.degrees
     metered = traffic.metered
 
@@ -480,27 +500,9 @@ def _try_rounds(
                 send_deg,
             )
             # The phase's adoption outcome, decided on the state every
-            # verdict server will hold in round B (colors/announced
-            # only change at k == 2, never between here and there).
-            conflict = np.empty(try_idx.size, dtype=bool)
-            for lo in range(0, try_idx.size, _TRIERS_PER_PASS):
-                hi = lo + _TRIERS_PER_PASS
-                rows, c = try_idx[lo:hi], own[lo:hi]
-                pos, seg = _row_positions(g_indptr, rows)
-                hit = arrays.row_any(
-                    colors[g_indices[pos]] == np.repeat(c, np.diff(seg)),
-                    seg,
-                )
-                pos, seg = _row_positions(g2_indptr, rows)
-                w = g2_indices[pos]
-                c2 = np.repeat(c, np.diff(seg))
-                hit |= arrays.row_any(
-                    (announced[w] & (colors[w] == c2)) | (cand[w] == c2),
-                    seg,
-                )
-                conflict[lo:hi] = hit
-                st.g2_scanned += int(w.size)
-            adopt_idx = try_idx[~conflict]
+            # verdict server will hold in round B (colors and
+            # announcements only change at k == 2, never before).
+            adopt_idx = try_idx[~_relay_conflicts(csr, st, try_idx, own)]
             st.triers += int(try_idx.size)
         elif k == 1:
             traffic.add(pending_verdicts, _VERDICT_BITS)
@@ -513,12 +515,93 @@ def _try_rounds(
                 else None,
                 send_deg,
             )
-            colors[adopt_idx] = cand[adopt_idx]
-            announced[adopt_idx] = True
+            colors[adopt_idx] = st.relay[adopt_idx] = cand[adopt_idx]
             adopt_iter[adopt_idx] = r
         rounds += 1
         r += 1
     return r, rounds, break_status
+
+
+def _closed_blocks(csr, try_idx):
+    """The closed rows N[x] of the middles next to ``try_idx``, in
+    blocks of about :data:`_ENTRIES_PER_PASS` entries: ``(middles,
+    members, groups)``, where ``members`` starts with the middles
+    themselves (the heads) followed by their rows, and ``groups``
+    names each member's middle.  A group never spans two blocks.
+    Every node is a middle when half the nodes try or the graph is
+    small — the extra groups hold no trier and flag nothing."""
+    n = csr.n
+    g_indptr, g_indices, deg = csr.g_indptr, csr.g_indices, csr.degrees
+    step = max(1, _ENTRIES_PER_PASS * n // (n + g_indices.size))
+    if 2 * try_idx.size >= n or n + g_indices.size <= _ALL_MIDDLES_MAX:
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            block = np.arange(lo, hi)
+            yield block, np.concatenate(
+                (block, g_indices[g_indptr[lo]:g_indptr[hi]])
+            ), np.concatenate((block, np.repeat(block, deg[lo:hi])))
+        return
+    touch = np.zeros(n, dtype=bool)
+    touch[try_idx] = True
+    touch[g_indices[_row_positions(g_indptr, try_idx)[0]]] = True
+    mids = np.flatnonzero(touch)
+    for lo in range(0, mids.size, step):
+        block = mids[lo:lo + step]
+        pos, seg = _row_positions(g_indptr, block)
+        yield block, np.concatenate((block, g_indices[pos])), np.concatenate(
+            (block, np.repeat(block, np.diff(seg)))
+        )
+
+
+def _relay_conflicts(csr, st, try_idx, own):
+    """Which triers' candidates clash, decided at the relays.
+
+    Every middle x next to a trier groups ``(x, slot)`` keys over its
+    closed row N[x]; a trier whose key repeats in some group
+    conflicts.  A value's slot is 1 + its rank among the candidates,
+    and 0 for a value nobody tries (it can clash with no trier), so a
+    key stays below ``n · (len(triers) + 1)``, inside int64.  Returns
+    the flags aligned with ``try_idx``.
+    """
+    if not (try_idx.size and csr.g_indices.size):
+        return np.zeros(try_idx.size, dtype=bool)  # no two nodes meet
+    relay, cand = st.relay, st.cand
+    top = int(own.max())
+    if top < _RANK_TABLE_MAX:
+        present = np.zeros(top + 2, dtype=bool)
+        present[own] = True
+        table = np.cumsum(present) * present
+        width = int(table[top]) + 1
+
+        def slot(v):  # -1 and values above ``top`` read table[top + 1]
+            return table[np.minimum(v, top + 1)]
+    else:
+        vals = np.sort(own)
+        vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+        width = vals.size + 1
+
+        def slot(v):
+            r = np.searchsorted(vals, v)
+            return np.where(vals[np.minimum(r, vals.size - 1)] == v, r + 1, 0)
+
+    clash = np.zeros(csr.n, dtype=bool)
+    relay[try_idx] = own
+    for block, members, groups in _closed_blocks(csr, try_idx):
+        v = relay[members]
+        if st.fixed:  # a precolored middle blocks its color in N[x]
+            v[:block.size] = np.maximum(v[:block.size], st.colors[block])
+        key = groups * width + slot(v)
+        by_key = np.argsort(key, kind="stable")
+        key = key[by_key]
+        same = key[1:] == key[:-1]
+        dup = np.zeros(key.size, dtype=bool)
+        dup[1:] = same
+        dup[:-1] |= same
+        hit = members[by_key[dup]]
+        clash[hit[cand[hit] >= 0]] = True
+        st.relay_entries += int(members.size)
+    relay[try_idx] = -1
+    return clash[try_idx]
 
 
 def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
@@ -538,16 +621,10 @@ def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
     return tables
 
 
-def _color_table(order, colors):
-    def build():
-        if colors.min(initial=0) >= 0:  # every node colored
-            return dict(zip(order, colors.tolist()))
-        return {
-            node: (int(c) if c >= 0 else None)
-            for node, c in zip(order, colors.tolist())
-        }
-
-    return build
+def _color_table(csr, colors):
+    """The published ``color`` table: the kernel's own arrays as a
+    read-only ``{node: color}`` mapping, no dict built."""
+    return functools.partial(ArrayColoring, csr.order, colors, csr.index)
 
 
 def _int_table(order, values):
@@ -575,6 +652,7 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     order = csr.order
 
     palettes = np.empty(n, dtype=np.int64)
+    distinct = set()
     colors = np.full(n, -1, dtype=np.int64)
     for i, data in plan.input_groups():
         if data.get("avoid_known", False):
@@ -587,6 +665,7 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         ):
             return None  # incl. missing key: constructor decides
         palettes[i] = palette
+        distinct.add(palette)
         color = data.get("color")
         if color is not None:
             if (
@@ -599,10 +678,15 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     if not _try_phases_fit(network, int(palettes.max()) - 1):
         return None  # could violate: replay exactly on the loop
     phases_tried = np.zeros(n, dtype=np.int64)
+    # One palette everywhere: the scalar bound skips randrange's
+    # per-element bit lengths and draws the very same values.
+    bound = distinct.pop() if len(distinct) == 1 else None
 
     def draw(_phase, live_idx):
         phases_tried[live_idx] += 1
-        return plan.randrange(live_idx, palettes[live_idx])
+        return plan.randrange(
+            live_idx, palettes[live_idx] if bound is None else bound
+        )
 
     traffic = _Traffic(network)
     st = _TryState(n, colors)
@@ -626,7 +710,7 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     _publish(
         network, writeback,
-        color=_color_table(order, colors),
+        color=_color_table(csr, colors),
         phases_tried=_int_table(order, phases_tried),
     )
     return _finish(
@@ -752,7 +836,7 @@ def _poly_phase_kernel(
 
     _publish(
         network, writeback,
-        color=_color_table(order, colors),
+        color=_color_table(csr, colors),
         blocked_phases=_int_table(order, blocked),
     )
     return _finish(
@@ -2458,7 +2542,7 @@ def _randomized_d2_kernel(
     _publish(
         network,
         _randomized_writeback(run, resumes, handoff),
-        color=_color_table(order, run.st.colors),
+        color=_color_table(csr, run.st.colors),
         phase_log=lambda: {node: list(phase_log) for node in order},
         phase=lambda: dict.fromkeys(order, phase),
     )

@@ -2,10 +2,94 @@
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.congest.metrics import RunMetrics
+
+
+def count_distinct(values: np.ndarray) -> int:
+    """How many distinct values a 1-d array holds."""
+    if not values.size:
+        return 0
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+class ArrayColoring(Mapping):
+    """A read-only ``{node: color}`` mapping over a kernel's arrays.
+
+    ``order[i]`` is the label of dense index ``i`` (ascending),
+    ``colors[i]`` its int64 color, ``-1`` for an uncolored node (read
+    as ``None``), and ``index`` the label → dense-index map.  Reads
+    keep the plain-dict semantics, in ``order``; :meth:`columns` and
+    :meth:`distinct` work on the arrays without building a dict.
+    """
+
+    __slots__ = ("order", "colors", "index")
+
+    def __init__(self, order, colors: np.ndarray, index):
+        self.order = order
+        self.colors = colors.view()
+        self.colors.flags.writeable = False
+        self.index = index
+
+    def __getitem__(self, node):
+        try:
+            i = self.index[node]
+        except (KeyError, TypeError):
+            raise KeyError(node) from None
+        color = int(self.colors[i])
+        return color if color >= 0 else None
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.colors)
+
+    def _values(self) -> list:
+        if self.colors.min(initial=0) >= 0:
+            return self.colors.tolist()
+        return [c if c >= 0 else None for c in self.colors.tolist()]
+
+    def values(self):
+        return _ArrayValues(self)
+
+    def items(self):
+        return _ArrayItems(self)
+
+    def columns(self):
+        """``(nodes, colors)``: the labels as an int64 column when they
+        are a ``range``, and the colors as int64, or as an object
+        column holding ``None`` where a node is uncolored."""
+        order, colors = self.order, self.colors
+        if isinstance(order, range):
+            order = np.arange(order.start, order.stop, order.step)
+        if colors.min(initial=0) < 0:
+            colors = np.array(self._values(), dtype=object)
+        return order, colors
+
+    def distinct(self) -> int:
+        """How many distinct values ``values()`` holds (``None``
+        counts as one, as in a ``set``)."""
+        return count_distinct(self.colors)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ArrayValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values())
+
+
+class _ArrayItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.order, self._mapping._values())
 
 
 @dataclass
@@ -28,7 +112,9 @@ class ColoringResult:
     """
 
     algorithm: str
-    coloring: Dict[int, int]
+    #: ``{node: color}``: a dict, or an :class:`ArrayColoring` when a
+    #: kernel produced it.
+    coloring: Mapping[int, Optional[int]]
     palette_size: int
     rounds: int
     metrics: RunMetrics = field(default_factory=RunMetrics)
@@ -37,6 +123,8 @@ class ColoringResult:
 
     @property
     def colors_used(self) -> int:
+        if isinstance(self.coloring, ArrayColoring):
+            return self.coloring.distinct()
         return len(set(self.coloring.values()))
 
     @property

@@ -345,6 +345,148 @@ class TestCsrCheckerMatchesBfs:
             )
 
 
+#: Colors at and around the int64 limits of the fast path: inside
+#: ±2⁶² it answers, at or beyond it the check declines to the BFS.
+#: Wide spreads take int64 keys (2³¹, 2⁴⁰) or dense ranks (±2⁶²).
+_EDGE_VALUES = (
+    2**31, 2**40, 2**62 - 1, 1 - 2**62, 2**62 - 2, 2**62, -(2**62),
+    2**63 - 1, -(2**63), 2**63, 2**64 + 5,
+)
+
+
+@st.composite
+def graph_with_relay_coloring(draw, max_n: int = 12):
+    """A graph (self-loops allowed) and a ``(coloring, palette)``
+    case for distance 2: a greedy valid coloring or a hostile one
+    mixing ``None``, out-of-palette and int64-edge values."""
+    graph = draw(random_graphs(max_n=max_n))
+    if draw(st.booleans()):
+        graph.add_edges_from(
+            (v, v)
+            for v in draw(st.lists(st.sampled_from(sorted(graph.nodes))))
+        )
+    palette = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        hoods = d2_neighborhoods(graph)
+        coloring = {}
+        for v in sorted(graph.nodes):
+            taken = {coloring.get(u) for u in hoods[v]}
+            coloring[v] = next(
+                c for c in range(len(graph)) if c not in taken
+            )
+        return graph, coloring, len(graph)
+    value = st.one_of(
+        st.none(),
+        st.integers(min_value=-3, max_value=palette + 3),
+        st.sampled_from(_EDGE_VALUES),
+    )
+    coloring = {v: draw(value) for v in graph.nodes}
+    return graph, coloring, palette
+
+
+def _csr_born(graph):
+    """The CSR-born twin of a self-loop-free graph on ``0..n-1``: its
+    order is ``range(n)``, so a column input lines up with it."""
+    us, vs = zip(*graph.edges) if graph.number_of_edges() else ((), ())
+    return build_csr_from_edges(len(graph), list(us), list(vs))
+
+
+class TestRelayCheckerMatchesBfs:
+    """The k = 2 fast path checks that every closed neighbourhood of G
+    is rainbow (no G²); it must answer exactly like the BFS, for dict
+    and column inputs alike, and decline whatever int64 cannot hold
+    exactly."""
+
+    @given(graph_with_relay_coloring())
+    @settings(max_examples=300)
+    def test_same_verdicts(self, case):
+        from repro.exec.sweep import Coloring
+        from repro.verify.checker import _check_csr
+
+        graph, coloring, palette = case
+        bfs = _sorted(check_distance_k_coloring(graph, coloring, 2, palette))
+        inside = all(
+            c is None or -(2**62) < c < 2**62 for c in coloring.values()
+        )
+        csrs = [build_csr(graph)]
+        if not csrs[0].has_selfloops:
+            csrs.append(_csr_born(graph))
+        for csr in csrs:
+            for given_as in (coloring, Coloring.from_mapping(coloring)):
+                fast = _check_csr(csr, given_as, 2, palette)
+                assert (fast is not None) == inside
+                report = _sorted(
+                    check_distance_k_coloring(
+                        graph, given_as, 2, palette, adjacency=csr
+                    )
+                )
+                assert report.valid == bfs.valid
+                assert report.conflicts == bfs.conflicts
+                assert sorted(report.uncolored) == sorted(bfs.uncolored)
+                assert sorted(report.out_of_palette) == sorted(
+                    bfs.out_of_palette
+                )
+                assert report.colors_used == bfs.colors_used
+                assert report.explain() == bfs.explain()
+        assert not csrs[0].has_square
+
+    @pytest.mark.parametrize("colored", [True, False])
+    def test_columns_are_read_in_place(self, colored, monkeypatch):
+        # A column input whose nodes are the CSR order is checked off
+        # its int64 column; no (node, color) pair is ever built.
+        from repro.exec.sweep import Coloring
+        from repro.verify import checker
+
+        graph = random_regular(4, 24, seed=1)
+        csr = graph.csr_adjacency
+        coloring = Coloring(range(csr.n), [v % 7 for v in range(csr.n)])
+        if not colored:
+            coloring = Coloring(range(csr.n), [None] + [1] * (csr.n - 1))
+        bfs = _sorted(check_distance_k_coloring(graph, dict(coloring), 2))
+        if colored:
+            monkeypatch.setattr(Coloring, "__iter__", None)
+        assert (checker._int_column(csr, coloring) is not None) == colored
+        report = _sorted(
+            check_distance_k_coloring(graph, coloring, 2, adjacency=csr)
+        )
+        assert report.conflicts == bfs.conflicts
+        assert report.uncolored == bfs.uncolored
+        assert report.colors_used == bfs.colors_used
+
+    @pytest.mark.parametrize("labels", [range(4), (10, 20, 30, 40)])
+    def test_misaligned_columns_read_by_node(self, labels):
+        # A column over other nodes than the CSR order (same length)
+        # is read node by node: the graph's nodes it lacks are
+        # uncolored, exactly as the BFS reads its pairs.
+        from repro.exec.sweep import Coloring
+
+        graph = nx.relabel_nodes(nx.path_graph(4), dict(enumerate(labels)))
+        csr = (
+            build_csr_from_edges(4, [0, 1, 2], [1, 2, 3])
+            if isinstance(labels, range)
+            else build_csr(graph)
+        )
+        shifted = Coloring([v + 1 for v in labels], [0, 1, 2, 0])
+        bfs = _sorted(check_distance_k_coloring(graph, dict(shifted), 2))
+        report = _sorted(
+            check_distance_k_coloring(graph, shifted, 2, adjacency=csr)
+        )
+        assert report.uncolored == bfs.uncolored != []
+        assert report.conflicts == bfs.conflicts
+        assert report.valid == bfs.valid
+
+    def test_dense_rank_keys(self):
+        # Colors spread over ±2⁶² leave no room for x·span keys: the
+        # check ranks them densely and still finds every clash.
+        graph = nx.path_graph(5)
+        coloring = {0: 2**62 - 1, 1: 1 - 2**62, 2: 2**62 - 1, 3: 0, 4: 0}
+        csr = build_csr(graph)
+        report = _sorted(
+            check_distance_k_coloring(graph, coloring, 2, adjacency=csr)
+        )
+        assert report.conflicts == [(0, 2), (3, 4)]
+
+
 class TestDigestStability:
     """Satellite (f): cache identity is representation-independent —
     a CSR-born instance and its nx-built twin share a digest."""

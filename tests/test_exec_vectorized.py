@@ -484,8 +484,9 @@ def _trial_cases(draw):
 
 
 class TestLiveRowConflictPass:
-    """The try-phase engine gathers only the triers' G/G² rows; it
-    must decide every phase exactly as the generators do."""
+    """The try-phase engine decides conflicts at the relays, over the
+    closed rows of the middles next to its triers (no G²); it must
+    decide every phase exactly as the generators do."""
 
     @pytest.mark.parametrize("max_rounds", [*range(9), 300])
     @given(make=_trial_cases())
@@ -500,12 +501,70 @@ class TestLiveRowConflictPass:
             raise_on_timeout=False,
         )
 
+    @given(make=_trial_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_touched_middles(self, make):
+        # Past _ALL_MIDDLES_MAX closed-row entries, a phase with fewer
+        # than half the nodes trying groups only the middles next to
+        # a trier; both ways decide alike.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vectorized, "_ALL_MIDDLES_MAX", 0)
+            _assert_trial_parity(
+                make,
+                max_rounds=300,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+
+    @given(make=_trial_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_searched_ranks(self, make):
+        # Candidates past _RANK_TABLE_MAX are ranked by a sorted
+        # search instead of a lookup table; both decide alike.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vectorized, "_RANK_TABLE_MAX", 0)
+            _assert_trial_parity(
+                make,
+                max_rounds=300,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+
+    @pytest.mark.parametrize("palette", [2**40, 2**62 - 1])
+    def test_wide_palettes(self, palette):
+        # Keys rank the candidates, so they stay inside int64 however
+        # wide the palette; precolored values that wide block too.
+        graph = GRAPHS["gnp24"]
+
+        def make():
+            inputs = {
+                v: {"palette": palette}
+                | ({"color": palette - 1 - v} if v < 6 else {})
+                for v in graph.nodes
+            }
+            return Network(
+                graph, TrialProgram, seed=4, inputs=inputs,
+                policy=BandwidthPolicy.track(),
+            )
+
+        _, causes = _fallback_causes(
+            lambda: _assert_trial_parity(
+                make,
+                max_rounds=5_000,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+        )
+        assert causes == []
+
     @pytest.mark.parametrize("block", [1, 5])
     @pytest.mark.parametrize("precolored", [False, True])
-    def test_trier_blocks(self, block, precolored, monkeypatch):
-        # Triers are checked in blocks of _TRIERS_PER_PASS; every
-        # block size decides every phase alike.
-        monkeypatch.setattr(vectorized, "_TRIERS_PER_PASS", block)
+    def test_middle_blocks(self, block, precolored, monkeypatch):
+        # Middles are grouped in blocks of about _ENTRIES_PER_PASS
+        # closed-row entries, all of them or only those next to a
+        # trier; every block size decides every phase alike.
+        monkeypatch.setattr(vectorized, "_ENTRIES_PER_PASS", block)
+        monkeypatch.setattr(vectorized, "_ALL_MIDDLES_MAX", 0)
         graph = GRAPHS["gnp24"]
         delta = max(d for _, d in graph.degree)
 
@@ -1305,6 +1364,60 @@ class TestNoNxOnKernelPath:
         assert result.complete
         assert not instance.graphlike().materialized
         assert instance._graph is None
+
+
+class TestRelayTrialCell:
+    """A vectorized ``trial``/``trial-slack`` sweep cell decides its
+    try phases and its check at the relays, so it never derives G²,
+    and hands the kernel's color array to ``CellResult.coloring``
+    without a ``{node: color}`` dict."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        import repro.workloads
+
+        cache = InstanceCache()
+        monkeypatch.setattr(repro.workloads, "instance_cache", lambda: cache)
+        return cache
+
+    @pytest.mark.parametrize("workload", ["rr4_24", "gnp-huge-16384"])
+    @pytest.mark.parametrize("spec", ["trial", "trial-slack"])
+    def test_cell_and_check_never_derive_square(self, cache, workload, spec):
+        from repro.exec.sweep import SweepCell, run_cell
+        from repro.verify.checker import check_d2_coloring
+
+        res = run_cell(
+            SweepCell.from_workload(spec, workload, 0), inner="vectorized"
+        )
+        assert res.ok, res.error
+        instance = cache.get(workload, 0)
+        assert instance._csr_born
+        report = check_d2_coloring(
+            instance.graphlike(), res.coloring, res.palette_size,
+            adjacency=instance.csr(),
+        )
+        assert report.valid and report.colors_used == res.colors_used
+        assert not instance.csr().has_square
+        assert cache.stats.square_builds == 0
+
+    def test_colors_reach_the_cell_as_columns(self, cache, monkeypatch):
+        from repro.exec.sweep import SweepCell, run_cell
+        from repro.results import ArrayColoring
+
+        cell = SweepCell.from_workload("trial", "gnp-huge-16384", 0)
+        expected = run_cell(cell, inner="reference")
+
+        def no_dict(*_args):
+            raise AssertionError("built a per-node color table")
+
+        for name in ("__getitem__", "__iter__", "_values"):
+            monkeypatch.setattr(ArrayColoring, name, no_dict)
+        res = run_cell(cell, inner="vectorized")
+        monkeypatch.undo()
+        assert res.ok, res.error
+        assert res.coloring.colors.dtype == np.int64
+        assert res.coloring == expected.coloring
+        assert res.colors_used == expected.colors_used
 
 
 class TestRandomizedD2Kernel:

@@ -573,10 +573,13 @@ class TestTryPhasesSpan:
         assert window["attrs"]["messages"] == result.metrics.total_messages
         assert window["attrs"]["bits"] == result.metrics.total_bits
 
-    def test_work_counts_follow_the_triers(self, tmp_path):
+    def test_work_counts_follow_the_triers(self, tmp_path, monkeypatch):
         # Every live node tries each trial phase, so a node colored in
         # its k-th phase was a trier in k phases; the conflict pass
-        # gathers exactly the G² rows of each phase's triers.
+        # gathers the closed rows N[x] of each phase's middles: the
+        # triers and their neighbours (every node once half the nodes
+        # try; small graphs always take every node, which the patch
+        # below turns off).
         import networkx as nx
 
         from repro.baselines.trial import TrialProgram
@@ -584,6 +587,9 @@ class TestTryPhasesSpan:
         from repro.congest.policy import BandwidthPolicy
         from repro.core.trying import all_colored
 
+        from repro.exec import vectorized
+
+        monkeypatch.setattr(vectorized, "_ALL_MIDDLES_MAX", 0)
         graph = nx.gnp_random_graph(120, 0.05, seed=3)
         delta = max(d for _, d in graph.degree)
         net = Network(
@@ -604,18 +610,22 @@ class TestTryPhasesSpan:
             if r["phase"] in "EX" and r["name"] == "kernel.try_phases"
         ]
         tried = {v: net.programs[v].phases_tried for v in graph}
-        d2_degree = {
-            v: len(nx.single_source_shortest_path_length(graph, v, 2)) - 1
-            for v in graph
-        }
         phases = max(tried.values())
         assert phases >= 3
+        closed = {v: graph.degree[v] + 1 for v in graph}  # |N[v]|
+        entries = 0
+        for phase in range(phases):
+            triers = {v for v in graph if tried[v] > phase}
+            middles = (
+                set(graph)  # once half the nodes try: every node
+                if 2 * len(triers) >= len(graph)
+                else triers.union(*(graph[v] for v in triers))
+            )
+            entries += sum(closed[x] for x in middles)
         attrs = window["attrs"]
         assert attrs["triers"] == sum(tried.values())
-        assert attrs["g2_scanned"] == sum(
-            tried[v] * d2_degree[v] for v in graph
-        )
-        assert attrs["g2_scanned"] < phases * sum(d2_degree.values())
+        assert attrs["relay_entries"] == entries
+        assert attrs["relay_entries"] < phases * sum(closed.values())
 
 
 class TestRandomizedSectionSpans:
