@@ -42,6 +42,11 @@ from repro.workloads import (
     is_registered_spec,
 )
 
+#: Specs whose runs (on every engine) and checks never read G²: their
+#: try phases and the checker decide distance-2 clashes at the common
+#: neighbours.  A scenario running only these is not prewarmed with G².
+_NO_SQUARE = frozenset({"trial", "trial-slack"})
+
 
 def coloring_fingerprint(result: ColoringResult) -> Tuple:
     """Canonical, comparable form of a coloring (for repeatability)."""
@@ -406,7 +411,9 @@ def run_conformance(
                     )
                 )
             positions.append(position)
-        if len(cells) > first_cell:
+        if any(
+            cell.algorithm not in _NO_SQUARE for cell in cells[first_cell:]
+        ):
             # Derive G² once, in the parent, so process workers
             # running G²-reading kernels receive the rows prebuilt.
             instance.square_csr()

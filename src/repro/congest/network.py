@@ -73,32 +73,44 @@ from repro.graphs.square import max_degree
 from repro.obs import trace as obs_trace
 
 _EMPTY_INPUT: Dict[str, Any] = {}
+_MISSING = object()
 
 
 class UniformInputs(Mapping):
-    """``{node: payload}`` with one shared payload for every node.
+    """``{node: payload}`` with one shared payload for every node,
+    plus optional per-node int columns.
 
     Protocols whose per-node inputs are identical (the trial and
     naive baselines ship the same palette dict to all n nodes) pass
     this instead of a dict-of-dicts: O(1) memory instead of one dict
-    per node — at n = 2²⁰ that alone is ~150 MB.  Materialization
-    copies the payload per node (``NodeContext`` owns its data), so
-    sharing is safe.
+    per node — at n = 2²⁰ that alone is ~150 MB.  A stage handing a
+    coloring on adds it as a column (:func:`column_inputs`):
+    ``columns`` maps a key to an array whose positions ``index`` maps
+    labels to, and a node's input is the payload plus its column
+    values.  Materialization copies each node's input
+    (``NodeContext`` owns its data), so sharing is safe.
     """
 
-    __slots__ = ("_nodes", "_payload")
+    __slots__ = ("_nodes", "_payload", "columns", "index")
 
-    def __init__(self, nodes, payload: Dict[str, Any]):
+    def __init__(self, nodes, payload: Dict[str, Any], columns=None, index=None):
         self._nodes = nodes
         self._payload = payload
+        self.columns: Dict[str, np.ndarray] = columns or {}
+        self.index = index
 
     def __getitem__(self, node) -> Dict[str, Any]:
-        if node in self._nodes:
+        """The payload itself without columns, else a fresh dict of
+        the payload plus the node's column values (ints as ``int``)."""
+        if node not in self._nodes:
+            raise KeyError(node)
+        if not self.columns:
             return self._payload
-        raise KeyError(node)
-
-    def get(self, node, default=None):
-        return self._payload if node in self._nodes else default
+        i = self.index[node]
+        data = dict(self._payload)
+        for key, col in self.columns.items():
+            data[key] = col[i] if col.dtype == object else int(col[i])
+        return data
 
     def __iter__(self):
         return iter(self._nodes)
@@ -112,10 +124,30 @@ class UniformInputs(Mapping):
         return self._payload
 
     def covers(self, nodes) -> bool:
-        """Whether every node of ``nodes`` maps to the payload; O(1)
+        """Whether every node of ``nodes`` maps to an input; O(1)
         when ``nodes`` is the very node view it was built on."""
         mine = self._nodes
         return mine is nodes or all(node in mine for node in nodes)
+
+
+def column_inputs(graph, payload: Dict[str, Any], **columns) -> UniformInputs:
+    """``payload`` for every node of ``graph`` plus a column per
+    keyword (a ``{node: value}`` mapping; ``None`` skips the key) in
+    the order of the graph's CSR.  A coloring already in that order (a
+    kernel's ``ArrayColoring``, a sweep ``Coloring``) is taken as it
+    is; any other mapping is read once, node by node."""
+    from repro.exec.arrays import csr_for_graph
+    from repro.results import aligned_column, column
+
+    csr = csr_for_graph(graph)
+    cols = {}
+    for key, values in columns.items():
+        if values is not None:
+            col = aligned_column(values, csr.order)
+            cols[key] = column(
+                [values[v] for v in csr.order] if col is None else col
+            )
+    return UniformInputs(graph.nodes, payload, cols, csr.index)
 
 
 @dataclass
@@ -164,7 +196,7 @@ class NetworkPlan:
     Everything a kernel needs without touching Python node objects:
     the CSR G/G² adjacency (shared with :meth:`Instance.csr`), the
     dense node order, the inputs grouped by payload
-    (:meth:`input_groups`), and the per-node RNG state
+    (:meth:`read_inputs`), and the per-node RNG state
     of :mod:`repro.congest.rng` — uint64 stream keys (derived in one
     vector pass) and counters.  Kernels draw through :meth:`randrange`
     and :meth:`random`;
@@ -217,19 +249,95 @@ class NetworkPlan:
         drawn."""
         return random_array(self.node_keys, self.counters, idx)
 
-    def input_groups(self) -> Iterator[tuple]:
-        """``(index, payload)`` once per distinct input payload, where
-        ``index`` selects its nodes in :attr:`order`: one slice over
-        every node for a :class:`UniformInputs` that covers the
-        network, else one int per node (a node without inputs gets an
-        empty dict).  Payloads are never copied; do not mutate them."""
-        inputs = self._inputs
-        if isinstance(inputs, UniformInputs) and inputs.covers(self._nodes):
-            yield slice(None), inputs.payload
-            return
-        get = inputs.get
-        for i, node in enumerate(self.order):
-            yield i, get(node, _EMPTY_INPUT)
+    def read_inputs(self, **columns) -> Optional[tuple]:
+        """The inputs as ``(shared, cols)``, or ``None`` when they do
+        not have that shape (the kernel then declines).
+
+        Each keyword names a per-node int key and what a node lacking
+        it gets: an int, an int64 array in :attr:`order`, or ``None``
+        (required).  ``cols`` holds an int64 column in :attr:`order`
+        per keyword; a given value must be an exact ``int`` (no
+        ``bool``) in [0, 2⁶³).  ``shared`` holds every other key,
+        equal on every node.  A covering :class:`UniformInputs` costs
+        O(1) Python work; other inputs take one pass over the nodes.
+        Do not mutate what it returns.
+        """
+        inputs, n = self._inputs, self.csr.n
+        uniform = (
+            isinstance(inputs, UniformInputs)
+            and inputs.covers(self._nodes)
+            and (not inputs.columns or inputs.index is self.csr.index)
+        )
+        own = inputs.columns if uniform else {}
+        if not own.keys() <= columns.keys():
+            return None  # per-node values of a key read as shared
+        if uniform:
+            payload = inputs.payload
+            rows = [payload]
+        else:
+            get = inputs.get
+            rows = [get(node, _EMPTY_INPUT) for node in self.order]
+        shared = last = None
+        for data in rows:
+            if data is last:
+                continue
+            rest = {k: v for k, v in data.items() if k not in columns}
+            if shared is None:
+                shared = rest
+            elif not _same_values(rest, shared):
+                return None
+            last = data
+        cols = {}
+        for key, default in columns.items():
+            if key in own:
+                col = own[key]
+                if col.dtype != np.int64 or int(col.min()) < 0:
+                    return None
+            elif uniform:
+                value = payload.get(key, _MISSING)
+                col = default if value is _MISSING else (
+                    _int64_column([value], None)
+                )
+                if col is not None:
+                    col = np.broadcast_to(np.asarray(col, np.int64), (n,))
+            else:
+                col = _int64_column(
+                    [data.get(key, _MISSING) for data in rows], default
+                )
+            if col is None:
+                return None
+            cols[key] = col
+        return shared, cols
+
+
+def _same_values(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    """Equal dicts whose values also match in type (``1``, ``1.0``
+    and ``True`` differ); uncomparable values (arrays) never match."""
+    try:
+        return a == b and all(type(v) is type(b[k]) for k, v in a.items())
+    except Exception:  # noqa: BLE001 - whatever their __eq__ raises
+        return False
+
+
+def _int64_column(values: List[Any], default) -> Optional[np.ndarray]:
+    """``values`` as an int64 column, a missing entry (``_MISSING``)
+    taking ``default`` (an int, or an array read at its position), or
+    ``None`` when a present value is not an exact ``int`` in [0, 2⁶³)
+    or a missing one has no default."""
+    from repro.results import column
+
+    missing = [i for i, v in enumerate(values) if v is _MISSING]
+    if missing and default is None:
+        return None
+    for i in missing:
+        values[i] = 0
+    col = column(values)
+    if col.dtype != np.int64 or int(col.min()) < 0:
+        return None
+    if missing:
+        col = col.copy()
+        col[missing] = default if isinstance(default, int) else default[missing]
+    return col
 
 
 class Network:
@@ -266,7 +374,10 @@ class Network:
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot build a network on an empty graph")
-        if not set(map(type, graph.nodes)) <= {int}:
+        # A CSR-born graph is labelled 0..n-1 by construction.
+        if getattr(graph, "csr_adjacency", None) is None and not (
+            set(map(type, graph.nodes)) <= {int}
+        ):
             for node in graph.nodes:
                 if not isinstance(node, int):
                     raise TypeError(
@@ -393,20 +504,10 @@ class Network:
     # -- observable end-state without materialization ------------------
 
     def node_colors(self) -> Dict[int, Optional[int]]:
-        """``{node: color}`` after a run.
-
-        Served from a kernel-published array table when the run never
-        built Python nodes — a read-only
-        :class:`~repro.results.ArrayColoring` over the kernel's color
-        array — otherwise a dict read from the programs.
-        """
-        table = self._vector_tables.get("color")
-        if table is not None and not self.materialized:
-            return table()
-        return {
-            node: program.color
-            for node, program in self.programs.items()
-        }
+        """``{node: color}`` after a run: :meth:`node_table` of
+        ``color``, which a kernel publishes as a read-only
+        :class:`~repro.results.ArrayColoring` over its color array."""
+        return self.node_table("color")
 
     def node_table(self, attr: str) -> Dict[int, Any]:
         """``{node: getattr(program, attr)}`` after a run, served from

@@ -19,7 +19,7 @@ from typing import Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, UniformInputs
 from repro.congest.policy import BandwidthPolicy
 from repro.congest.node import NodeContext, NodeProgram
 from repro.core.constants import Constants
@@ -223,7 +223,7 @@ def _run_randomized(
         data["learn_config"] = LearnPaletteConfig.derive(
             n, delta, budget, constants, force_small=force_small
         )
-    inputs = {v: data for v in graph.nodes}
+    inputs = UniformInputs(graph.nodes, data)
 
     network = Network(
         graph,

@@ -12,6 +12,9 @@ key observation making the reduction O(Δ + k) instead of O(Δ·k).
 Every vertex must know the *multiset* of colors in its
 d2-neighborhood, learned once in a bit-packed O(Δ) gather and then
 maintained incrementally from the (congestion-free) announcements.
+
+``color_in`` ships as a column beside the shared schedule
+(:func:`~repro.congest.network.column_inputs`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, column_inputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
@@ -155,16 +158,16 @@ def color_reduction_d2(
     per_message = items_per_message(color_bits, budget)
     gather_rounds = max(1, -(-delta // per_message)) if delta else 0
 
-    inputs = {
-        v: {
-            "color_in": color_in[v],
+    inputs = column_inputs(
+        graph,
+        {
             "target": target,
             "phases": phases,
             "gather_rounds": gather_rounds,
             "per_message": per_message,
-        }
-        for v in graph.nodes
-    }
+        },
+        color_in=color_in,
+    )
     network = Network(
         graph,
         ColorReductionProgram,
@@ -175,7 +178,7 @@ def color_reduction_d2(
     run = network.run()
     return ColoringResult(
         algorithm="color-reduction-d2",
-        coloring=dict(run.outputs),
+        coloring=network.node_colors(),
         palette_size=target,
         rounds=run.metrics.rounds,
         metrics=run.metrics,

@@ -11,7 +11,12 @@ The three-stage pipeline of Appendix B, run back to back:
 
 Each stage runs inside an obs span (``det.linial``,
 ``det.locally_iterative``, ``det.color_reduction``) annotated with its
-rounds, messages and bits.
+rounds, messages and bits.  Colorings pass from stage to stage as
+columns: each stage returns ``network.node_colors()`` (on a kernel
+run, an :class:`~repro.results.ArrayColoring` over the kernel's color
+array) and the next ships it as the ``color_in`` column of a
+:func:`~repro.congest.network.column_inputs`, which the next kernel
+reads as it is — no per-node input dict between the stages.
 """
 
 from __future__ import annotations

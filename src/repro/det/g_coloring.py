@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, column_inputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.det.linial import linial_g_coloring
@@ -167,16 +167,6 @@ class ColorReductionGProgram(_G1Program):
         return self.color
 
 
-def _part_inputs(graph, parts, extra):
-    inputs = {}
-    for v in graph.nodes:
-        data = dict(extra.get(v, {}))
-        if parts is not None:
-            data["part"] = parts[v]
-        inputs[v] = data
-    return inputs
-
-
 def deg_plus_one_coloring_g(
     graph: nx.Graph,
     delta: Optional[int] = None,
@@ -216,13 +206,8 @@ def deg_plus_one_coloring_g(
             "Linial fixed point exceeded the locally-iterative "
             f"bound: {linial.palette_size} > {q * q}"
         )
-    inputs = _part_inputs(
-        graph,
-        parts,
-        {
-            v: {"q": q, "color_in": linial.coloring[v]}
-            for v in graph.nodes
-        },
+    inputs = column_inputs(
+        graph, {"q": q}, color_in=linial.coloring, part=parts
     )
     net = Network(
         graph,
@@ -238,17 +223,11 @@ def deg_plus_one_coloring_g(
     }
 
     # Stage 3: reduce q -> target.
-    inputs = _part_inputs(
+    inputs = column_inputs(
         graph,
-        parts,
-        {
-            v: {
-                "color_in": li_coloring[v],
-                "target": target,
-                "phases": max(0, q - target),
-            }
-            for v in graph.nodes
-        },
+        {"target": target, "phases": max(0, q - target)},
+        color_in=li_coloring,
+        part=parts,
     )
     net2 = Network(
         graph,

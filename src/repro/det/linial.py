@@ -14,6 +14,9 @@ learns the colors of its d2-neighbors by one broadcast round plus
 bit-packed relay rounds (Theorem B.1's pipelining argument — with
 colors of b bits, ⌈Δ·b / budget⌉ relay rounds suffice, which drops to
 O(1) once colors are small).
+
+``color_in`` and ``parts`` ship as columns beside the shared schedule
+(:func:`~repro.congest.network.column_inputs`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, column_inputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
@@ -215,15 +218,7 @@ def _run_linial(
         "relay_rounds": relay_rounds,
         "per_message": per_message,
     }
-    inputs = {}
-    for v in graph.nodes:
-        node_data = dict(data)
-        if color_in is not None:
-            node_data["color_in"] = color_in[v]
-        if parts is not None:
-            node_data["part"] = parts[v]
-        inputs[v] = node_data
-
+    inputs = column_inputs(graph, data, color_in=color_in, part=parts)
     network = Network(
         graph, LinialProgram, policy=policy, delta=delta, inputs=inputs
     )
@@ -236,7 +231,7 @@ def _run_linial(
         algorithm=(
             "linial-d2" if distance_two else "linial-g"
         ),
-        coloring=dict(run.outputs),
+        coloring=network.node_colors(),
         palette_size=palette,
         rounds=run.metrics.rounds,
         metrics=run.metrics,

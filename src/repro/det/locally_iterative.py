@@ -13,6 +13,7 @@ colored with a color in [q] = O(Δ²).
 The try itself is the shared 3-round primitive of
 :mod:`repro.core.trying`, which implements exactly the paper's color
 trial (immediate neighbors veto on behalf of the 2-hop neighborhood).
+``color_in`` ships as a column beside the shared ``q``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, column_inputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 from repro.core.trying import TryPhaseMixin, all_colored
@@ -79,9 +80,7 @@ def locally_iterative_d2_coloring(
             f"input palette {palette_in} exceeds q² = {q * q}; run "
             "Linial first (Theorem B.1)"
         )
-    inputs = {
-        v: {"q": q, "color_in": color_in[v]} for v in graph.nodes
-    }
+    inputs = column_inputs(graph, {"q": q}, color_in=color_in)
     network = Network(
         graph,
         LocallyIterativeProgram,

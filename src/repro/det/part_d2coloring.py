@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, column_inputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
@@ -238,14 +238,9 @@ def part_d2_coloring(
         )
 
     # Stage 2: part-offset locally-iterative (palette q per part).
-    inputs = {
-        v: {
-            "q": q,
-            "part": parts[v],
-            "color_in": linial.coloring[v],
-        }
-        for v in graph.nodes
-    }
+    inputs = column_inputs(
+        graph, {"q": q}, part=parts, color_in=linial.coloring
+    )
     net = Network(
         graph,
         PartLocallyIterativeD2,
@@ -271,19 +266,19 @@ def part_d2_coloring(
     gather_rounds = max(1, -(-d_part // per_message))
     forward_slots = min(delta, num_parts)
     forward_rounds = max(1, -(-forward_slots // 2))
-    inputs = {
-        v: {
+    inputs = column_inputs(
+        graph,
+        {
             "q": q,
-            "part": parts[v],
-            "color_in": li_coloring[v],
             "target": target,
             "phases": max(0, q - target),
             "gather_rounds": gather_rounds,
             "forward_rounds": forward_rounds,
             "per_message": per_message,
-        }
-        for v in graph.nodes
-    }
+        },
+        part=parts,
+        color_in=li_coloring,
+    )
     net2 = Network(
         graph,
         PartColorReductionD2,

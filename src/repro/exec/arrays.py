@@ -34,6 +34,8 @@ import numpy as np
 from repro.obs import trace as obs_trace
 
 _EMPTY_INDPTR = np.zeros(1, dtype=np.int64)
+#: Magnitudes below this convert to float64 exactly.
+_FLOAT_EXACT = 2**53
 _EMPTY_INDICES = np.zeros(0, dtype=np.int64)
 
 
@@ -428,16 +430,23 @@ def int_bits_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.congest.message.int_bits`, exact for
     any int64 payload: ``max(1, bit_length(|v|)) + (1 if v < 0)``.
 
-    ``frexp`` on a float64 is only exact below 2⁵³, so the magnitude
-    is split into 32-bit halves first (each half is exact).
+    The exponent field of ``|float(v)|`` gives the bit length while
+    the conversion is exact (below 2⁵³).  Above, rounding may carry a
+    magnitude up to the next power of two, one bit too many, which
+    the shift test takes back (``|-2⁶³|`` wraps to -2⁶³, whose shift
+    is -1: its 64 bits stand).
     """
     values = np.asarray(values, dtype=np.int64)
-    mag = np.abs(values)
-    high = mag >> np.int64(32)
-    low = mag & np.int64(0xFFFFFFFF)
-    high_bits = np.frexp(high.astype(np.float64))[1]
-    low_bits = np.frexp(low.astype(np.float64))[1]
-    bits = np.where(
-        high > 0, high_bits + 32, np.maximum(low_bits, 1)
-    )
-    return (bits + (values < 0)).astype(np.int64)
+    bits = values.astype(np.float64)
+    np.abs(bits, out=bits)
+    # float64 bits: sign (now 0), 11 exponent bits, 52 mantissa bits.
+    bits = bits.view(np.int64)
+    bits >>= 52
+    bits -= 1022
+    if values.size and not (
+        -_FLOAT_EXACT < int(values.min()) and int(values.max()) < _FLOAT_EXACT
+    ):
+        bits -= (np.abs(values) >> np.maximum(bits - 1, 0)) == 0
+    np.maximum(bits, 1, out=bits)
+    bits += values < 0
+    return bits

@@ -32,7 +32,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 from dataclasses import dataclass, field
-from operator import countOf
 from typing import (
     Any,
     Callable,
@@ -49,7 +48,7 @@ import numpy as np
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthPolicy
 from repro.obs import trace as obs_trace
-from repro.results import ArrayColoring
+from repro.results import ArrayColoring, column
 
 #: Admissible ``executor`` values for :class:`SweepBackend`.
 EXECUTORS = ("serial", "thread", "process")
@@ -193,24 +192,7 @@ class Coloring:
         self.colors = colors
         self._sha256: Optional[str] = None
 
-    @staticmethod
-    def column(values) -> np.ndarray:
-        """``values`` (a sized, re-iterable collection) as a read-only
-        int64 column when every value is an exact int inside int64,
-        else as an object column."""
-        if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            col = values.view()
-        else:
-            col = None
-            if countOf(map(type, values), int) == len(values):
-                try:
-                    col = np.fromiter(values, np.int64, len(values))
-                except OverflowError:
-                    pass
-            if col is None:
-                col = np.fromiter(values, object, len(values))
-        col.flags.writeable = False
-        return col
+    column = staticmethod(column)
 
     @classmethod
     def from_mapping(cls, mapping) -> "Coloring":
@@ -436,7 +418,8 @@ def prebuild_instances(
         if key in seen:
             continue
         seen[key] = cell.instance()
-    instances = list(seen.values())
+    # A seed-free workload's seeds share one instance: ship it once.
+    instances = list({id(inst): inst for inst in seen.values()}.values())
     for instance in instances:
         instance.delta  # noqa: B018 - memoize before pickling
         if prewarm_csr:

@@ -621,17 +621,11 @@ def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
     return tables
 
 
-def _color_table(csr, colors):
-    """The published ``color`` table: the kernel's own arrays as a
-    read-only ``{node: color}`` mapping, no dict built."""
-    return functools.partial(ArrayColoring, csr.order, colors, csr.index)
-
-
-def _int_table(order, values):
-    def build():
-        return dict(zip(order, (int(v) for v in values.tolist())))
-
-    return build
+def _array_table(csr, values):
+    """A published table (``color``, ``blocked_phases``, ...): the
+    kernel's own int64 array as a read-only ``{node: value}`` mapping,
+    -1 read as ``None``; no dict built."""
+    return functools.partial(ArrayColoring, csr.order, values, csr.index)
 
 
 # ----------------------------------------------------------------------
@@ -651,36 +645,24 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    palettes = np.empty(n, dtype=np.int64)
-    distinct = set()
-    colors = np.full(n, -1, dtype=np.int64)
-    for i, data in plan.input_groups():
-        if data.get("avoid_known", False):
-            return None
-        palette = data.get("palette")
-        if (
-            not isinstance(palette, int)
-            or palette <= 0
-            or palette >= _INT64_SAFE
-        ):
-            return None  # incl. missing key: constructor decides
-        palettes[i] = palette
-        distinct.add(palette)
-        color = data.get("color")
-        if color is not None:
-            if (
-                not isinstance(color, int)
-                or color < 0
-                or color >= _INT64_SAFE
-            ):
-                return None  # negative breaks the -1 sentinel
-            colors[i] = color
-    if not _try_phases_fit(network, int(palettes.max()) - 1):
+    read = plan.read_inputs(palette=None, color=-1)
+    if read is None:
+        return None  # incl. a missing palette: constructor decides
+    shared, cols = read
+    if shared.get("avoid_known", False):
+        return None
+    palettes = cols["palette"]
+    # A given color is >= 0 (-1 is the reader's "uncolored").
+    colors = np.array(cols["color"])
+    low, high = int(palettes.min()), int(palettes.max())
+    if low <= 0 or high >= _INT64_SAFE or int(colors.max()) >= _INT64_SAFE:
+        return None
+    if not _try_phases_fit(network, high - 1):
         return None  # could violate: replay exactly on the loop
     phases_tried = np.zeros(n, dtype=np.int64)
     # One palette everywhere: the scalar bound skips randrange's
     # per-element bit lengths and draws the very same values.
-    bound = distinct.pop() if len(distinct) == 1 else None
+    bound = low if low == high else None
 
     def draw(_phase, live_idx):
         phases_tried[live_idx] += 1
@@ -710,8 +692,8 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     _publish(
         network, writeback,
-        color=_color_table(csr, colors),
-        phases_tried=_int_table(order, phases_tried),
+        color=_array_table(csr, colors),
+        phases_tried=_array_table(csr, phases_tried),
     )
     return _finish(
         network, rounds, traffic, r, status == "stopped",
@@ -740,36 +722,27 @@ def _poly_phase_kernel(
     n = csr.n
     order = csr.order
 
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
+    read = plan.read_inputs(
+        color_in=None, **({"part": None} if with_parts else {})
+    )
+    if read is None:
+        return None  # constructor raises on the real run
+    shared, cols = read
+    q = shared.get("q")  # shared: one phase schedule for every node
+    color_in = cols["color_in"]
+    if (
+        not isinstance(q, int)
+        or q <= 0
+        or q * q >= _INT64_SAFE
+        or int(color_in.max()) >= q * q
+    ):
+        return None
+    a, b = np.divmod(color_in, q)
     offset = np.zeros(n, dtype=np.int64)
-    qs = set()
-    for i, data in plan.input_groups():
-        q = data.get("q")
-        color_in = data.get("color_in")
-        if (
-            not isinstance(q, int)
-            or q <= 0
-            or q * q >= _INT64_SAFE
-            or not isinstance(color_in, int)
-            or not 0 <= color_in < q * q
-        ):
-            return None  # constructor raises on the real run
-        qs.add(q)
-        a[i] = color_in // q
-        b[i] = color_in % q
-        if with_parts:
-            part = data.get("part")
-            if (
-                not isinstance(part, int)
-                or part < 0
-                or part * q >= _INT64_SAFE
-            ):
-                return None
-            offset[i] = part * q
-    if len(qs) != 1:
-        return None  # mixed q: phase schedules diverge per node
-    q = qs.pop()
+    if with_parts:
+        if int(cols["part"].max()) * q >= _INT64_SAFE:
+            return None
+        offset = cols["part"] * q
     worst_candidate = int(offset.max()) + q - 1
     if worst_candidate >= _INT64_SAFE:
         return None
@@ -836,8 +809,8 @@ def _poly_phase_kernel(
 
     _publish(
         network, writeback,
-        color=_color_table(csr, colors),
-        blocked_phases=_int_table(order, blocked),
+        color=_array_table(csr, colors),
+        blocked_phases=_array_table(csr, blocked),
     )
     return _finish(
         network, rounds, traffic, r, status == "stopped",
@@ -1092,6 +1065,17 @@ def _is_int64_safe(value) -> bool:
     return isinstance(value, int) and -_INT64_SAFE < value < _INT64_SAFE
 
 
+def _label_column(order):
+    """The node labels as an int64 column (the Linial input colors of
+    nodes given none), or ``None`` when a label is negative or beyond
+    the int64 arrays: such nodes need an explicit ``color_in``."""
+    if not (0 <= order[0] and _is_int64_safe(order[-1])):
+        return None
+    if isinstance(order, range):
+        return np.arange(order.start, order.stop, order.step)
+    return np.fromiter(order, np.int64, len(order))
+
+
 @register_kernel(LinialProgram)
 def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     """Vectorized :class:`LinialProgram` (Theorem B.1), G and G²
@@ -1113,36 +1097,16 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    config = None
-    colors = np.empty(n, dtype=np.int64)
-    parts = np.empty(n, dtype=np.int64)
-    for i, data in plan.input_groups():
-        cfg = (
-            data.get("schedule"),
-            data.get("relay"),
-            data.get("relay_rounds"),
-            data.get("per_message"),
-        )
-        if config is None:
-            config = cfg
-        elif cfg != config:
-            return None  # non-uniform schedules
-        part = data.get("part", 0)
-        if not _is_int64_safe(part):
-            return None
-        parts[i] = part
-        if "color_in" in data:
-            color = data["color_in"]
-            if not _is_int64_safe(color):
-                return None
-            colors[i] = color
-        else:  # a node's input color defaults to its label
-            labels = order[i] if isinstance(i, slice) else (order[i],)
-            if not all(map(_is_int64_safe, labels)):
-                return None
-            colors[i] = order[i]
-
-    schedule, relay, relay_rounds, per_message = config
+    # A node's input color defaults to its label.
+    read = plan.read_inputs(color_in=_label_column(order), part=0)
+    if read is None:
+        return None
+    shared, cols = read
+    colors, parts = cols["color_in"], cols["part"]
+    schedule, relay, relay_rounds, per_message = (
+        shared.get(key)
+        for key in ("schedule", "relay", "relay_rounds", "per_message")
+    )
     try:
         steps = [(d, q) for d, q, _m_new in schedule]
         if relay:
@@ -1217,7 +1181,7 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         for node, color in zip(order, colors.tolist()):
             programs[node].color = color
 
-    _publish(network, writeback, color=_int_table(order, colors))
+    _publish(network, writeback, color=_array_table(csr, colors))
     return _finish(
         network, schedule_rounds, traffic, schedule_rounds + 1, False,
         False, max_rounds, raise_on_timeout, halted=True,
@@ -1254,24 +1218,15 @@ def _color_reduction_kernel(
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
         return None  # node labels ride in the announcements
 
-    config = None
-    colors = np.empty(n, dtype=np.int64)
-    for i, data in plan.input_groups():
-        cfg = (
-            data.get("target"),
-            data.get("phases"),
-            data.get("gather_rounds"),
-            data.get("per_message"),
-        )
-        if config is None:
-            config = cfg
-        elif cfg != config:
-            return None  # non-uniform schedules
-        color = data.get("color_in")
-        if not _is_int64_safe(color):
-            return None
-        colors[i] = color
-    target, phases, gather_rounds, per_message = config
+    read = plan.read_inputs(color_in=None)
+    if read is None:
+        return None
+    shared, cols = read
+    colors = cols["color_in"]
+    target, phases, gather_rounds, per_message = (
+        shared.get(key)
+        for key in ("target", "phases", "gather_rounds", "per_message")
+    )
     if not (
         all(
             isinstance(v, int)
@@ -1365,7 +1320,7 @@ def _color_reduction_kernel(
 
     _publish(
         network, writeback,
-        color=_int_table(order, current),
+        color=_array_table(csr, current),
         recolored_in_phase=recolored_table,
     )
     return _finish(
@@ -2469,27 +2424,23 @@ def _randomized_d2_kernel(
         return _decline("self-loops")
     n = csr.n
     order = csr.order
+    read = plan.read_inputs()
+    if read is None:
+        return _decline("inputs")
+    shared = read[0]
+    (palette, variant, trials, sim_config, constants, filter_bits,
+     learn_config) = (
+        shared.get(key)
+        for key in (
+            "palette", "variant", "initial_trials", "sim_config",
+            "constants", "lottery_filter_bits", "learn_config",
+        )
+    )
+    forward_per_round = shared.get("forward_per_round", 1)
     try:
-        configs = {
-            (
-                data.get("palette"),
-                data.get("variant"),
-                data.get("initial_trials"),
-                data.get("sim_config"),
-                data.get("constants"),
-                tuple(map(tuple, data.get("ladder"))),
-                data.get("lottery_filter_bits"),
-                data.get("learn_config"),
-                data.get("forward_per_round", 1),
-            )
-            for _i, data in plan.input_groups()
-        }
+        ladder = tuple(map(tuple, shared.get("ladder")))
     except TypeError:
         return _decline("inputs")
-    if len(configs) != 1:
-        return _decline("inputs")
-    (palette, variant, trials, sim_config, constants, ladder,
-     filter_bits, learn_config, forward_per_round) = configs.pop()
     if (
         variant not in ("improved", "basic")
         or not isinstance(sim_config, SimilarityConfig)
@@ -2542,7 +2493,7 @@ def _randomized_d2_kernel(
     _publish(
         network,
         _randomized_writeback(run, resumes, handoff),
-        color=_color_table(csr, run.st.colors),
+        color=_array_table(csr, run.st.colors),
         phase_log=lambda: {node: list(phase_log) for node in order},
         phase=lambda: dict.fromkeys(order, phase),
     )
@@ -2702,10 +2653,10 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    ks = {data.get("k") for _i, data in plan.input_groups()}
-    if len(ks) != 1:
+    read = plan.read_inputs()
+    if read is None:
         return None
-    k = ks.pop()
+    k = read[0].get("k")
     if not isinstance(k, int) or k < 1:
         return None
     max_label = max(abs(order[0]), abs(order[-1]))

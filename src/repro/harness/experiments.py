@@ -1422,12 +1422,15 @@ def e22_sharded_sweep(
         )
         assert victim_lease is not None  # claim on a fresh dir
 
-    # Cache sharing: one instance build per (workload, seed), however
-    # many algorithm cells reference it.
+    # Cache sharing: one instance build per (workload, seed), one per
+    # seed-free workload, however many algorithm cells reference it.
     cache = InstanceCache()
     for cell in cells:
         cache.get(cell.workload, cell.seed)
-    distinct = len({(c.workload, c.seed) for c in cells})
+    distinct = len({
+        (c.workload, None if get_workload(c.workload).seed_free else c.seed)
+        for c in cells
+    })
     table.add_check(
         f"instance cache: {len(cells)} cells share {distinct} builds",
         cache.stats.builds == distinct

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from operator import countOf
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -19,8 +20,49 @@ def count_distinct(values: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def column(values) -> np.ndarray:
+    """``values`` (a sized, re-iterable collection) as a read-only
+    int64 column when every value is an exact int (not a ``bool``)
+    inside int64, else as an object column."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        col = values.view()
+    else:
+        col = None
+        if countOf(map(type, values), int) == len(values):
+            try:
+                col = np.fromiter(values, np.int64, len(values))
+            except OverflowError:
+                pass
+        if col is None:
+            col = np.fromiter(values, object, len(values))
+    col.flags.writeable = False
+    return col
+
+
+def aligned_column(coloring, order) -> Optional[np.ndarray]:
+    """A column-carrying coloring's int64 colors when its nodes are
+    exactly ``order`` (a sweep ``Coloring``, or a kernel's
+    :class:`ArrayColoring` with every node colored), else ``None``:
+    the caller then reads the coloring node by node."""
+    columns = getattr(coloring, "columns", None)
+    if columns is None:
+        return None
+    nodes, colors = columns()
+    if colors.dtype != np.int64 or len(nodes) != len(order):
+        return None
+    if isinstance(order, range):
+        same = isinstance(nodes, np.ndarray) and np.array_equal(
+            nodes, np.arange(order.start, order.stop, order.step)
+        )
+    else:
+        same = nodes is order
+    return colors if same else None
+
+
 class ArrayColoring(Mapping):
-    """A read-only ``{node: color}`` mapping over a kernel's arrays.
+    """A read-only ``{node: color}`` mapping over a kernel's arrays
+    (kernels serve their other non-negative int tables, such as
+    ``blocked_phases``, through it too).
 
     ``order[i]`` is the label of dense index ``i`` (ascending),
     ``colors[i]`` its int64 color, ``-1`` for an uncolored node (read

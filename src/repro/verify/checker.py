@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.results import count_distinct
+from repro.results import aligned_column, count_distinct
 
 #: Color values outside this magnitude decline the array fast path
 #: (int64 comparisons would be inexact).
@@ -93,26 +93,6 @@ def _colors_used(coloring) -> int:
     used = set(coloring.values())
     used.discard(None)
     return len(used)
-
-
-def _int_column(csr, coloring):
-    """A column input's int64 colors when its nodes are exactly
-    ``csr.order`` (a sweep ``Coloring`` or a kernel's
-    ``ArrayColoring`` with every node colored), else ``None``."""
-    columns = getattr(coloring, "columns", None)
-    if columns is None:
-        return None
-    nodes, colors = columns()
-    order = csr.order
-    if colors.dtype != np.int64 or len(nodes) != len(order):
-        return None
-    if isinstance(order, range):
-        same = isinstance(nodes, np.ndarray) and np.array_equal(
-            nodes, np.arange(order.start, order.stop, order.step)
-        )
-    else:
-        same = nodes is order
-    return colors if same else None
 
 
 def _rank(colors: np.ndarray):
@@ -198,7 +178,7 @@ def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
     order = csr.order
     colored = None
     uncolored: List[int] = []
-    colors = _int_column(csr, coloring)
+    colors = aligned_column(coloring, csr.order)
     if colors is not None:
         colors_used = count_distinct(colors)
     else:

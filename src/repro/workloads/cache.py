@@ -156,7 +156,9 @@ class Instance:
     path asks for it.
 
     The graph returned by :meth:`graph` is the shared cached object —
-    callers must not mutate it (copy first).
+    callers must not mutate it (copy first).  ``seed`` is the build
+    seed, ``None`` for a seed-free workload (one instance serves every
+    seed; a cell's own seed lives on the cell).
     """
 
     __slots__ = (
@@ -495,7 +497,8 @@ class InstanceCache:
 
     Primary keys are ``(workload name, params, seed)`` — valid
     because the registry contract makes builders deterministic in the
-    seed.  Ad-hoc graphs (never registered) are interned under their
+    seed — with ``None`` for the seed of a ``seed_free`` spec, whose
+    one instance serves every seed.  Ad-hoc graphs (never registered) are interned under their
     content digest instead, so two different ad-hoc instances can
     share a display name without colliding.  Installed (prebuilt)
     instances are additionally reachable by ``(name, seed)`` alone,
@@ -584,7 +587,9 @@ class InstanceCache:
             try:
                 spec = get_workload(workload)
             except KeyError:
-                hit = self._lookup(("installed", workload, seed))
+                hit = self._lookup(
+                    ("installed", workload, seed)
+                ) or self._lookup(("installed", workload, None))
                 if hit is not None:
                     self.stats.hits += 1
                     return hit
@@ -595,7 +600,8 @@ class InstanceCache:
             return self.intern_graph(
                 spec.name, seed, spec.graph(seed)
             )
-        key = (spec.name, spec.params, seed)
+        key_seed = None if spec.seed_free else seed
+        key = (spec.name, spec.params, key_seed)
         hit = self._lookup(key)
         if hit is not None:
             self.stats.hits += 1
@@ -606,7 +612,7 @@ class InstanceCache:
             "workloads.build", workload=spec.name, seed=seed
         ) as sp:
             instance = Instance.from_graph(
-                spec.name, seed, spec.graph(seed), spec.params,
+                spec.name, key_seed, spec.graph(seed), spec.params,
                 registered=True,
             )
             sp.annotate(n=instance.n, m=instance.m)

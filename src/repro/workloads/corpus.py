@@ -71,24 +71,29 @@ import networkx as nx  # noqa: E402 - used only by the tiny builders below
 _w(
     "path16", "path", lambda seed, n: nx.path_graph(n), {"n": 16},
     "corpus", "degenerate", "sparse", n_bound=16, delta_bound=2,
+    seed_free=True,
 )
 _w(
     "star13", "star", lambda seed, leaves: nx.star_graph(leaves),
     {"leaves": 12},
     "corpus", "degenerate", "tree", n_bound=13, delta_bound=12,
+    seed_free=True,
 )
 _w(
     "singleton", "empty", lambda seed, n: nx.empty_graph(n), {"n": 1},
     "corpus", "degenerate", n_bound=1, delta_bound=0,
+    seed_free=True,
 )
 _w(
     "edgeless8", "empty", lambda seed, n: nx.empty_graph(n), {"n": 8},
     "corpus", "degenerate", "disconnected", n_bound=8, delta_bound=0,
+    seed_free=True,
 )
 _w(
     "double-star6", "double-star",
     lambda seed, leaves: double_star(leaves), {"leaves": 6},
     "corpus", "degenerate", "tree", n_bound=14, delta_bound=7,
+    seed_free=True,
 )
 
 # -- the paper's core regimes -------------------------------------------
@@ -98,12 +103,14 @@ _w(
     "corpus", "moore", "tight", "named", "showcase",
     n_bound=5, delta_bound=2,
     description="C5: the Δ=2 Moore graph; G² complete",
+    seed_free=True,
 )
 _w(
     "petersen", "moore", lambda seed: petersen(), (),
     "corpus", "moore", "tight", "named", "showcase",
     n_bound=10, delta_bound=3,
     description="Petersen: the Δ=3 Moore graph; G² complete",
+    seed_free=True,
 )
 _w(
     "rr4_24", "regular",
@@ -126,6 +133,7 @@ _w(
     "grid4x5", "grid", lambda seed, rows, cols: grid(rows, cols),
     {"rows": 4, "cols": 5},
     "corpus", "planar", n_bound=20, delta_bound=4,
+    seed_free=True,
 )
 
 # -- adversarial shapes -------------------------------------------------
@@ -134,6 +142,7 @@ _w(
     "bipartite-double-petersen", "bipartite-double",
     lambda seed: bipartite_double(petersen()), (),
     "corpus", "adversarial", "bipartite", n_bound=20, delta_bound=3,
+    seed_free=True,
 )
 _w(
     "high-girth3_24", "high-girth",
@@ -153,6 +162,7 @@ _w(
     lambda seed, hubs, leaves: multileaf(hubs, leaves),
     {"hubs": 4, "leaves": 5},
     "corpus", "adversarial", "tree", n_bound=24, delta_bound=7,
+    seed_free=True,
 )
 
 # -- related-work families (2021 color sampling, 2023 relays) -----------
@@ -221,6 +231,7 @@ _w(
     "grid40x50", "grid", lambda seed, rows, cols: grid(rows, cols),
     {"rows": 40, "cols": 50},
     "large", "planar", n_bound=2000, delta_bound=4,
+    seed_free=True,
 )
 _w(
     "cliques64x6", "cliques",
@@ -233,6 +244,7 @@ _w(
     lambda seed, hubs, leaves: multileaf(hubs, leaves),
     {"hubs": 48, "leaves": 40},
     "large", "adversarial", "tree", n_bound=1968, delta_bound=42,
+    seed_free=True,
 )
 _w(
     "powerlaw-600", "powerlaw",
@@ -316,21 +328,25 @@ _w(
     lambda seed: hoffman_singleton(), (),
     "named", "moore", "tight", "showcase", n_bound=50, delta_bound=7,
     description="Hoffman–Singleton: the Δ=7 Moore graph",
+    seed_free=True,
 )
 _w(
     "pg2_2", "projective",
     lambda seed, q: projective_plane_incidence(q), {"q": 2},
     "named", "girth6", n_bound=14, delta_bound=3,
+    seed_free=True,
 )
 _w(
     "pg2_3", "projective",
     lambda seed, q: projective_plane_incidence(q), {"q": 3},
     "named", "girth6", n_bound=26, delta_bound=4,
+    seed_free=True,
 )
 _w(
     "pg2_5", "projective",
     lambda seed, q: projective_plane_incidence(q), {"q": 5},
     "named", "girth6", n_bound=62, delta_bound=6,
+    seed_free=True,
 )
 _w(
     "rr8-64", "regular",

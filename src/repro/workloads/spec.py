@@ -27,7 +27,9 @@ Builders must be *deterministic in the seed*: the same ``(name,
 params, seed)`` triple always yields the identical graph.  That
 contract is what lets :class:`~repro.workloads.cache.InstanceCache`
 content-address built instances and lets shard manifests reference
-workloads by key while still merging byte-identically.
+workloads by key while still merging byte-identically.  A builder
+that ignores its seed (a named graph, a path, a grid) declares
+``seed_free=True``, and the cache then builds it once for every seed.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ class WorkloadSpec:
         Property-tested in ``tests/test_workloads.py``.
     description:
         One line for tables and docs.
+    seed_free:
+        The builder ignores its seed: every seed yields the same
+        graph, so :class:`~repro.workloads.cache.InstanceCache` keys
+        the one instance without the seed (its ``seed`` is ``None``).
     """
 
     name: str
@@ -95,6 +101,7 @@ class WorkloadSpec:
     n_bound: Optional[int] = None
     delta_bound: Optional[int] = None
     description: str = ""
+    seed_free: bool = False
 
     def param_dict(self) -> Dict[str, Any]:
         """The parameter point as a plain dict."""
@@ -114,6 +121,7 @@ def workload(
     n_bound: Optional[int] = None,
     delta_bound: Optional[int] = None,
     description: str = "",
+    seed_free: bool = False,
 ) -> WorkloadSpec:
     """Convenience constructor: dict params, varargs tags."""
     return WorkloadSpec(
@@ -125,6 +133,7 @@ def workload(
         n_bound=n_bound,
         delta_bound=delta_bound,
         description=description,
+        seed_free=seed_free,
     )
 
 

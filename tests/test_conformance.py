@@ -210,6 +210,37 @@ class TestDifferentialSweep:
             sorted(r.failures) for r in swept.records
         ]
 
+    def test_trial_grid_never_derives_square(self):
+        """A grid whose cells all run relay-native specs (trial) is
+        not prewarmed with G²: neither the kernel nor the checker
+        reads it, on a serial run or on a process pool."""
+        from repro.exec import SweepBackend
+        from repro.workloads import get_workload, instance_cache
+
+        def rows(backend):
+            cache = instance_cache()
+            cache.clear()
+            report = run_conformance(
+                specs=[get_algorithm("trial")],
+                scenarios=[
+                    get_workload("gnp-huge-16384"), get_workload("gnp24")
+                ],
+                seed=0,
+                backend=backend,
+            )
+            assert report.ok, report.explain()
+            assert cache.stats.square_builds == 0
+            return [
+                (r.scenario, r.colors_used, r.rounds, r.messages)
+                for r in report.records
+            ]
+
+        serial = rows("vectorized")
+        assert len(serial) == 2
+        assert rows(
+            SweepBackend(executor="process", max_workers=2, inner="vectorized")
+        ) == serial
+
     def test_grid_cells_keep_adhoc_attributes(self):
         """An ad-hoc weighted scenario is one cached instance with one
         G² derivation on a worker pool, as it is serially: its cells

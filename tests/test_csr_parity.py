@@ -435,7 +435,7 @@ class TestRelayCheckerMatchesBfs:
         # A column input whose nodes are the CSR order is checked off
         # its int64 column; no (node, color) pair is ever built.
         from repro.exec.sweep import Coloring
-        from repro.verify import checker
+        from repro.results import aligned_column
 
         graph = random_regular(4, 24, seed=1)
         csr = graph.csr_adjacency
@@ -445,7 +445,7 @@ class TestRelayCheckerMatchesBfs:
         bfs = _sorted(check_distance_k_coloring(graph, dict(coloring), 2))
         if colored:
             monkeypatch.setattr(Coloring, "__iter__", None)
-        assert (checker._int_column(csr, coloring) is not None) == colored
+        assert (aligned_column(coloring, csr.order) is not None) == colored
         report = _sorted(
             check_distance_k_coloring(graph, coloring, 2, adjacency=csr)
         )

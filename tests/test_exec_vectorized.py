@@ -116,10 +116,8 @@ def _trial_network(graph, seed, policy=None, kind="dict", **data):
 
 
 def _first_input(network):
-    """The input payload of the network's first node (in plan order);
-    its group comes first."""
-    _index, data = next(network.plan().input_groups())
-    return data
+    """The input of the network's first node (in plan order)."""
+    return network._inputs.get(network.plan().order[0])
 
 
 def _with_input(network, **changes):
@@ -283,8 +281,21 @@ class _TrialKernelCases:
 
     @pytest.mark.parametrize(
         "data",
-        [{"avoid_known": True}, {"palette": 0}, {"palette": None}],
-        ids=["avoid-known", "palette-0", "palette-none"],
+        [
+            {"avoid_known": True},
+            {"palette": 0},
+            {"palette": None},
+            {"palette": True},
+            {"palette": 26.0},
+            {"palette": np.int64(26)},
+            {"palette": 2**63},
+            {"color": -1},
+        ],
+        ids=[
+            "avoid-known", "palette-0", "palette-none", "palette-bool",
+            "palette-float", "palette-numpy", "palette-over-int64",
+            "color-negative",
+        ],
     )
     def test_declines_like_reference(self, data):
         # The kernel declines before writing anything; the generator
@@ -2031,11 +2042,20 @@ class TestArrays:
     def test_int_bits_array_exact_across_int64(self):
         values = [
             0, 1, -1, 2, 7, 8, 255, 256, -257,
-            2**31 - 1, 2**31, 2**52, 2**53, 2**53 + 1,
-            2**61, 2**62 - 1, -(2**62 - 1),
+            2**31 - 1, 2**31, 2**52, 2**53 - 1, 2**53, 2**53 + 1,
+            2**61, 2**62 - 1, -(2**62 - 1), 2**62,
+            2**63 - 1, -(2**63 - 1), -(2**63),
         ]
+        # Every power of two and its neighbours: float64 rounding
+        # carries 2^k - 1 up to 2^k once k > 53.
+        for k in range(1, 63):
+            for v in (2**k - 1, 2**k, 2**k + 1):
+                values += [v, -v]
         got = int_bits_array(np.array(values, dtype=np.int64))
         assert got.tolist() == [int_bits(v) for v in values]
+        for small in ([], [5], values[:3]):
+            got = int_bits_array(np.array(small, dtype=np.int64))
+            assert got.tolist() == [int_bits(v) for v in small]
 
     def test_graph_registry_is_per_object(self):
         graph = nx.petersen_graph()

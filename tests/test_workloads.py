@@ -221,6 +221,48 @@ class TestInstanceCache:
         assert cache.get("gnp24", 0) is not cache.get("gnp24", 1)
         assert cache.stats.builds == 2
 
+    def test_seed_free_workload_builds_once(self):
+        cache = InstanceCache()
+        first = cache.get("hoffman-singleton", 0)
+        assert cache.get("hoffman-singleton", 1) is first
+        assert cache.get(get_workload("hoffman-singleton"), 63) is first
+        assert cache.stats.builds == 1 and cache.stats.hits == 2
+        assert first.seed is None
+        assert first.key == ("hoffman-singleton", (), None)
+
+    def test_seed_free_specs_ignore_their_seed(self):
+        for spec in workloads():
+            if spec.seed_free:
+                assert canonical(spec.graph(0)) == canonical(
+                    spec.graph(12345)
+                ), spec.name
+
+    def test_seed_free_install_resolves_every_seed(self):
+        # The spawn-worker path for a workload registered only in the
+        # parent: one shipped instance answers every seed's cell.
+        import networkx as nx
+
+        from repro.workloads import Instance
+
+        built = Instance.from_graph(
+            "parent-only-path", None, nx.path_graph(5),
+            registered=True,
+        )
+        worker = InstanceCache()
+        worker.install([built])
+        assert worker.get("parent-only-path", 0) is built
+        assert worker.get("parent-only-path", 9) is built
+        assert worker.stats.builds == 0
+
+    def test_seed_free_prebuild_ships_one_instance(self):
+        from repro.exec.sweep import SweepCell, prebuild_instances
+
+        cells = [
+            SweepCell.from_workload("trial", "petersen", seed)
+            for seed in range(4)
+        ]
+        assert len(prebuild_instances(cells)) == 1
+
     def test_adhoc_interning_is_content_addressed(self):
         import networkx as nx
 
