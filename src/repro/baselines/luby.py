@@ -11,11 +11,11 @@ the O(k log n) round scaling.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, UniformInputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
 
@@ -96,13 +96,12 @@ def luby_distance_k_mis(
     max_rounds: int = 100_000,
 ):
     """Compute a distance-k MIS; returns ``(mis_set, rounds, metrics)``."""
-    inputs = {v: {"k": k} for v in graph.nodes}
     network = Network(
         graph,
         LubyDistanceKProgram,
         seed=seed,
         policy=policy,
-        inputs=inputs,
+        inputs=UniformInputs(graph.nodes, {"k": k}),
     )
     run = network.run(
         max_rounds=max_rounds,

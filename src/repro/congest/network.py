@@ -30,10 +30,10 @@ records the recipe.  The Python nodes are built on first access of
 :mod:`repro.congest.rng`, held by the :class:`NetworkPlan` as stream
 keys and counters: kernels draw from the plan's arrays, and each
 ``NodeContext.rng`` is a :class:`~repro.congest.rng.CounterRandom`
-that continues its node's stream at the plan's counter.  Kernels
-that never materialize publish observable end-state through
-:meth:`node_colors`/:meth:`node_table` and leave a deferred
-write-back that runs if nodes are built later.
+that continues its node's stream at the plan's counter.  A kernel
+run leaves its end state as one mapping of program attributes, which
+:meth:`node_colors`/:meth:`node_table` serve and which is written
+into the programs if nodes are built later.
 One consequence: program-constructor errors (e.g. a missing input key)
 surface at first materialization — usually :meth:`run` — rather than
 at ``Network(...)`` construction.
@@ -45,6 +45,7 @@ early, e.g. once every node is colored, and is reported as such.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import (
@@ -89,6 +90,8 @@ class UniformInputs(Mapping):
     labels to, and a node's input is the payload plus its column
     values.  Materialization copies each node's input
     (``NodeContext`` owns its data), so sharing is safe.
+    :meth:`Network.node_table` serves a kernel's shared end-state
+    value through it too.
     """
 
     __slots__ = ("_nodes", "_payload", "columns", "index")
@@ -154,7 +157,9 @@ def column_inputs(graph, payload: Dict[str, Any], **columns) -> UniformInputs:
 class RunResult:
     """Outcome of one :meth:`Network.run` execution."""
 
-    outputs: Dict[int, Any]
+    #: ``{node: return value}`` of the halted programs; a halted
+    #: kernel run's color table.
+    outputs: Mapping[int, Any]
     metrics: RunMetrics
     halted: bool
     stopped_early: bool = False
@@ -398,11 +403,12 @@ class Network:
         self._gens: Optional[Dict[int, Any]] = None
         self._nbr_sets: Optional[Dict[int, frozenset]] = None
         self._plan: Optional[NetworkPlan] = None
-        #: Kernel-recorded end-state: callables applied to the freshly
-        #: built programs if/when the network materializes.
-        self._deferred_state: List[Callable[[Dict[int, NodeProgram]], None]] = []
-        #: Kernel-published observable tables ({name: () -> dict}).
-        self._vector_tables: Dict[str, Callable[[], Dict[int, Any]]] = {}
+        #: A kernel run's end state, ``{program attribute: int64 column
+        #: in plan order (-1 = None) | per-node callable of the dense
+        #: index | one value every node shares}``: served by
+        #: :meth:`node_table` and written into the programs if they are
+        #: built later.
+        self._end_state: Dict[str, Any] = {}
         self.outputs: Dict[int, Any] = {}
         self._started = False
 
@@ -458,9 +464,10 @@ class Network:
             node: frozenset(ctx.neighbors)
             for node, ctx in contexts.items()
         }
-        deferred, self._deferred_state = self._deferred_state, []
-        for apply_state in deferred:
-            apply_state(programs)
+        for attr, value in self._end_state.items():
+            for node, v in self._end_table(value).items():
+                # Each program owns its value: a resumed one may mutate it.
+                setattr(programs[node], attr, copy.copy(v))
 
     @property
     def contexts(self) -> Dict[int, NodeContext]:
@@ -503,22 +510,35 @@ class Network:
 
     # -- observable end-state without materialization ------------------
 
-    def node_colors(self) -> Dict[int, Optional[int]]:
+    def node_colors(self) -> Mapping[int, Optional[int]]:
         """``{node: color}`` after a run: :meth:`node_table` of
-        ``color``, which a kernel publishes as a read-only
+        ``color``, which a kernel run serves as a read-only
         :class:`~repro.results.ArrayColoring` over its color array."""
         return self.node_table("color")
 
-    def node_table(self, attr: str) -> Dict[int, Any]:
+    def node_table(self, attr: str) -> Mapping[int, Any]:
         """``{node: getattr(program, attr)}`` after a run, served from
-        a kernel-published array table when one exists."""
-        table = self._vector_tables.get(attr)
-        if table is not None and not self.materialized:
-            return table()
-        return {
-            node: getattr(program, attr)
-            for node, program in self.programs.items()
-        }
+        a kernel's end state when it holds ``attr``: a column as a
+        read-only :class:`~repro.results.ArrayColoring`, a shared value
+        as one O(1) mapping, a per-node callable as a dict."""
+        value = self._end_state.get(attr, _MISSING)
+        if value is _MISSING or self.materialized:
+            return {
+                node: getattr(program, attr)
+                for node, program in self.programs.items()
+            }
+        return self._end_table(value)
+
+    def _end_table(self, value) -> Mapping[int, Any]:
+        """One end-state entry as a ``{node: value}`` mapping."""
+        csr = self._plan.csr
+        if isinstance(value, np.ndarray):
+            from repro.results import ArrayColoring
+
+            return ArrayColoring(csr.order, value, csr.index)
+        if callable(value):
+            return {node: value(i) for i, node in enumerate(csr.order)}
+        return UniformInputs(self.graph.nodes, value)
 
     def result_programs(self) -> Mapping[int, NodeProgram]:
         """Programs mapping for a :class:`RunResult` — the real dict

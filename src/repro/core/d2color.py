@@ -254,10 +254,10 @@ def _run_randomized(
         },
     )
     # Per-phase rounds (identical schedule at every node, so any node's
-    # table will do; read through node_table, which a kernel run serves
-    # without building programs).  The phase running when the run
-    # ended — the open-ended final one, or one the stop monitor or
-    # max_rounds cut short — gets the remainder.
+    # entry will do; a kernel run serves both tables as one shared
+    # value, building neither programs nor an n-entry table).  The
+    # phase running when the run ended — the open-ended final one, or
+    # one the stop monitor or max_rounds cut short — gets the remainder.
     phase_log = next(iter(network.node_table("phase_log").values()))
     phase = next(iter(network.node_table("phase").values()))
     logged = 0

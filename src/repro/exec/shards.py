@@ -52,6 +52,7 @@ from repro.exec.sweep import (
     prebuild_instances,
     run_cell,
 )
+from repro.results import column
 
 #: 2: per-node randomness became the counter hash of repro.congest.rng.
 #: 3: checkpoint records carry the coloring as two flat columns.
@@ -228,7 +229,7 @@ def _column_from_json(data: List) -> np.ndarray:
             return np.arange(payload, dtype=np.int64)
         raw = base64.b64decode(payload, validate=True)
         return np.frombuffer(raw, dtype=tag).astype(np.int64)
-    col = Coloring.column(data)
+    col = column(data)
     if col.dtype != object:
         raise ValueError("int coloring column stored as a plain list")
     return col

@@ -180,7 +180,7 @@ class Coloring:
     __slots__ = ("nodes", "colors", "_sha256")
 
     def __init__(self, nodes=(), colors=()):
-        nodes, colors = self.column(nodes), self.column(colors)
+        nodes, colors = column(nodes), column(colors)
         if len(nodes) != len(colors):
             raise ValueError(
                 f"coloring columns differ in length: {len(nodes)} "
@@ -192,8 +192,6 @@ class Coloring:
         self.colors = colors
         self._sha256: Optional[str] = None
 
-    column = staticmethod(column)
-
     @classmethod
     def from_mapping(cls, mapping) -> "Coloring":
         """The coloring of a ``{node: color}`` mapping, sorted by node
@@ -202,8 +200,8 @@ class Coloring:
         without a per-node pass."""
         if isinstance(mapping, ArrayColoring):
             return cls(*mapping.columns())
-        nodes = cls.column(mapping.keys())
-        colors = cls.column(mapping.values())
+        nodes = column(mapping.keys())
+        colors = column(mapping.values())
         if nodes.dtype == object:
             order = sorted(range(len(nodes)), key=nodes.__getitem__)
         elif not _ascending(nodes):

@@ -16,14 +16,23 @@ either engine).
 Kernels run off the :class:`~repro.congest.network.NetworkPlan` —
 the CSR adjacency plus per-node stream keys and counters — so a
 kernel-covered run on an *unmaterialized* network never builds a
-Python node object at all: end-state is published through
-``Network.node_colors()``/``node_table()`` and written back to
-programs only if somebody later materializes them.  One kernel can
-hand a run over mid-way: ``improved-d2color`` on the LearnPalette
-handler path (or with forward batches narrower than Δ) runs its array
-sections, then materializes the programs with their end-state and
-hands LearnPalette and finish to the
-:class:`~repro.exec.reference.GeneratorLoop`.
+Python node object at all.  One contract covers every kernel:
+:meth:`VectorizedBackend.execute` runs the shared prologue (the stop
+monitor the kernel replays, the plan, self-loops), calls
+``kernel(network, plan, max_rounds=..., stop_when=...)`` and builds
+the ``RunResult``.  A kernel either raises :class:`_Declined` with
+its cause — ``execute`` emits ``kernel.decline`` and hands the run to
+the generator loop — or returns an :class:`_End`: its rounds, its
+traffic, how it ended and its end state, one ``{program attribute:
+int64 column | per-node callable | shared value}`` mapping that
+``Network.node_colors()``/``node_table()`` serve and that is written
+into the programs only if somebody later materializes them.  A halted
+run's ``outputs`` is its color table.  One kernel can hand a run over
+mid-way: ``improved-d2color`` on the LearnPalette handler path (or
+with forward batches narrower than Δ) runs its array sections, then
+materializes the programs with their end state and hands LearnPalette
+and finish to the :class:`~repro.exec.reference.GeneratorLoop`,
+returning that loop's ``RunResult``.
 
 Coverage is per program class, not per call site:
 
@@ -53,13 +62,13 @@ Coverage is per program class, not per call site:
 Kernels read their input from the plan only.  A network whose Python
 nodes already exist may hold program state no plan input describes,
 so it goes straight to the generator loop (fallback cause
-``materialized``).  Everything else — and every run a kernel cannot
-replay exactly (custom ``stop_when`` monitors, ``avoid_known``
-candidate selection, self-loop graphs, metered payloads that could
-exceed the budget, values that could leave int64, lottery tickets
-wider than 62 bits, dropped similarity items) — falls back to
-``reference`` automatically, so ``backend="vectorized"`` is always
-safe to request.  The guarantees are enforced by
+``materialized``).  Every run a kernel cannot replay exactly (custom
+``stop_when`` monitors, ``avoid_known`` candidate selection, self-loop
+graphs, metered payloads that could exceed the budget, values that
+could leave int64, lottery tickets wider than 62 bits, dropped
+similarity items) is declined before anything is written and falls
+back to ``reference`` automatically, so ``backend="vectorized"`` is
+always safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
 ``tests/test_exec_vectorized.py``.
 """
@@ -71,7 +80,7 @@ import copy
 import functools
 import itertools
 from collections import Counter
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, NamedTuple, Optional, Type
 
 import numpy as np
 
@@ -115,6 +124,7 @@ from repro.core.reduce import (
     _TAG_QREQ,
     _TAG_QUERY,
     REDUCE_PHASE_ROUNDS,
+    ReduceStats,
 )
 from repro.core import sampling
 from repro.core.sampling import _TAG_BEST, _TAG_TICKET
@@ -133,15 +143,16 @@ from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
 from repro.exec.reference import GeneratorLoop
 from repro.obs import trace as obs_trace
-from repro.results import ArrayColoring
 from repro.util.primes import is_prime
 
 #: Values any node ever sends stay strictly inside int64 under this
 #: bound, and every array comparison is exact.
 _INT64_SAFE = 2**62
 
-#: Program class -> kernel.  A kernel returns a RunResult, or None to
-#: decline the run (the generator loop then executes it).
+#: Program class -> kernel: ``kernel(network, plan, *, max_rounds,
+#: stop_when)`` returns an :class:`_End` (or, handing the run to the
+#: generator loop mid-way, that loop's ``RunResult``) or raises
+#: :class:`_Declined`.
 KERNELS: Dict[Type, Callable] = {}
 
 #: Registry spec name -> the program class its hot network runs; the
@@ -158,8 +169,13 @@ KERNELS: Dict[Type, Callable] = {}
 SPEC_PROGRAMS: Dict[str, Type] = {}
 
 
-def register_kernel(program_cls: Type, *, specs: tuple = ()):
+def register_kernel(program_cls: Type, *, specs: tuple = (),
+                    stops: tuple = ()):
+    """Register the kernel of ``program_cls``; ``stops`` are the
+    ``stop_when`` monitors it replays (any other one declines)."""
+
     def deco(fn):
+        fn.stops = stops
         KERNELS[program_cls] = fn
         for spec_name in specs:
             SPEC_PROGRAMS[spec_name] = program_cls
@@ -213,13 +229,22 @@ class VectorizedBackend(ExecutionBackend):
             cause = "no-kernel"
         else:
             trace_t0 = rec.clock() if rec is not None else 0.0
-            result = kernel(
-                network,
-                max_rounds=max_rounds,
-                stop_when=stop_when,
-                raise_on_timeout=raise_on_timeout,
-            )
-            if result is not None:
+            try:
+                result = _run_kernel(
+                    kernel,
+                    network,
+                    max_rounds=max_rounds,
+                    stop_when=stop_when,
+                    raise_on_timeout=raise_on_timeout,
+                )
+            except _Declined as exc:
+                if rec is not None:
+                    rec.event(
+                        "kernel.decline",
+                        {"kernel": kernel.__name__, "cause": str(exc)},
+                    )
+                cause = "kernel-declined"
+            else:
                 if rec is not None:
                     rec.complete(
                         "exec.kernel",
@@ -232,7 +257,6 @@ class VectorizedBackend(ExecutionBackend):
                         },
                     )
                 return result
-            cause = "kernel-declined"
         if rec is not None:
             rec.event("exec.fallback", {"cause": cause})
         from repro.exec import get_backend
@@ -279,43 +303,64 @@ class _Traffic:
         self.max_bits = max(self.max_bits, int(biggest))
 
 
-def _publish(network, writeback, **tables):
-    """Publish a kernel run's end-state without building a node:
-    ``writeback(programs)`` runs if the network materializes later,
-    and ``tables`` (``{attr: () -> {node: value}}``) serve
-    ``node_colors()``/``node_table()`` until then."""
-    network._deferred_state.append(writeback)
-    network._vector_tables.update(tables)
+class _Declined(Exception):
+    """A kernel cannot replay this run exactly; the message is the
+    cause.  Raised before the kernel writes anything."""
 
 
-def _finish(network, rounds, traffic, executed, stopped_early, timed_out,
-            max_rounds, raise_on_timeout, halted=False):
-    """Shared tail: mirror reference's started flag, timeout raise,
-    and result assembly."""
+class _End(NamedTuple):
+    """How a kernel run ended: its rounds and traffic, ``status``
+    (``halted``, ``stopped`` by the monitor, or ``timeout``) and its
+    end ``state``, ``{program attribute: int64 column in plan order
+    (-1 = None) | per-node callable of the dense index | one value
+    every node shares}``."""
+
+    state: dict
+    rounds: int
+    traffic: _Traffic
+    status: str
+
+
+def _run_kernel(kernel, network, *, max_rounds, stop_when,
+                raise_on_timeout):
+    """``kernel``'s run of ``network``: the prologue every kernel
+    shares, the kernel, and the ``RunResult`` (the network's
+    started flag and timeout raise mirror reference's).  Raises
+    :class:`_Declined`."""
     from repro.congest.network import RunResult
 
-    if executed > 0:
-        network._started = True
-    if timed_out and raise_on_timeout:
-        raise NonterminationError(
-            max_rounds, set(network.graph.nodes)
+    if stop_when is not None and stop_when not in kernel.stops:
+        raise _Declined("stop-monitor")
+    plan = network.plan()
+    if plan.csr.has_selfloops:
+        raise _Declined("self-loops")
+    end = kernel(network, plan, max_rounds=max_rounds, stop_when=stop_when)
+    if isinstance(end, RunResult):
+        result = end  # handed to the generator loop mid-run
+    else:
+        halted = end.status == "halted"
+        network._end_state = end.state
+        # Some resume executed: a round, or the halting one.
+        network._started = end.rounds > 0 or halted
+        traffic = end.traffic
+        result = RunResult(
+            outputs=network.node_colors() if halted else {},
+            metrics=RunMetrics(
+                rounds=end.rounds,
+                total_messages=traffic.messages,
+                total_bits=traffic.bits,
+                max_message_bits=traffic.max_bits,
+                budget_bits=network._budget,
+                violations=0,
+                worst_violation_bits=0,
+            ),
+            halted=halted,
+            stopped_early=end.status == "stopped",
+            programs=network.result_programs(),
         )
-    metrics = RunMetrics(
-        rounds=rounds,
-        total_messages=traffic.messages,
-        total_bits=traffic.bits,
-        max_message_bits=traffic.max_bits,
-        budget_bits=network._budget,
-        violations=0,
-        worst_violation_bits=0,
-    )
-    return RunResult(
-        outputs=dict(network.outputs),
-        metrics=metrics,
-        halted=halted,
-        stopped_early=stopped_early,
-        programs=network.result_programs(),
-    )
+    if raise_on_timeout and not (result.halted or result.stopped_early):
+        raise NonterminationError(max_rounds, set(network.graph.nodes))
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -604,11 +649,11 @@ def _relay_conflicts(csr, st, try_idx, own):
     return clash[try_idx]
 
 
-def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
-    """Closure building each node's 1-hop color table: an adopt sent
+def _nbr_colors(csr, colors, adopt_iter, resumes):
+    """Each node's 1-hop color table, per dense index: an adopt sent
     at iteration t was recorded by neighbors at iteration t + 1, which
     executed iff t + 1 <= ``resumes``."""
-    g_indptr, g_indices = csr.g_indptr, csr.g_indices
+    order, g_indptr, g_indices = csr.order, csr.g_indptr, csr.g_indices
     recorded = (adopt_iter >= 0) & (adopt_iter + 1 <= resumes)
 
     def tables(i):
@@ -621,44 +666,34 @@ def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
     return tables
 
 
-def _array_table(csr, values):
-    """A published table (``color``, ``blocked_phases``, ...): the
-    kernel's own int64 array as a read-only ``{node: value}`` mapping,
-    -1 read as ``None``; no dict built."""
-    return functools.partial(ArrayColoring, csr.order, values, csr.index)
-
-
 # ----------------------------------------------------------------------
 # trial / trial-slack: the whole run is uniform random try phases
 
 
-@register_kernel(TrialProgram, specs=("trial", "trial-slack"))
-def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+@register_kernel(
+    TrialProgram, specs=("trial", "trial-slack"), stops=(all_colored,)
+)
+def _trial_kernel(network, plan, *, max_rounds, stop_when):
     """Vectorized :class:`TrialProgram` — runs off the
     :class:`NetworkPlan`; builds no Python node."""
-    if stop_when is not None and stop_when is not all_colored:
-        return None
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return None
     n = csr.n
-    order = csr.order
-
     read = plan.read_inputs(palette=None, color=-1)
     if read is None:
-        return None  # incl. a missing palette: constructor decides
+        raise _Declined("inputs")  # incl. a missing palette
     shared, cols = read
     if shared.get("avoid_known", False):
-        return None
+        raise _Declined("avoid-known")
     palettes = cols["palette"]
     # A given color is >= 0 (-1 is the reader's "uncolored").
     colors = np.array(cols["color"])
     low, high = int(palettes.min()), int(palettes.max())
-    if low <= 0 or high >= _INT64_SAFE or int(colors.max()) >= _INT64_SAFE:
-        return None
+    if low <= 0:
+        raise _Declined("inputs")
+    if high >= _INT64_SAFE or int(colors.max()) >= _INT64_SAFE:
+        raise _Declined("int64")
     if not _try_phases_fit(network, high - 1):
-        return None  # could violate: replay exactly on the loop
+        raise _Declined("budget")  # could violate: replay on the loop
     phases_tried = np.zeros(n, dtype=np.int64)
     # One palette everywhere: the scalar bound skips randrange's
     # per-element bit lengths and draws the very same values.
@@ -677,27 +712,13 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         start_round=0, end_round=None, max_rounds=max_rounds,
         check_stop=stop_when is not None, idle_forever=True,
     )
-
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, st.adopt_iter, r - 1
-    )
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            c = int(colors[i])
-            program.color = c if c >= 0 else None
-            program.phases_tried = int(phases_tried[i])
-            program.nbr_colors = nbr_tables(i)
-
-    _publish(
-        network, writeback,
-        color=_array_table(csr, colors),
-        phases_tried=_array_table(csr, phases_tried),
-    )
-    return _finish(
-        network, rounds, traffic, r, status == "stopped",
-        status == "timeout", max_rounds, raise_on_timeout,
+    return _End(
+        {
+            "color": colors,
+            "phases_tried": phases_tried,
+            "nbr_colors": _nbr_colors(csr, colors, st.adopt_iter, r - 1),
+        },
+        rounds, traffic, status,
     )
 
 
@@ -706,49 +727,31 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 # q bounded phases trying (offset +) a + b·phase mod q, then halt
 
 
-def _poly_phase_kernel(
-    network, *, max_rounds, stop_when, raise_on_timeout, with_parts,
-):
+def _poly_phase_kernel(network, plan, *, max_rounds, stop_when, with_parts):
     """Shared kernel for :class:`LocallyIterativeProgram`
     (``with_parts=False``) and :class:`PartLocallyIterativeD2`
     (``with_parts=True``): draw-free try phases with candidates
     ``offset + (a + b·phase) mod q``, halting after q phases."""
-    if stop_when is not None and stop_when is not all_colored:
-        return None
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return None
     n = csr.n
-    order = csr.order
-
     read = plan.read_inputs(
         color_in=None, **({"part": None} if with_parts else {})
     )
     if read is None:
-        return None  # constructor raises on the real run
+        raise _Declined("inputs")  # the constructor raises on them
     shared, cols = read
     q = shared.get("q")  # shared: one phase schedule for every node
     color_in = cols["color_in"]
-    if (
-        not isinstance(q, int)
-        or q <= 0
-        or q * q >= _INT64_SAFE
-        or int(color_in.max()) >= q * q
-    ):
-        return None
-    a, b = np.divmod(color_in, q)
-    offset = np.zeros(n, dtype=np.int64)
-    if with_parts:
-        if int(cols["part"].max()) * q >= _INT64_SAFE:
-            return None
-        offset = cols["part"] * q
-    worst_candidate = int(offset.max()) + q - 1
-    if worst_candidate >= _INT64_SAFE:
-        return None
-
+    if not isinstance(q, int) or q <= 0 or int(color_in.max()) >= q * q:
+        raise _Declined("inputs")
+    parts = cols["part"] if with_parts else np.zeros(n, dtype=np.int64)
+    worst_candidate = (int(parts.max()) + 1) * q - 1
+    if q * q >= _INT64_SAFE or worst_candidate >= _INT64_SAFE:
+        raise _Declined("int64")
     if not _try_phases_fit(network, worst_candidate):
-        return None
+        raise _Declined("budget")
+    a, b = np.divmod(color_in, q)
+    offset = parts * q
 
     def draw(phase, live_idx):
         return (
@@ -770,11 +773,6 @@ def _poly_phase_kernel(
     # plus the final halting resume (which consumes the last adopt
     # inbox and runs the phase-(q-1) bookkeeping) on a completed one.
     resumes = end_round if halted else r - 1
-    if halted:
-        network.outputs.update(
-            (node, int(c) if c >= 0 else None)
-            for node, c in zip(order, colors.tolist())
-        )
 
     # blocked_phases / succeeded_phase bookkeeping of phase t runs at
     # resume 3t+3; a node tries every phase while live, so with
@@ -789,57 +787,34 @@ def _poly_phase_kernel(
             np.minimum(adopt_phase - 1, t_booked), q - 1
         ) + 1,
     )
-    success_known = adopted & (3 * adopt_phase + 3 <= resumes)
-
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, adopt_iter, resumes
-    )
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            c = int(colors[i])
-            program.color = c if c >= 0 else None
-            program.blocked_phases = int(blocked[i])
-            program.nbr_colors = nbr_tables(i)
-            if not with_parts:
-                program.succeeded_phase = (
-                    int(adopt_phase[i]) if success_known[i] else None
-                )
-
-    _publish(
-        network, writeback,
-        color=_array_table(csr, colors),
-        blocked_phases=_array_table(csr, blocked),
-    )
-    return _finish(
-        network, rounds, traffic, r, status == "stopped",
-        status == "timeout", max_rounds, raise_on_timeout,
-        halted=halted,
-    )
+    state = {
+        "color": colors,
+        "blocked_phases": blocked,
+        "nbr_colors": _nbr_colors(csr, colors, adopt_iter, resumes),
+    }
+    if not with_parts:
+        success_known = adopted & (3 * adopt_phase + 3 <= resumes)
+        state["succeeded_phase"] = np.where(success_known, adopt_phase, -1)
+    return _End(state, rounds, traffic, "halted" if halted else status)
 
 
-@register_kernel(LocallyIterativeProgram, specs=("deterministic-d2",))
-def _locally_iterative_kernel(
-    network, *, max_rounds, stop_when, raise_on_timeout
-):
+@register_kernel(
+    LocallyIterativeProgram, specs=("deterministic-d2",),
+    stops=(all_colored,),
+)
+def _locally_iterative_kernel(network, plan, **run):
     """Vectorized :class:`LocallyIterativeProgram` (Theorem B.4)."""
-    return _poly_phase_kernel(
-        network, max_rounds=max_rounds, stop_when=stop_when,
-        raise_on_timeout=raise_on_timeout, with_parts=False,
-    )
+    return _poly_phase_kernel(network, plan, with_parts=False, **run)
 
 
-@register_kernel(PartLocallyIterativeD2, specs=("eps-d2-coloring",))
-def _part_locally_iterative_kernel(
-    network, *, max_rounds, stop_when, raise_on_timeout
-):
+@register_kernel(
+    PartLocallyIterativeD2, specs=("eps-d2-coloring",),
+    stops=(all_colored,),
+)
+def _part_locally_iterative_kernel(network, plan, **run):
     """Vectorized :class:`PartLocallyIterativeD2` (Lemma 3.5 stage 2:
     part-offset palettes, identical phase schedule)."""
-    return _poly_phase_kernel(
-        network, max_rounds=max_rounds, stop_when=stop_when,
-        raise_on_timeout=raise_on_timeout, with_parts=True,
-    )
+    return _poly_phase_kernel(network, plan, with_parts=True, **run)
 
 
 # ----------------------------------------------------------------------
@@ -1077,7 +1052,7 @@ def _label_column(order):
 
 
 @register_kernel(LinialProgram)
-def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+def _linial_kernel(network, plan, *, max_rounds, stop_when):
     """Vectorized :class:`LinialProgram` (Theorem B.1), G and G²
     variants, per-part conflicts included.
 
@@ -1088,19 +1063,12 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     message over budget, on inputs the generators raise on, and on
     ``max_rounds`` short of the halting resume.
     """
-    if stop_when is not None:
-        return None
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return None
     n = csr.n
-    order = csr.order
-
     # A node's input color defaults to its label.
-    read = plan.read_inputs(color_in=_label_column(order), part=0)
+    read = plan.read_inputs(color_in=_label_column(csr.order), part=0)
     if read is None:
-        return None
+        raise _Declined("inputs")
     shared, cols = read
     colors, parts = cols["color_in"], cols["part"]
     schedule, relay, relay_rounds, per_message = (
@@ -1115,7 +1083,7 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 for k in range(len(steps))
             ]
     except (TypeError, ValueError, IndexError):
-        return None  # the generator raises on these
+        raise _Declined("inputs") from None  # the generator raises
     for d, q in steps:
         if not (
             isinstance(d, int)
@@ -1124,17 +1092,17 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             and 2 <= q < 2**31
             and is_prime(q)
         ):
-            return None
+            raise _Declined("inputs")
     if relay and not all(
         isinstance(p, int) and isinstance(r, int) and p >= 1
         for p, r in packing
     ):
-        return None
+        raise _Declined("inputs")
     schedule_rounds = len(steps) + (
         sum(max(0, r) for _p, r in packing) if relay else 0
     )
     if max_rounds <= schedule_rounds:
-        return None  # the halting resume would time out
+        raise _Declined("max-rounds")  # the halting resume times out
 
     traffic = _Traffic(network)
     if relay:
@@ -1153,7 +1121,7 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     for k, (d, q) in enumerate(steps):
         if int(colors.min()) < 0 or int(colors.max()) >= q ** (d + 1):
-            return None  # degree_le_polynomials raises
+            raise _Declined("color-range")  # the generator raises
         color_bits = (
             arrays.int_bits_array(colors) if traffic.metered else None
         )
@@ -1168,30 +1136,17 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 10, per_msg, max(0, rounds),
                 parts if split else None, rank_of,
             ):
-                return None
+                raise _Declined("relay-truncates")
         colors = _linial_step(colors, d, q, indptr, indices, same_part)
         if colors is None:
-            return None
+            raise _Declined("no-free-pair")  # the generator raises
     if traffic.metered and traffic.max_bits > network._budget:
-        return None  # violations are reference's to count (or raise)
-
-    network.outputs.update(zip(order, colors.tolist()))
-
-    def writeback(programs):
-        for node, color in zip(order, colors.tolist()):
-            programs[node].color = color
-
-    _publish(network, writeback, color=_array_table(csr, colors))
-    return _finish(
-        network, schedule_rounds, traffic, schedule_rounds + 1, False,
-        False, max_rounds, raise_on_timeout, halted=True,
-    )
+        raise _Declined("budget")  # reference counts (or raises) them
+    return _End({"color": colors}, schedule_rounds, traffic, "halted")
 
 
 @register_kernel(ColorReductionProgram)
-def _color_reduction_kernel(
-    network, *, max_rounds, stop_when, raise_on_timeout
-):
+def _color_reduction_kernel(network, plan, *, max_rounds, stop_when):
     """Vectorized :class:`ColorReductionProgram` (Theorem B.2).
 
     After the ``(C, color)`` broadcast and the bit-packed gather, the
@@ -1207,20 +1162,14 @@ def _color_reduction_kernel(
     ``F`` forward per G-neighbor.  All ``2·phases + 1 + gather_rounds``
     rounds run; there is no early stop.
     """
-    if stop_when is not None:
-        return None
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return None
     n = csr.n
     order = csr.order
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
-        return None  # node labels ride in the announcements
-
+        raise _Declined("labels")  # node labels ride in announcements
     read = plan.read_inputs(color_in=None)
     if read is None:
-        return None
+        raise _Declined("inputs")
     shared, cols = read
     colors = cols["color_in"]
     target, phases, gather_rounds, per_message = (
@@ -1235,11 +1184,11 @@ def _color_reduction_kernel(
         and per_message >= 1
         and _is_int64_safe(target)
     ):
-        return None
+        raise _Declined("inputs")
     phases = max(0, phases)
     schedule_rounds = 1 + max(0, gather_rounds) + 2 * phases
     if max_rounds <= schedule_rounds:
-        return None
+        raise _Declined("max-rounds")
 
     traffic = _Traffic(network)
     color_bits = arrays.int_bits_array(colors) if traffic.metered else None
@@ -1249,7 +1198,7 @@ def _color_reduction_kernel(
         per_message, max(0, gather_rounds), None,
         lambda: _loop_rank(network, csr),
     ):
-        return None
+        raise _Declined("relay-truncates")
 
     g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
     current = colors.copy()
@@ -1272,7 +1221,7 @@ def _color_reduction_kernel(
         wpos, wseg = _row_positions(g2_indptr, level[win])
         fresh = _row_mex(current[g2_indices[wpos]], wseg)
         if (fresh >= target).any():
-            return None  # no free color: the generator raises
+            raise _Declined("no-free-color")  # the generator raises
         current[level[win]] = fresh
     recolored = np.where(
         (colors >= target) & (phase_of < phases), phase_of, -1
@@ -1291,9 +1240,7 @@ def _color_reduction_kernel(
         copies,
     )
     if traffic.metered and traffic.max_bits > network._budget:
-        return None
-
-    network.outputs.update(zip(order, current.tolist()))
+        raise _Declined("budget")
     g_indptr, g_indices = csr.g_indptr, csr.g_indices
 
     def d2_multiset(i):
@@ -1304,28 +1251,13 @@ def _color_reduction_kernel(
         seen = np.concatenate((row, two[two != i]))
         return Counter(current[seen].tolist())
 
-    def recolored_table():
-        return {
-            node: (int(p) if p >= 0 else None)
-            for node, p in zip(order, recolored.tolist())
-        }
-
-    def writeback(programs):
-        table = recolored_table()
-        for i, node in enumerate(order):
-            program = programs[node]
-            program.color = int(current[i])
-            program.recolored_in_phase = table[node]
-            program.d2_colors = d2_multiset(i)
-
-    _publish(
-        network, writeback,
-        color=_array_table(csr, current),
-        recolored_in_phase=recolored_table,
-    )
-    return _finish(
-        network, schedule_rounds, traffic, schedule_rounds + 1, False,
-        False, max_rounds, raise_on_timeout, halted=True,
+    return _End(
+        {
+            "color": current,
+            "recolored_in_phase": recolored,
+            "d2_colors": d2_multiset,
+        },
+        schedule_rounds, traffic, "halted",
     )
 
 
@@ -1373,10 +1305,6 @@ _STATS = (
     "colored_in_reduce",
 )
 _SENT, _RECEIVED, _ACCEPTED, _PROPOSED_TO, _PROPOSED, _COLORED = range(6)
-
-
-class _Declined(Exception):
-    """The randomized kernel cannot replay this run exactly."""
 
 
 def _pipeline_traffic(items, indptr, pm, rounds, deg, item_bits):
@@ -2348,14 +2276,6 @@ class _Routing:
         return out
 
 
-def _decline(cause):
-    """Emit the randomized kernel's decline event; returns None."""
-    obs_trace.event(
-        "kernel.decline", kernel="_randomized_d2_kernel", cause=cause
-    )
-    return None
-
-
 def _worst_payload_bits(run):
     """The largest payload a Reduce-Phase, the similarity exchange or
     (when the kernel runs them) LearnPalette and finish can send (the
@@ -2390,11 +2310,10 @@ def _worst_payload_bits(run):
 
 
 @register_kernel(
-    RandomizedD2Program, specs=("improved-d2color", "basic-d2color")
+    RandomizedD2Program, specs=("improved-d2color", "basic-d2color"),
+    stops=(all_colored,),
 )
-def _randomized_d2_kernel(
-    network, *, max_rounds, stop_when, raise_on_timeout
-):
+def _randomized_d2_kernel(network, plan, *, max_rounds, stop_when):
     """:class:`RandomizedD2Program` on arrays (see :class:`_RandomizedRun`).
 
     ``improved`` runs trials → similarity → ladder → LearnPalette →
@@ -2406,27 +2325,19 @@ def _randomized_d2_kernel(
     end-state and ``_kernel_prefix = 3`` (the sections done), and the
     :class:`GeneratorLoop` resumes at the next round with the kernel's
     metering.  A run the stop monitor or ``max_rounds`` ends inside
-    the kernel publishes the state of exactly the resumes that
-    executed.
+    the kernel leaves the state of exactly the resumes that executed.
 
-    Declines (event ``kernel.decline`` with its cause, before anything
-    is written): custom ``stop_when`` monitors, self-loops,
-    non-uniform or invalid inputs, labels outside int64, lottery
-    tickets wider than 62 bits (n > 2¹⁵), a metered payload that could
-    exceed the budget, and similarity lists the pipelining bound would
-    drop.
+    Declines, before anything is written: non-uniform or invalid
+    inputs, labels outside int64, lottery tickets wider than 62 bits
+    (n > 2¹⁵), a metered payload that could exceed the budget, and
+    similarity lists the pipelining bound would drop.
     """
-    if stop_when is not None and stop_when is not all_colored:
-        return _decline("stop-monitor")
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return _decline("self-loops")
     n = csr.n
     order = csr.order
     read = plan.read_inputs()
     if read is None:
-        return _decline("inputs")
+        raise _Declined("inputs")
     shared = read[0]
     (palette, variant, trials, sim_config, constants, filter_bits,
      learn_config) = (
@@ -2440,7 +2351,7 @@ def _randomized_d2_kernel(
     try:
         ladder = tuple(map(tuple, shared.get("ladder")))
     except TypeError:
-        return _decline("inputs")
+        raise _Declined("inputs") from None
     if (
         variant not in ("improved", "basic")
         or not isinstance(sim_config, SimilarityConfig)
@@ -2459,11 +2370,11 @@ def _randomized_d2_kernel(
             )
         )
     ):
-        return _decline("inputs")
+        raise _Declined("inputs")
     if not (_is_int64_safe(order[0]) and _is_int64_safe(order[-1])):
-        return _decline("labels")
+        raise _Declined("labels")
     if sampling.ticket_bits(n) > 62:
-        return _decline("ticket-width")
+        raise _Declined("ticket-width")
     run = _RandomizedRun(
         network, plan, max_rounds=max_rounds,
         check_stop=stop_when is not None, palette=palette,
@@ -2475,37 +2386,25 @@ def _randomized_d2_kernel(
         not _try_phases_fit(network, palette - 1)
         or _worst_payload_bits(run) > network._budget
     ):
-        return _decline("budget")
-    try:
-        status = run.run()
-    except _Declined as exc:
-        return _decline(str(exc))
+        raise _Declined("budget")
+    status = run.run()
     if run.traffic.metered and run.traffic.max_bits > network._budget:
-        return _decline("budget")
+        raise _Declined("budget")
 
     handoff = variant == "improved" and status == "done"
     # Resumes executed: on a handoff, the generators' first resume
     # (round run.r) starts with the kernel's share of it — the last
-    # adopts recorded, the ladder logged — which the writeback books.
+    # adopts recorded, the ladder logged — which the end state books.
     resumes = run.r + 1 if handoff else run.r
     plan.counters[:] = run.draws.counters
-    phase_log, phase = _phase_state(run, resumes)
-    _publish(
-        network,
-        _randomized_writeback(run, resumes, handoff),
-        color=_array_table(csr, run.st.colors),
-        phase_log=lambda: {node: list(phase_log) for node in order},
-        phase=lambda: dict.fromkeys(order, phase),
-    )
+    state = _randomized_state(run, resumes, handoff)
     if not handoff:
-        return _finish(
-            network, run.r, run.traffic, run.r, status == "stopped",
-            status == "timeout", max_rounds, raise_on_timeout,
-        )
+        return _End(state, run.r, run.traffic, status)
 
     # --- hand LearnPalette and finish to the generators (handler path,
-    # narrow forward batches) ------------------------------------------
-    loop = GeneratorLoop(network)  # materializes; applies the writeback
+    # narrow forward batches); ``execute`` raises on a timeout --------
+    network._end_state = state
+    loop = GeneratorLoop(network)  # materializes; applies the end state
     loop.round_index = loop.rounds = run.r
     loop.total_messages = run.traffic.messages
     loop.total_bits = run.traffic.bits
@@ -2517,7 +2416,7 @@ def _randomized_d2_kernel(
         loop.run(
             max_rounds=max_rounds,
             stop_when=stop_when,
-            raise_on_timeout=raise_on_timeout,
+            raise_on_timeout=False,
         )
     finally:
         if rec is not None:
@@ -2550,80 +2449,85 @@ def _phase_state(run, resumes):
     return phase_log, (entered or [run.sections[0][0]])[-1]
 
 
-def _randomized_writeback(run, resumes, handoff):
+def _randomized_state(run, resumes, handoff):
     """The program state after ``resumes`` resumes of the kernel's
-    sections: colors, neighbor tables, phase log and phase, similarity
-    state, Reduce counters, LearnPalette's free sets and drop count,
-    finish's phase count (RNG counters come from the plan)."""
-    csr, order = run.csr, run.order
-    st = run.st
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, st.colors, st.adopt_iter, resumes - 1
-    )
+    sections: colors, neighbor tables, phase log and phase, Reduce
+    counters, similarity state, LearnPalette's free sets and drop
+    count, finish's phase count (RNG counters come from the plan)."""
+    csr, st = run.csr, run.st
     phase_log, phase = _phase_state(run, resumes)
     done = {name for name, _rounds in phase_log}
     starts = {
         name: start for name, start, _rounds in run.sections
         if start < resumes
     }
-    finish_phases = (
-        -(-(resumes - starts["finish"]) // FINISH_PHASE_ROUNDS)
-        if "finish" in starts
-        else None
-    )
-    stats = run.stats.copy()
 
-    def writeback(programs):
-        own_sets = _own_sets(run) if "similarity" in done else None
-        free_sets = _free_sets(run) if "learn-palette" in done else {}
-        g_indptr, g_indices = csr.g_indptr, csr.g_indices
-        for i, node in enumerate(order):
-            program = programs[node]
-            c = int(st.colors[i])
-            program.color = c if c >= 0 else None
-            program.nbr_colors = nbr_tables(i)
-            program.phase_log = list(phase_log)
-            program.phase = phase
-            if "learn-palette" in starts:
-                program.learn_drops = 0
-                program.free_colors = free_sets.get(i)
-            if finish_phases is not None:
-                program.finish_phases = finish_phases
-            if own_sets is not None:
-                row = g_indices[g_indptr[i]:g_indptr[i + 1]].tolist()
-                program.similarity = SimilarityState(
-                    node,
-                    own_sets[i],
-                    {order[u]: own_sets[u] for u in row},
-                    program.sim_config,
-                )
-            counters = program.reduce_stats
-            for k, name in enumerate(_STATS):
-                setattr(counters, name, int(stats[k, i]))
-            if handoff:
-                program._kernel_prefix = len(run.sections)
+    def reduce_stats(i):
+        counters = ReduceStats()
+        for k, name in enumerate(_STATS):
+            setattr(counters, name, int(run.stats[k, i]))
+        return counters
 
-    return writeback
+    state = {
+        "color": st.colors,
+        "nbr_colors": _nbr_colors(csr, st.colors, st.adopt_iter, resumes - 1),
+        "phase_log": phase_log,
+        "phase": phase,
+        "reduce_stats": reduce_stats,
+    }
+    if "similarity" in done:
+        state["similarity"] = _lazy_rows(lambda: _similarity_states(run))
+    if "learn-palette" in starts:
+        state["learn_drops"] = 0
+        state["free_colors"] = (
+            _lazy_rows(lambda: _free_sets(run))
+            if "learn-palette" in done
+            else None
+        )
+    if "finish" in starts:
+        state["finish_phases"] = -(
+            -(resumes - starts["finish"]) // FINISH_PHASE_ROUNDS
+        )
+    if handoff:
+        state["_kernel_prefix"] = len(run.sections)
+    return state
+
+
+def _lazy_rows(build):
+    """A per-node end-state callable over the list ``build()`` makes
+    on first use (only a materialization or a table read needs it)."""
+    rows = functools.lru_cache(maxsize=None)(build)
+    return lambda i: rows()[i]
 
 
 def _free_sets(run):
-    """LearnPalette's result per live dense index: the palette minus
-    the colors of its G² row when learning started."""
+    """LearnPalette's result per dense index: the palette minus the
+    colors of its G² row when learning started (None if colored)."""
     live = np.flatnonzero(run.learn_colors < 0)
     rows = run.free_rows(live, run.learn_colors, two_hop=True)
-    return {
-        i: set(np.flatnonzero(row).tolist())
-        for i, row in zip(live.tolist(), rows)
-    }
+    sets = [None] * run.n
+    for i, row in zip(live.tolist(), rows):
+        sets[i] = set(np.flatnonzero(row).tolist())
+    return sets
 
 
-def _own_sets(run):
-    """Every node's similarity set ``S_v`` as a frozenset of labels."""
+def _similarity_states(run):
+    """Every node's :class:`SimilarityState`: its set ``S_v`` and its
+    neighbors' sets, as frozensets of labels."""
     items, indptr = run.own_rows
-    labels = np.asarray(run.order, dtype=object)[items]
-    return [
+    order, csr = run.order, run.csr
+    labels = np.asarray(order, dtype=object)[items]
+    sets = [
         frozenset(labels[indptr[i]:indptr[i + 1]].tolist())
         for i in range(run.n)
+    ]
+    rows = np.split(csr.g_indices, csr.g_indptr[1:-1])
+    return [
+        SimilarityState(
+            order[i], sets[i], {order[u]: sets[u] for u in row.tolist()},
+            run.sim_config,
+        )
+        for i, row in enumerate(rows)
     ]
 
 
@@ -2631,8 +2535,8 @@ def _own_sets(run):
 # Luby distance-k MIS: k rounds of max-flooding + k domination rounds
 
 
-@register_kernel(LubyDistanceKProgram)
-def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+@register_kernel(LubyDistanceKProgram, stops=(_all_decided,))
+def _luby_kernel(network, plan, *, max_rounds, stop_when):
     """Vectorized :class:`LubyDistanceKProgram`.
 
     Per 2k-round phase: live nodes draw ``rng.randrange(n³)·n + id``
@@ -2644,24 +2548,18 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     domination round of a phase, which lands at the next phase's first
     resume *before* new ranks are drawn.
     """
-    if stop_when is not None and stop_when is not _all_decided:
-        return None
-    plan = network.plan()
     csr = plan.csr
-    if csr.has_selfloops:
-        return None
     n = csr.n
     order = csr.order
-
     read = plan.read_inputs()
     if read is None:
-        return None
+        raise _Declined("inputs")
     k = read[0].get("k")
     if not isinstance(k, int) or k < 1:
-        return None
+        raise _Declined("inputs")
     max_label = max(abs(order[0]), abs(order[-1]))
     if (n**3 - 1) * n + max_label >= _INT64_SAFE:
-        return None  # rank arithmetic could leave int64
+        raise _Declined("int64")  # rank arithmetic could leave it
 
     traffic = _Traffic(network)
     metered = traffic.metered
@@ -2670,7 +2568,7 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     if metered:
         worst = rank_base + 1 + int_bits((n**3 - 1) * n + max_label)
         if max(worst, dom_base + int_bits(k)) > network._budget:
-            return None
+            raise _Declined("budget")
 
     g_indptr, g_indices = csr.g_indptr, csr.g_indices
     labels = np.array(order, dtype=np.int64)
@@ -2685,8 +2583,6 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     phases = 0
     rounds = 0
-    stopped_early = False
-    timed_out = False
     check_stop = stop_when is not None
     period = 2 * k
     inflight = None  # ("rank"|"dom", values) sent one round ago
@@ -2695,10 +2591,10 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     r = 0
     while True:
         if check_stop and not (state == LIVE).any():
-            stopped_early = True
+            status = "stopped"
             break
         if r >= max_rounds:
-            timed_out = True
+            status = "timeout"
             break
         if inflight is not None:
             tag, vals = inflight
@@ -2733,7 +2629,7 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 traffic.add((full * k + min(part, k)) * n, idle_bits)
                 rounds += remaining
                 r = max_rounds
-                timed_out = True
+                status = "timeout"
                 break
             phases += 1
             own.fill(-1)
@@ -2764,23 +2660,11 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         rounds += 1
         r += 1
 
-    names = {LIVE: _STATE_LIVE, IN_MIS: _STATE_IN_MIS,
-             DOM: _STATE_DOMINATED}
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            program.state = names[int(state[i])]
-            program.phases = phases
-
-    _publish(
-        network, writeback,
-        state=lambda: {
-            node: names[int(s)] for node, s in zip(order, state.tolist())
+    names = (_STATE_LIVE, _STATE_IN_MIS, _STATE_DOMINATED)
+    return _End(
+        {
+            "state": [names[s] for s in state.tolist()].__getitem__,
+            "phases": phases,
         },
-        phases=lambda: {node: phases for node in order},
-    )
-    return _finish(
-        network, rounds, traffic, r, stopped_early, timed_out,
-        max_rounds, raise_on_timeout,
+        rounds, traffic, status,
     )

@@ -3,9 +3,9 @@
 `test_backend_equivalence.py` pins ``vectorized ≡ reference`` over
 the registry × corpus product; this module drills into the engine
 itself — exact parity on the awkward paths (round cutoffs, timeout
-fast-forwards, precoloring, program-state writeback), the automatic
-generator-loop fallback for runs a kernel cannot replay, and the CSR
-adjacency artifact the kernels consume.
+fast-forwards, precoloring, the end state written into programs), the
+automatic generator-loop fallback for runs a kernel cannot replay, and
+the CSR adjacency artifact the kernels consume.
 """
 
 import dataclasses
@@ -783,7 +783,7 @@ class TestPolyPhaseKernels:
         "max_rounds", [0, 1, 2, 3, 4, 5, 6, 7, 11, 200]
     )
     def test_li_round_cutoff_parity(self, max_rounds):
-        # Mid-phase cutoffs: the writeback must reconstruct exactly
+        # Mid-phase cutoffs: the end state must reconstruct exactly
         # the blocked/succeeded counters the aborted generators hold.
         _assert_poly_phase_parity(
             lambda: _li_network(
@@ -1444,14 +1444,17 @@ class TestRandomizedD2Kernel:
         ids=["improved", "basic"],
     )
     def test_runs_without_building_programs(self, color, last):
-        # The phase table comes from the kernel's published tables, so
-        # neither variant builds a node program.
+        # The phase table comes from the kernel's end state, so
+        # neither variant builds a node program; the phase log and the
+        # phase are one shared value, not an n-entry table.
         capture = _Capturing("vectorized")
         with use_backend(capture):
             result = color(hoffman_singleton(), seed=1, max_rounds=2_000)
         [net] = capture.networks
         assert not net.materialized
         assert result.phases[-1].name == last
+        for attr in ("phase_log", "phase"):
+            assert not isinstance(net.node_table(attr), dict)
 
     @pytest.mark.parametrize(
         "color",
@@ -1991,6 +1994,137 @@ class TestFallbacks:
             record_rounds=True,
         )
         assert len(result.metrics.per_round) == result.metrics.rounds
+
+
+def _with_payload(make_network, **changes):
+    """A factory of copies of ``make_network()`` whose shared input
+    payload (a :class:`UniformInputs`) has ``changes`` applied."""
+    net = make_network()
+    inputs = net._inputs
+    changed = UniformInputs(
+        inputs, dict(inputs.payload, **changes), inputs.columns, inputs.index
+    )
+    return lambda: Network(
+        net.graph, net.program_factory, seed=net._seed, policy=net.policy,
+        delta=net.delta, inputs=changed,
+    )
+
+
+def _decline_case(kernel):
+    """``(make_network, run kwargs, cause)`` of a run ``kernel`` must
+    decline."""
+    gnp = GRAPHS["gnp24"]
+    looped = nx.cycle_graph(6)
+    looped.add_edge(2, 2)
+    track = BandwidthPolicy.track()
+    stop = {"max_rounds": 5_000, "stop_when": all_colored,
+            "raise_on_timeout": False}
+    custom = dict(stop, stop_when=lambda net, rnd: False)
+
+    def reduction():
+        color_in, palette_in, target = _reduction_inputs(gnp)
+        make = _recipe(
+            lambda: color_reduction_d2(
+                gnp, color_in, palette_in, target=target
+            )
+        )
+        return _with_payload(make, target=float(target))
+
+    cases = {
+        "_trial_kernel": lambda: (
+            lambda: _trial_network(gnp, 2, policy=track, palette=True),
+            dict(stop, max_rounds=300), "inputs",
+        ),
+        "_luby_kernel": lambda: (
+            lambda: Network(
+                gnp, LubyDistanceKProgram, seed=3, policy=track,
+                inputs={v: {"k": 1 + v % 2} for v in gnp},
+            ),
+            dict(stop, max_rounds=500, stop_when=_all_decided), "inputs",
+        ),
+        "_locally_iterative_kernel": lambda: (
+            lambda: _li_network(gnp, 1, policy=track)[1], custom,
+            "stop-monitor",
+        ),
+        "_part_locally_iterative_kernel": lambda: (
+            lambda: _part_li_network(looped, 3, policy=track)[1], stop,
+            "self-loops",
+        ),
+        "_linial_kernel": lambda: (
+            _recipe(lambda: _wide_linial(GRAPHS["petersen"])),
+            {"stop_when": lambda net, rnd: rnd >= 1,
+             "raise_on_timeout": False},
+            "stop-monitor",
+        ),
+        "_color_reduction_kernel": lambda: (reduction(), {}, "inputs"),
+        "_randomized_d2_kernel": lambda: (
+            _recipe(
+                lambda: improved_d2_color(
+                    looped, allow_deterministic_fallback=False,
+                    max_rounds=0,
+                )
+            ),
+            stop, "self-loops",
+        ),
+    }
+    return cases[kernel]()
+
+
+_PROGRAM_OF = {fn.__name__: cls for cls, fn in vectorized.KERNELS.items()}
+
+
+class TestKernelContract:
+    """Every kernel declines one way and ends one way."""
+
+    @pytest.mark.parametrize("kernel", sorted(_PROGRAM_OF))
+    def test_decline_names_kernel_and_cause(self, kernel):
+        make, run_kwargs, cause = _decline_case(kernel)
+        state = _materialized_case(_PROGRAM_OF[kernel])[1]
+
+        def outcome(backend):
+            net = make()
+            try:
+                res = net.run(backend=backend, **run_kwargs)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                return type(exc), str(exc)
+            return (
+                dict(res.outputs),
+                _metrics_tuple(res.metrics),
+                res.halted,
+                res.stopped_early,
+                {
+                    v: tuple(getattr(p, attr) for attr in state)
+                    for v, p in net.programs.items()
+                },
+            )
+
+        vec, events = _events(lambda: outcome("vectorized"))
+        assert events == [
+            ("kernel.decline", {"kernel": kernel, "cause": cause}),
+            ("exec.fallback", {"cause": "kernel-declined"}),
+        ]
+        assert vec == outcome("reference")
+
+    @pytest.mark.parametrize(
+        "program_cls",
+        [
+            LinialProgram, ColorReductionProgram,
+            LocallyIterativeProgram, PartLocallyIterativeD2,
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_halted_outputs_are_the_color_table(self, program_cls):
+        from repro.results import ArrayColoring
+
+        make = _materialized_case(program_cls)[0]
+        ref = make().run(backend="reference")
+        net = make()
+        vec = net.run(backend="vectorized")
+        assert vec.halted and ref.halted
+        assert isinstance(vec.outputs, ArrayColoring)
+        assert not net.materialized
+        assert np.shares_memory(vec.outputs.colors, net.node_colors().colors)
+        assert vec.outputs == ref.outputs
 
 
 class TestArrays:
