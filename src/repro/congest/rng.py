@@ -51,12 +51,21 @@ def mix64(key: int, i: int) -> int:
     return z ^ (z >> 31)
 
 
+_U1, _U30, _U27, _U31 = (np.uint64(c) for c in (1, 30, 27, 31))
+_UGOLDEN, _UC1, _UC2 = (np.uint64(c) for c in (_GOLDEN, _C1, _C2))
+
+
 def mix64_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """:func:`mix64` elementwise over uint64 arrays (wrapping)."""
-    z = keys + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
-    return z ^ (z >> np.uint64(31))
+    z = counters + _U1
+    z *= _UGOLDEN
+    z = keys + z  # the broadcast shape: every step below is in place
+    z ^= z >> _U30
+    z *= _UC1
+    z ^= z >> _U27
+    z *= _UC2
+    z ^= z >> _U31
+    return z
 
 
 def node_keys(seed: Any, labels) -> np.ndarray:
@@ -134,11 +143,14 @@ def randrange_array(
     Equal to ``CounterRandom(keys[i], counters[i]).randrange(bound)``
     per node, i.e. the stdlib's ``_randbelow_with_getrandbits``: draw
     ``bound.bit_length()`` bits, and redraw — each on its next counter
-    — while the draw is ``>= bound``.  A pass hashes the next ``k``
-    words of every pending node at once (``k = 1`` for large batches)
-    and keeps the first accepted one, so a node's counter advances by
-    exactly the words the scalar loop would consume.  ``idx`` must not
-    repeat a node; bounds must lie in ``[1, 2⁶³)``.
+    — while the draw is ``>= bound``.  Keys and counters are gathered
+    once; a pass hashes the next ``k`` words of every pending node
+    (``k = 1``, on flat arrays, for large batches), keeps the first
+    accepted one, and carries only the rejected nodes to the next
+    pass, so a node's counter advances by exactly the words the
+    scalar loop would consume; ``counters[idx]`` is written once at
+    the end.  ``idx`` must not repeat a node; bounds must lie in
+    ``[1, 2⁶³)``.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if np.ndim(bounds) == 0:
@@ -150,31 +162,46 @@ def randrange_array(
             np.asarray(bounds, dtype=np.int64), idx.shape
         )
         shifts = np.uint64(64) - _bit_lengths(bounds)
+    per_node = np.ndim(bounds) > 0
     out = np.empty(idx.shape, dtype=np.int64)
-    todo = np.arange(idx.size)
-    while todo.size:
-        k = max(1, min(8, _PASS_WORDS // todo.size))
-        nodes = idx[todo]
-        base = counters[nodes]
-        if np.ndim(bounds):
-            bound_t, shift_t = bounds[todo, None], shifts[todo, None]
+    final = counters[idx]
+    # The pending nodes: positions into idx, keys, next counters.  A
+    # pass writes every pending node's draw and counter; a rejected
+    # node's entries are overwritten by a later pass.
+    pos = np.arange(idx.size)
+    pkeys, pctr = keys[idx], final.copy()
+    while pos.size:
+        k = max(1, min(8, _PASS_WORDS // pos.size))
+        if k == 1:
+            draws = (mix64_array(pkeys, pctr) >> shifts).astype(np.int64)
+            pctr += _U1
+            out[pos] = draws
+            miss = np.flatnonzero(draws >= bounds)
         else:
-            bound_t, shift_t = bounds, shifts
-        draws = (
-            mix64_array(
-                keys[nodes][:, None],
-                base[:, None] + np.arange(k, dtype=np.uint64),
+            bound_t, shift_t = (
+                (bounds[:, None], shifts[:, None])
+                if per_node
+                else (bounds, shifts)
             )
-            >> shift_t
-        ).astype(np.int64)
-        ok = draws < bound_t
-        first = ok.argmax(axis=1)
-        hit = ok[np.arange(todo.size), first]
-        out[todo[hit]] = draws[hit, first[hit]]
-        counters[nodes] = base + np.where(
-            hit, first + 1, k
-        ).astype(np.uint64)
-        todo = todo[~hit]
+            draws = (
+                mix64_array(
+                    pkeys[:, None],
+                    pctr[:, None] + np.arange(k, dtype=np.uint64),
+                )
+                >> shift_t
+            ).astype(np.int64)
+            ok = draws < bound_t
+            first = ok.argmax(axis=1)
+            rows = np.arange(pos.size)
+            hit = ok[rows, first]
+            pctr += np.where(hit, first + 1, k).astype(np.uint64)
+            out[pos] = draws[rows, first]
+            miss = np.flatnonzero(~hit)
+        final[pos] = pctr
+        pos, pkeys, pctr = pos[miss], pkeys[miss], pctr[miss]
+        if per_node:
+            bounds, shifts = bounds[miss], shifts[miss]
+    counters[idx] = final
     return out
 
 

@@ -4,8 +4,9 @@ A :class:`CSRAdjacency` is the struct-of-arrays form of one graph:
 node labels flattened to dense indices ``0..n-1`` in sorted-label
 order, with the G adjacency in compressed-sparse-row form and the
 exact-distance-≤2 (G², self-free) adjacency derived lazily from it by
-:func:`_square_rows` — a pure-numpy gather/sort/unique merge, no
-Python sets and no scipy matmul.  Instances are *born* as CSR
+:func:`_square_rows`: the deduplicated ordered pairs of the closed
+rows N[x], written per degree bucket into one key array and sorted
+once — no Python sets and no scipy matmul.  Instances are *born* as CSR
 (:mod:`repro.graphs.generators` emits them directly for the scalable
 families), memoized per workload (:meth:`repro.workloads.cache.
 Instance.csr` ships them prebuilt through pickling), and looked up
@@ -80,57 +81,63 @@ class _IdentityIndex:
 
 def _square_rows(
     n: int, indptr: np.ndarray, indices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Distance-≤2 CSR rows (diagonal dropped) from distance-1 rows.
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Distance-≤2 CSR rows (diagonal dropped) from distance-1 rows,
+    and the number of candidate pair keys sorted to get them.
 
-    Pure numpy: for every edge (u, w) gather w's whole row as u's
-    distance-2 candidates, append u's own row, drop the diagonal,
-    and dedup via one sort+unique over ``row * n + col`` keys.
+    u and w are within distance 2 iff some closed row N[x] holds both,
+    so G²'s rows are the deduplicated ordered pairs of the closed
+    rows.  Row x contributes ``(x, y)`` and ``(y, z)`` for distinct
+    y, z ∈ N(x); its pairs ``(y, x)`` are the ``(y, x)`` that y's own
+    row writes, so they are left out.  That is ``Σ d²`` keys
+    ``row << b | col`` in one preallocated array, filled per degree
+    bucket (the middles grouped by one argsort of the degrees, each
+    bucket's rows gathered as a ``(d, k)`` matrix), then sorted in
+    place and deduplicated; ``searchsorted`` reads the row bounds off
+    the sorted keys.  Rows must be free of self-loops and repeats,
+    as every CSR builder here makes them.  ``n ≤ 2³¹`` keeps a key
+    inside int64 (a ``ValueError`` before any allocation otherwise).
     """
+    if n > 1 << 31:
+        raise ValueError(
+            f"n={n}: the G² pair key row << b | col needs n ≤ 2³¹"
+        )
     if n == 0:
-        return _EMPTY_INDPTR.copy(), _EMPTY_INDICES.copy()
+        return _EMPTY_INDPTR.copy(), _EMPTY_INDICES.copy(), 0
+    b = int(n - 1).bit_length()
     deg = np.diff(indptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    nbr = indices
-    # Candidate pairs: every (u, v) with v adjacent to a neighbor of u
-    # (distance 2, may rediscover distance 1 or u itself) ...
-    deg_u = deg[nbr]
-    total = int(deg_u.sum())
-    owners2 = np.repeat(owner, deg_u)
-    csum = np.concatenate((_EMPTY_INDPTR, np.cumsum(deg_u)))
-    gather = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(csum[:-1], deg_u)
-        + np.repeat(indptr[nbr], deg_u)
-    )
-    cand2 = indices[gather]
-    del gather, csum, deg_u
-    # ... plus every direct (u, v) edge (distance 1).  Fuse straight
-    # into the ``row * n + col`` sort keys, filtering the diagonal
-    # per piece: at 10⁶ nodes the full row/col concatenated copies
-    # would transiently dominate the whole process footprint.
-    keys2 = owners2 * np.int64(n)
-    keys2 += cand2
-    keys2 = keys2[owners2 != cand2]
-    del owners2, cand2
-    keys1 = owner * np.int64(n)
-    keys1 += nbr
-    keys1 = keys1[owner != nbr]
-    del owner
-    keys = np.concatenate((keys1, keys2))
-    del keys1, keys2
+    by_degree = np.argsort(deg)
+    counts = np.bincount(deg)
+    ends = np.cumsum(counts)
+    total = int(np.dot(deg, deg))
+    keys = np.empty(total, dtype=np.int64)
+    pos = 0
+    for d in (np.flatnonzero(counts[1:]) + 1).tolist():
+        mids = by_degree[ends[d] - counts[d]:ends[d]]
+        k = mids.size
+        rows = indices[indptr[mids] + np.arange(d)[:, None]]
+        high = rows << b
+        np.bitwise_or(
+            mids << b, rows, out=keys[pos:pos + d * k].reshape(d, k)
+        )
+        pos += d * k
+        block = keys[pos:pos + d * (d - 1) * k].reshape(d, d - 1, k)
+        for i in range(d):
+            np.bitwise_or(high[i], rows[:i], out=block[i, :i])
+            np.bitwise_or(high[i], rows[i + 1:], out=block[i, i:])
+        pos += block.size
     keys.sort()  # in-place; dedup via boundary flags, not np.unique
-    if keys.size:
+    if total:
         keep = np.empty(keys.size, dtype=bool)
         keep[0] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         keys = keys[keep]
-    g2_indices = keys % np.int64(n)
-    counts = np.bincount(keys // np.int64(n), minlength=n)
-    g2_indptr = np.concatenate(
-        (_EMPTY_INDPTR, np.cumsum(counts))
-    ).astype(np.int64)
-    return g2_indptr, g2_indices
+        del keep
+    g2_indptr = np.searchsorted(
+        keys, np.arange(n + 1, dtype=np.int64) << b
+    ).astype(np.int64, copy=False)
+    keys &= (1 << b) - 1
+    return g2_indptr, keys, total
 
 
 class CSRAdjacency:
@@ -187,10 +194,10 @@ class CSRAdjacency:
     def _ensure_square(self) -> None:
         if self._g2_indptr is None:
             with obs_trace.span("graphs.square") as sp:
-                self._g2_indptr, self._g2_indices = _square_rows(
+                self._g2_indptr, self._g2_indices, pairs = _square_rows(
                     self.n, self.g_indptr, self.g_indices
                 )
-                sp.annotate(nnz=int(self._g2_indices.size))
+                sp.annotate(nnz=int(self._g2_indices.size), pairs=pairs)
 
     @property
     def g2_indptr(self) -> np.ndarray:

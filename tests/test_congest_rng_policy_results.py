@@ -148,6 +148,38 @@ class TestCounterStreams:
         assert vector.tolist() == [rngs[i].random() for i in idx]
         assert counters.tolist() == [rng.counter for rng in rngs]
 
+    def test_randrange_array_matches_scalar_on_large_batches(self):
+        # Above _PASS_WORDS // 2 = 2048 pending nodes a pass hashes one
+        # word per node; the ~1,900 rejected then take the multi-word
+        # passes.  A scattered idx, non-zero starting counters, a scalar
+        # bound, then per-node bounds mixing powers of two (½ rejection)
+        # with 2⁶²−1.
+        n = 12000
+        keys = node_keys(11, range(n))
+        start = (np.arange(n, dtype=np.uint64) * 13) % 101
+        rng = np.random.default_rng(4)
+        idx = rng.permutation(np.arange(1, n, 2))[:4500].astype(np.int64)
+        shapes = np.array(
+            [1, 2, 3, 64, 145, 1 << 24, (1 << 40) + 1, (1 << 62) - 1],
+            dtype=np.int64,
+        )
+        per_node = shapes[rng.integers(0, shapes.size, idx.size)]
+        counters = start.copy()
+        rngs = {
+            int(i): CounterRandom(int(keys[i]), int(start[i])) for i in idx
+        }
+        for bounds in (145, per_node):
+            vector = randrange_array(keys, counters, idx, bounds)
+            scalar = [
+                rngs[int(i)].randrange(int(b))
+                for i, b in zip(idx, np.broadcast_to(bounds, idx.shape))
+            ]
+            assert vector.tolist() == scalar
+            expect = start.copy()
+            for i, r in rngs.items():
+                expect[i] = r.counter
+            assert counters.tolist() == expect.tolist()
+
     def test_randrange_array_draws_only_the_given_nodes(self):
         keys = node_keys(5, range(6))
         counters = np.zeros(6, dtype=np.uint64)

@@ -2,8 +2,8 @@
 
 Three equivalences the CSR-native instance pipeline rests on:
 
-1. ``exec.arrays.square_csr`` (numpy merge + dedup) derives exactly
-   the distance-2 rows that the set-based
+1. ``exec.arrays.square_csr`` (closed-row pair sort + dedup) derives
+   exactly the distance-2 rows that the set-based
    ``graphs.square.d2_neighborhoods`` oracle computes;
 2. the checker's CSR fast path returns the same verdicts — validity,
    conflict sets, counts, ``explain()`` text — as its independent BFS
@@ -19,12 +19,20 @@ build or CPU evaluates its ``log``.
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.arrays import build_csr, build_csr_from_edges, square_csr
+from repro.exec.arrays import (
+    CSRAdjacency,
+    build_csr,
+    build_csr_from_edges,
+    square_csr,
+)
 from repro.graphs.csrgraph import CSRGraphView
 from repro.graphs.generators import gnp_fast, power_law, random_regular
 from repro.graphs.square import (
@@ -138,12 +146,91 @@ class TestCsrRows:
             build_csr_from_edges(3037000500, [], [])
 
 
+def _with_isolated(graph, extra):
+    graph = nx.Graph(graph)
+    graph.add_nodes_from(range(len(graph), len(graph) + extra))
+    return graph
+
+
 class TestSquareCsrMatchesOracle:
     @given(random_graphs())
     @settings(max_examples=150)
     def test_g2_rows_equal_d2_neighborhoods(self, graph):
         sq = square_csr(build_csr(graph))
         assert csr_rows_as_sets(sq) == d2_neighborhoods(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.empty_graph(0),
+            nx.empty_graph(1),
+            nx.empty_graph(2),
+            nx.Graph([(0, 1)]),
+            _with_isolated(nx.path_graph(5), 4),
+            _with_isolated(nx.cycle_graph(7), 1),
+            nx.star_graph(300),  # one hub bucket of 300² pair keys
+            _with_isolated(nx.star_graph(12), 3),
+        ],
+        ids=[
+            "n0", "n1", "n2-edgeless", "n2-edge", "path-isolated",
+            "cycle-isolated", "star300", "star-isolated",
+        ],
+    )
+    def test_shapes(self, graph):
+        sq = square_csr(build_csr(graph))
+        assert csr_rows_as_sets(sq) == d2_neighborhoods(graph)
+        assert sq.g_indptr.dtype == sq.g_indices.dtype == np.int64
+        assert sq.g_indptr.size == len(graph) + 1
+        for i in range(len(graph)):
+            row = sq.g_indices[sq.g_indptr[i]:sq.g_indptr[i + 1]]
+            assert (np.diff(row) > 0).all()
+
+    def test_many_distinct_degrees(self):
+        # powerlaw-600 spreads its degrees up to 48: many buckets.
+        instance = InstanceCache().get("powerlaw-600", 0)
+        assert np.unique(instance.csr().degrees).size > 20
+        sq = square_csr(instance.csr())
+        assert csr_rows_as_sets(sq) == d2_neighborhoods(instance.graph())
+
+    def test_key_width_is_checked_before_any_allocation(self):
+        # No G row is ever read: the arrays below would fail first.
+        csr = CSRAdjacency(
+            n=(1 << 31) + 1,
+            order=None,
+            index=None,
+            g_indptr=None,
+            g_indices=None,
+            degrees=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="2³¹"):
+            square_csr(csr)
+
+    #: sha256 of ``g2_indptr`` then ``g2_indices`` (int64 bytes) of
+    #: the seed-0 instances, as the pre-bucketed square build wrote them.
+    SQUARE_PINS = {
+        "rr4-huge-16384": "f7766bb2513f83062f80020b2d840281"
+        "9d772c599c14e560e7144b4c478ac290",
+        "gnp-huge-65536": "77f225f2724b0e008c5a13da0494d2cc"
+        "af10424326e119de1e86fe8940929ce4",
+        "gnp-huge-1048576": "ba80dea2dfb8fc4d91563e06e9968505"
+        "464fa46009e0fe645de2b565ade68a2d",
+    }
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            "rr4-huge-16384",
+            "gnp-huge-65536",
+            pytest.param("gnp-huge-1048576", marks=pytest.mark.slow),
+        ],
+    )
+    def test_seed0_square_digest(self, workload):
+        csr = InstanceCache().get(workload, 0).csr()
+        digest = hashlib.sha256()
+        for array in (csr.g2_indptr, csr.g2_indices):
+            assert array.dtype == np.int64
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.SQUARE_PINS[workload]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_generator_families(self, seed):

@@ -400,8 +400,10 @@ class TestSetupSpans:
         }
         assert by_name["workloads.build"]["attrs"] == {"n": 24, "m": 48}
         csr = instance.csr()
+        # rr4_24 is 4-regular: 24 closed rows of 4² candidate keys each.
         assert by_name["graphs.square"]["attrs"] == {
-            "nnz": int(csr.g2_indices.size)
+            "nnz": int(csr.g2_indices.size),
+            "pairs": 24 * 4 * 4,
         }
 
         def hit():
