@@ -9,6 +9,13 @@ per graph node in lockstep rounds:
    and meters its bit size against the bandwidth policy,
 3. messages are delivered simultaneously; the next round begins.
 
+Programs are resumed in ascending label order, so every inbox lists
+its senders in ascending label order and every node-keyed mapping a
+run returns iterates that way.  A round's messages arrive together in
+the CONGEST model, so the order is a convention; fixing it to the
+labels makes a run independent of the order the graph's nodes were
+inserted in.
+
 A program halts by returning; its return value becomes the node's
 output.  The run ends when every program has halted, when the optional
 ``stop_when`` monitor fires, or after ``max_rounds``.
@@ -176,8 +183,9 @@ class RunResult:
 class _LazyPrograms(Mapping):
     """Read-only ``{node: program}`` view that defers materialization.
 
-    Iteration and ``len`` come from the graph; the Python node objects
-    are only built when a program is actually subscripted.
+    Iteration (ascending labels, the plan's order) and ``len`` come
+    from the plan; the Python node objects are only built when a
+    program is actually subscripted.
     """
 
     __slots__ = ("_network",)
@@ -189,7 +197,7 @@ class _LazyPrograms(Mapping):
         return self._network.programs[node]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._network.graph.nodes)
+        return iter(self._network.plan().order)
 
     def __len__(self) -> int:
         return self._network.n
@@ -428,29 +436,24 @@ class Network:
     def _build_nodes(self) -> None:
         graph = self.graph
         inputs = self._inputs
-        # Each node continues its stream at the plan's counter, so
-        # generator draws follow any kernel draws on-stream.
+        # Nodes are built, and so resumed, in the plan's ascending
+        # label order.  Each continues its stream at the plan's
+        # counter, so generator draws follow any kernel draws on-stream.
         plan = self.plan()
-        rng_of = {
-            node: CounterRandom(key, counter)
-            for node, key, counter in zip(
-                plan.order,
-                plan.node_keys.tolist(),
-                plan.counters.tolist(),
-            )
-        }
         contexts: Dict[int, NodeContext] = {}
         programs: Dict[int, NodeProgram] = {}
         gens: Dict[int, Any] = {}
         factory = self.program_factory
         n, delta = self.n, self.delta
-        for node in graph.nodes:
+        for node, key, counter in zip(
+            plan.order, plan.node_keys.tolist(), plan.counters.tolist()
+        ):
             ctx = NodeContext(
                 node=node,
                 neighbors=tuple(sorted(graph.neighbors(node))),
                 n=n,
                 delta=delta,
-                rng=rng_of[node],
+                rng=CounterRandom(key, counter),
                 data=dict(inputs.get(node, _EMPTY_INPUT)),
             )
             contexts[node] = ctx
@@ -538,7 +541,7 @@ class Network:
             return ArrayColoring(csr.order, value, csr.index)
         if callable(value):
             return {node: value(i) for i, node in enumerate(csr.order)}
-        return UniformInputs(self.graph.nodes, value)
+        return UniformInputs(csr.index, value)
 
     def result_programs(self) -> Mapping[int, NodeProgram]:
         """Programs mapping for a :class:`RunResult` — the real dict

@@ -42,10 +42,11 @@ The vectorized backend's ``_randomized_d2_kernel``
 (:mod:`repro.exec.vectorized`) replays this schedule on arrays and
 per node, drawing the same counter-hash words in the same order:
 activation ``random()`` while live, the lottery ticket, the round-4
-coins (neighbor order × requester inbox order, Ĥ-filtered) and
-``choice``, then every ``choice``/``randrange``/``sample`` below in
-source order.  An edit to the draws, messages or their order here
-must update that kernel (``tests/test_exec_vectorized.py`` and
+coins (neighbor order × requester order, both ascending by label as
+inboxes are; Ĥ-filtered) and ``choice``, then every
+``choice``/``randrange``/``sample`` below in source order.  An edit
+to the draws, messages or their order here must update that kernel
+(``tests/test_exec_vectorized.py`` and
 ``tests/data/ladder_golden.json`` catch a mismatch).
 """
 

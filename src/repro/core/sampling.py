@@ -22,9 +22,10 @@ The vectorized backend's ``_randomized_d2_kernel`` replays this round
 as arrays — one ticket draw (``randrange(2^ticket_bits(n))``), one
 XOR plus threshold filter over the H-adjacent pairs each middle
 compiles once, one segment argmin — with these tie rules: the first
-minimum in inbox order wins, a direct H-neighbor beats an equal
-relayed XOR, and ``w == self`` forwards are skipped.  An edit to the
-draw, the filter or the tie rules here must update that kernel.
+minimum in ascending sender order (inbox order) wins, a direct
+H-neighbor beats an equal relayed XOR, and ``w == self`` forwards are
+skipped.  An edit to the draw, the filter or the tie rules here must
+update that kernel.
 """
 
 from __future__ import annotations

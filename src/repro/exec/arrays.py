@@ -65,6 +65,9 @@ class _IdentityIndex:
     def __contains__(self, label):
         return isinstance(label, int) and 0 <= label < self.n
 
+    def __iter__(self):
+        return iter(range(self.n))
+
     def __len__(self):
         return self.n
 

@@ -403,10 +403,7 @@ def _prebuild_manifest(manifest: ShardManifest) -> None:
     tag = prebuild_tag(manifest)
     if cache.was_prewarmed(tag):
         return
-    prebuild_instances(
-        list(manifest.cells),
-        prewarm_csr=(manifest.inner == "vectorized"),
-    )
+    prebuild_instances(list(manifest.cells))
     cache.mark_prewarmed(tag)
 
 

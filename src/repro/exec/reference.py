@@ -19,6 +19,11 @@ included).  The hot loop is kept lean:
 A broadcast is one metered message in the run totals; in a per-round
 record ``messages`` counts deliveries, so it counts once per neighbor.
 
+Senders resume in ascending label order, the order
+:class:`~repro.congest.network.Network` builds its programs in, so
+every inbox lists its senders in ascending label order whatever order
+the graph's nodes were inserted in.
+
 Stopping order: the ``stop_when`` monitor is consulted *before* the
 ``max_rounds`` guard.  A protocol that reaches its stop condition on
 the exact final admissible round is therefore reported as

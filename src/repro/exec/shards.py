@@ -586,10 +586,7 @@ def run_shard(
         # cell — skipped entirely when a fleet driver already prebuilt
         # the whole manifest into this process's cache (prebuild_tag).
         if not cache.was_prewarmed(prebuild_tag(manifest)):
-            prebuild_instances(
-                [cell for _, cell in pending],
-                prewarm_csr=(manifest.inner == "vectorized"),
-            )
+            prebuild_instances([cell for _, cell in pending])
         with open(path, "a", encoding="utf-8") as handle:
             for index, cell in pending:
                 if max_cells is not None and executed >= max_cells:

@@ -384,17 +384,15 @@ def run_cell(cell: SweepCell, inner: str = "reference") -> CellResult:
     )
 
 
-def prebuild_instances(
-    cells: Sequence[SweepCell],
-    prewarm_csr: bool = False,
-) -> List:
+def prebuild_instances(cells: Sequence[SweepCell]) -> List:
     """Build (once, via the cache) every instance a grid references.
 
     Returns the distinct :class:`~repro.workloads.cache.Instance`
     objects in first-reference order — the payload
-    :meth:`SweepBackend.map` ships to process-pool workers.  With
-    ``prewarm_csr`` the CSR arrays the ``vectorized`` engine consumes
-    are built in the parent too, so workers never rebuild them.
+    :meth:`SweepBackend.map` ships to process-pool workers.  Their CSR
+    arrays, which both engines read (the reference engine resumes
+    nodes in their order), are built in the parent too, so workers
+    never rebuild them.
     """
     seen = {}
     for cell in cells:
@@ -420,8 +418,7 @@ def prebuild_instances(
     instances = list({id(inst): inst for inst in seen.values()}.values())
     for instance in instances:
         instance.delta  # noqa: B018 - memoize before pickling
-        if prewarm_csr:
-            instance.csr()
+        instance.csr()
     return instances
 
 
@@ -519,9 +516,7 @@ class SweepBackend:
             executor=self.executor,
         ) as sp:
             with obs_trace.span("sweep.prebuild"):
-                instances = prebuild_instances(
-                    cells, prewarm_csr=(self.inner == "vectorized")
-                )
+                instances = prebuild_instances(cells)
             results = self.map(
                 _CellRunner(self.inner), cells, instances=instances
             )

@@ -827,55 +827,37 @@ def _part_locally_iterative_kernel(network, plan, **run):
 _BLOCK_ELEMS = 1 << 20
 
 
-def _loop_rank(network, csr):
-    """Each dense index's position in ``graph.nodes`` — the order the
-    generator loop resumes senders in, hence every inbox's order — or
-    None when that is the dense (sorted-label) order itself."""
-    nodes = list(network.graph.nodes)
-    if nodes == list(csr.order):
-        return None
-    rank = np.empty(csr.n, dtype=np.int64)
-    rank[[csr.index[v] for v in nodes]] = np.arange(csr.n)
-    return rank
-
-
 def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
-                   groups, rank_of, *, keep=None, sent=None):
+                   groups, *, keep=None, sent=None):
     """Meter one bit-packed relay; False if a list outgrows it.
 
     For ``rounds`` rounds every node u sends each neighbor v the next
     ``per_message`` items of v's list — the items of u's *other*
     neighbors in v's group (all of them when ``groups`` is None), in
-    u's inbox order — as one ``(tag,) + chunk`` message of ``head``
-    plus item ``weights`` bits.  With a ``keep`` mask (and no
-    ``groups``) only kept neighbors have items: v's list is u's kept
-    neighbors other than v.  A list longer than
-    ``rounds · per_message`` is truncated by the generators, which the
-    caller must decline.  Only the first ``sent`` rounds are metered
-    (all when None: a cut-off ends the relay early).  Chunk
-    composition (so ``max_message_bits``) follows inbox order, which
-    ``rank_of()`` supplies when it is not the dense order.
+    u's inbox order, which is ascending sender order — as one
+    ``(tag,) + chunk`` message of ``head`` plus item ``weights`` bits.
+    With a ``keep`` mask (and no ``groups``) only kept neighbors have
+    items: v's list is u's kept neighbors other than v.  A list longer
+    than ``rounds · per_message`` is truncated by the generators,
+    which the caller must decline.  Only the first ``sent`` rounds are
+    metered (all when None: a cut-off ends the relay early).
     """
     indices = csr.g_indices
     nnz = indices.size
     if nnz == 0:
         return True
     src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees)
-
-    def arrange(key):
-        """Row entries sorted by (kept first, group, ``key``); rows
-        stay put."""
-        if key is None and groups is None and keep is None:
-            return indices  # CSR rows are already index-sorted
-        keys = [indices if key is None else key[indices]]
+    # Row entries sorted by (kept first, group, index); rows stay put
+    # and CSR rows are already index-sorted.
+    cols = indices
+    if groups is not None or keep is not None:
+        keys = [indices]
         if groups is not None:
             keys.append(groups[indices])
         if keep is not None:
             keys.append(~keep[indices])
         keys.append(src)
-        return indices[np.lexsort(keys)]
-
-    cols = arrange(None)
+        cols = indices[np.lexsort(keys)]
     if keep is not None:
         # Each row's kept entries lead it; v's list is that block,
         # minus v itself when v is kept.
@@ -902,10 +884,6 @@ def _relay_traffic(csr, traffic, weights, head, per_message, rounds,
     if not traffic.metered or messages == 0:
         traffic.messages += messages
         return True
-    if longest > per_message:
-        rank = rank_of()
-        if rank is not None:
-            cols = arrange(rank)
     w = weights[cols]
     csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(w)))
     # ``pos``: v's place in its block (``nnz``, past every chunk, when
@@ -1115,9 +1093,6 @@ def _linial_kernel(network, plan, *, max_rounds, stop_when):
         owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         same_part = parts[indices] == parts[owner]
     part_bits = arrays.int_bits_array(parts) if traffic.metered else None
-    rank_of = functools.lru_cache(maxsize=None)(
-        lambda: _loop_rank(network, csr)
-    )
 
     for k, (d, q) in enumerate(steps):
         if int(colors.min()) < 0 or int(colors.max()) >= q ** (d + 1):
@@ -1134,7 +1109,7 @@ def _linial_kernel(network, plan, *, max_rounds, stop_when):
                 csr, traffic,
                 2 + color_bits if traffic.metered else None,
                 10, per_msg, max(0, rounds),
-                parts if split else None, rank_of,
+                parts if split else None,
             ):
                 raise _Declined("relay-truncates")
         colors = _linial_step(colors, d, q, indptr, indices, same_part)
@@ -1196,7 +1171,6 @@ def _color_reduction_kernel(network, plan, *, max_rounds, stop_when):
     if not _relay_traffic(
         csr, traffic, 2 + color_bits if traffic.metered else None, 10,
         per_message, max(0, gather_rounds), None,
-        lambda: _loop_rank(network, csr),
     ):
         raise _Declined("relay-truncates")
 
@@ -1417,7 +1391,6 @@ class _RandomizedRun:
         self.st = _TryState(n)
         self.stats = np.zeros((len(_STATS), n), dtype=np.int64)
         self.all_idx = np.arange(n, dtype=np.int64)
-        self.rank = _loop_rank(network, csr)
         self.label_bits = arrays.int_bits_array(self.labels)
         self.space = 1 << sampling.ticket_bits(n)
         self.threshold = (
@@ -1565,15 +1538,10 @@ class _RandomizedRun:
             schedule.append(
                 (n, _IN_S_BITS if item_bits is not None else None, None)
             )
-            # S ∩ N(v) in v's inbox order (the loop's sender order).
-            owner = np.repeat(self.all_idx, deg)
-            pick = (
-                np.arange(g_indices.size)
-                if self.rank is None
-                else np.lexsort((self.rank[g_indices], owner))
-            )
+            # S ∩ N(v) in v's inbox order (ascending, as its CSR row).
             fwd_items, fwd_indptr = _sub_rows(
-                n, owner[pick], g_indices[pick], sample[g_indices[pick]]
+                n, np.repeat(self.all_idx, deg), g_indices,
+                sample[g_indices],
             )
             own_items, own_indptr = _sub_rows(
                 n, np.repeat(self.all_idx, csr.d2_degrees), g2_indices,
@@ -1622,7 +1590,8 @@ class _RandomizedRun:
 
     def _compile_lottery(self):
         """Per middle x, the H-adjacent pairs (u, w) of its neighbors,
-        as segments over x's CSR entries (x, u), w in x's inbox order."""
+        as segments over x's CSR entries (x, u), w in x's inbox order
+        (ascending, as x's CSR row)."""
         csr, n = self.csr, self.n
         g_indices, deg = csr.g_indices, csr.degrees
         src = np.repeat(self.all_idx, deg)
@@ -1636,9 +1605,6 @@ class _RandomizedRun:
         keys2 = np.repeat(self.all_idx, csr.d2_degrees) * n + csr.g2_indices
         keep = self.h_entry[np.searchsorted(keys2, u * n + w)]
         seg, u, w = seg[keep], u[keep], w[keep]
-        if self.rank is not None:
-            o = np.lexsort((self.rank[w], seg))
-            seg, u, w = seg[o], u[o], w[o]
         self.pair_u, self.pair_w = u, w
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
         self.pair_starts = starts
@@ -1789,7 +1755,7 @@ class _RandomizedRun:
             self.csr, traffic,
             2 + color_bits if traffic.metered else None,
             _RELAY_HEAD, cfg.per_message, cfg.flood_rounds, None,
-            lambda: self.rank, keep=colored, sent=sent,
+            keep=colored, sent=sent,
         )
         if sent < cfg.flood_rounds:
             self.r = self.max_rounds
@@ -1918,8 +1884,9 @@ class _Routing:
 
     Only nodes a query reaches do anything here, so this runs in
     Python on dense indices.  Each round's outboxes are delivered in
-    the generator loop's sender order and metered payload by payload
-    (multiplexed collisions included; a broadcast is one message).
+    ascending sender order, as the generator loop delivers them, and
+    metered payload by payload (multiplexed collisions included; a
+    broadcast is one message).
     Every draw is made on the node's :class:`CounterRandom` at the
     kernel's counter, so words are consumed exactly as
     ``reduce_phase`` consumes them.
@@ -1948,12 +1915,6 @@ class _Routing:
     def color(self, i):
         return int(self.colors[i])
 
-    def in_loop_order(self, nodes):
-        rank = self.kernel.rank
-        if rank is None:
-            return sorted(nodes)
-        return sorted(nodes, key=rank.__getitem__)
-
     def executes(self, offset) -> bool:
         return self.start + offset < self.kernel.max_rounds
 
@@ -1968,7 +1929,7 @@ class _Routing:
         run = self.kernel
         payloads = []
         inbox = {}
-        for sender in self.in_loop_order(set(out) | set(bcast)):
+        for sender in sorted(set(out) | set(bcast)):
             message = bcast.get(sender)
             if message is not None:
                 payloads.append(message)
@@ -2025,7 +1986,7 @@ class _Routing:
         t = self.tickets
         thr = run.threshold
         best = None
-        for w in self.in_loop_order(run.nbrs(u)):
+        for w in run.nbrs(u):
             if not run.is_h(u, w):
                 continue
             xored = int(t[u] ^ t[w])
@@ -2033,7 +1994,7 @@ class _Routing:
                 best = (xored, w, w)
         forwards = self.forwards()
         g_indptr = run.csr.g_indptr
-        for x in self.in_loop_order(run.nbrs(u)):
+        for x in run.nbrs(u):
             entry = int(g_indptr[x]) + bisect.bisect_left(run.nbrs(x), u)
             fwd = forwards.get(entry)
             if fwd is None or fwd[0] == u:
@@ -2071,7 +2032,7 @@ class _Routing:
         if not self.executes(3):
             return None
         requesters = {}
-        for v in self.in_loop_order(self.active):
+        for v in self.active:
             for x in run.nbrs(v):
                 requesters.setdefault(x, []).append(v)
         out = {}

@@ -893,14 +893,32 @@ def _fallback_causes(run):
 
 
 def _shuffled(graph, seed):
-    """``graph`` with its nodes inserted in a shuffled order, so the
-    generator loop (and every inbox) runs in a non-sorted order."""
+    """``graph`` with its nodes inserted in a shuffled order; both
+    engines still resume nodes, and fill inboxes, in label order."""
     nodes = list(graph.nodes)
     random.Random(seed).shuffle(nodes)
     out = nx.Graph()
     out.add_nodes_from(nodes)
     out.add_edges_from(graph.edges)
     return out
+
+
+def _assert_same_run(make_network, make_twin):
+    """Each engine runs ``make_network()`` exactly as it runs
+    ``make_twin()``: outputs, colors and every metric,
+    ``max_message_bits`` included."""
+    for backend in ("reference", "vectorized"):
+        runs = []
+        for make in (make_network, make_twin):
+            net = make()
+            res = net.run(backend=backend)
+            runs.append((
+                res.outputs,
+                res.halted,
+                _metrics_tuple(res.metrics),
+                dict(net.node_colors()),
+            ))
+        assert runs[0] == runs[1], backend
 
 
 def _assert_fixed_schedule_parity(make_network, state):
@@ -1041,10 +1059,10 @@ class TestLinialKernel:
         _assert_fixed_schedule_parity(make, ("color",))
         assert make().run(backend="vectorized").outputs == color_in
 
-    def test_multi_chunk_relay_follows_inbox_order(self):
+    def test_multi_chunk_relay_ignores_insertion_order(self):
         # Two-item relay chunks of variable-width colors: which items
-        # share a chunk, and so max_message_bits, follows the order the
-        # loop resumes senders in (graph.nodes), not the sorted order.
+        # share a chunk, and so max_message_bits, follows inbox order,
+        # which is ascending sender order however the graph was built.
         policy = BandwidthPolicy.track(beta=1, min_bits=100)
         color_in = {v: (1 << (v % 23)) + v for v in range(24)}
 
@@ -1059,10 +1077,7 @@ class TestLinialKernel:
         base = nx.gnp_random_graph(24, 0.25, seed=11)
         shuffled = recipe(_shuffled(base, 0))
         _assert_fixed_schedule_parity(shuffled, ("color",))
-        max_bits = lambda make: (  # noqa: E731
-            make().run(backend="vectorized").metrics.max_message_bits
-        )
-        assert max_bits(shuffled) != max_bits(recipe(base))
+        _assert_same_run(shuffled, recipe(base))
 
     def test_declines_custom_stop_when(self):
         _assert_declined(
@@ -1217,7 +1232,7 @@ class TestColorReductionKernel:
             self.STATE,
         )
 
-    def test_multi_chunk_gather_follows_inbox_order(self):
+    def test_multi_chunk_gather_ignores_insertion_order(self):
         policy = BandwidthPolicy.track(beta=1, min_bits=120)
 
         def recipe(graph):
@@ -1234,10 +1249,7 @@ class TestColorReductionKernel:
         base = nx.gnp_random_graph(24, 0.25, seed=11)
         shuffled = recipe(_shuffled(base, 2))
         _assert_fixed_schedule_parity(shuffled, self.STATE)
-        max_bits = lambda make: (  # noqa: E731
-            make().run(backend="vectorized").metrics.max_message_bits
-        )
-        assert max_bits(shuffled) != max_bits(recipe(base))
+        _assert_same_run(shuffled, recipe(base))
 
     def test_declines_custom_stop_when(self):
         graph = GRAPHS["petersen"]
@@ -1584,9 +1596,43 @@ class TestReduceLadderKernel:
         _assert_randomized_parity(make, **run_kwargs)
 
     @pytest.mark.parametrize("variant", sorted(_LADDER_DRIVERS))
+    def test_shuffled_graph_runs_as_its_sorted_twin(self, variant):
+        # Inbox order (ticket ties, relay picks, proposal order) is
+        # ascending sender order, so the insertion order of the
+        # graph's nodes changes nothing on either engine.
+        graph, seed, kwargs = _LADDER_CELLS["hs-busy-s0"]
+        color = _LADDER_DRIVERS[variant]
+        shuffled = _shuffled(graph, 3)
+        for backend in ("reference", "vectorized"):
+            runs = []
+            for g in (graph, shuffled):
+                with use_backend(backend):
+                    res = color(g, seed=seed, **kwargs)
+                runs.append((
+                    dict(res.coloring),
+                    res.rounds,
+                    [(p.name, p.rounds) for p in res.phases],
+                    _metrics_tuple(res.metrics),
+                ))
+            assert runs[0] == runs[1], backend
+        # Every node-keyed mapping a run returns iterates ascending.
+        make = _recipe(
+            lambda: color(shuffled, seed=seed, max_rounds=0, **kwargs)
+        )
+        _, run_kwargs = _ladder_recipe(variant, "hs-busy-s0")
+        labels = sorted(graph)
+        vec_net = make()
+        vec = vec_net.run(backend="vectorized", **run_kwargs)
+        assert not vec_net.materialized
+        assert list(vec.programs) == labels
+        assert list(vec_net.node_colors()) == labels
+        ref = make().run(backend="reference", **run_kwargs)
+        assert list(ref.programs) == labels
+
+    @pytest.mark.parametrize("variant", sorted(_LADDER_DRIVERS))
     def test_parity_shuffled_loop_order(self, variant):
-        # Inbox order (ticket ties, relay picks, proposal order) follows
-        # the loop's node order, not the labels.
+        # A shuffled insertion order changes nothing about the run, so
+        # the engines agree on it as on the sorted graph.
         graph, seed, kwargs = _LADDER_CELLS["rr7-short-s0"]
         make = _recipe(
             lambda: _LADDER_DRIVERS[variant](
@@ -1737,7 +1783,7 @@ class TestLearnFinishKernel:
     def test_parity_multi_round_flood(self, shuffle):
         # Two colors per relay message: Δ = 7 lists take up to three
         # rounds (the fourth is empty), and which colors share a chunk
-        # follows the loop's inbox order.
+        # follows inbox order (ascending senders).
         graph, seed, kwargs = _LADDER_CELLS["hs-s0"]
         if shuffle:
             graph = _shuffled(graph, 7)

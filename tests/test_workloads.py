@@ -261,7 +261,9 @@ class TestInstanceCache:
             SweepCell.from_workload("trial", "petersen", seed)
             for seed in range(4)
         ]
-        assert len(prebuild_instances(cells)) == 1
+        [instance] = prebuild_instances(cells)
+        # Both engines read the CSR, so it is built before shipping.
+        assert instance._csr is not None
 
     def test_adhoc_interning_is_content_addressed(self):
         import networkx as nx
