@@ -10,7 +10,7 @@ must merge to the unsharded fingerprint.
 import time
 
 from repro import registry
-from repro.exec import SweepBackend, grid_cells, run_fleet, run_sharded
+from repro.exec import SweepBackend, grid_cells, run_fleet
 from repro.harness.experiments import e22_sharded_sweep
 from repro.workloads import get_workload
 
@@ -44,7 +44,7 @@ def test_shard_overhead(tmp_path, benchmark):
     unsharded_s = time.perf_counter() - t0
 
     sharded = benchmark.pedantic(
-        lambda: run_sharded(cells, 3, str(tmp_path)),
+        lambda: run_fleet(cells, 3, str(tmp_path), num_workers=1),
         iterations=1,
         rounds=1,
     )

@@ -68,7 +68,6 @@ from repro.exec.shards import (
     compile_manifest,
     merge_shards,
     run_shard,
-    run_sharded,
     shard_status,
 )
 from repro.exec.sweep import (
@@ -120,7 +119,6 @@ __all__ = [
     "run_fleet",
     "run_fleet_worker",
     "run_shard",
-    "run_sharded",
     "shard_status",
     "use_backend",
 ]

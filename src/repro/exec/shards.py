@@ -57,8 +57,9 @@ from repro.results import column
 #: 2: per-node randomness became the counter hash of repro.congest.rng.
 #: 3: checkpoint records carry the coloring as two flat columns.
 #: 4: int columns are packed binary (see _column_to_json).
+#: 5: ``colors_used`` no longer counts an uncolored node.
 #: Part of every grid digest, so older checkpoints never resume.
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 #: Packed int column dtypes, narrowest first.
 _PACKED_DTYPES = ("<i1", "<i2", "<i4", "<i8")
@@ -724,23 +725,3 @@ def merge_shards(
         cells=[results[i] for i in range(len(manifest.cells))],
         cache_stats=cache_stats,
     )
-
-
-def run_sharded(
-    cells: Sequence[SweepCell],
-    num_shards: int,
-    checkpoint_dir: str,
-    inner: str = "reference",
-) -> SweepResult:
-    """Convenience: compile, persist, run every shard here, merge.
-
-    Multi-host runs instead call :func:`compile_manifest` +
-    ``manifest.save`` once, then :func:`run_shard` per host, then
-    :func:`merge_shards` anywhere.
-    """
-    manifest = compile_manifest(cells, num_shards, inner=inner)
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    manifest.save(checkpoint_dir)
-    for shard in range(num_shards):
-        run_shard(manifest, shard, checkpoint_dir)
-    return merge_shards(manifest, checkpoint_dir)

@@ -75,10 +75,10 @@ always safe to request.  The guarantees are enforced by
 
 from __future__ import annotations
 
-import bisect
 import copy
 import functools
 import itertools
+import operator
 from collections import Counter
 from typing import Callable, Dict, NamedTuple, Optional, Type
 
@@ -94,8 +94,9 @@ from repro.baselines.luby import (
 )
 from repro.baselines.trial import TrialProgram
 from repro.congest.errors import NonterminationError
-from repro.congest.message import bit_size, int_bits
+from repro.congest.message import Broadcast, bit_size, int_bits
 from repro.congest.metrics import RunMetrics
+from repro.congest.node import NodeContext
 from repro.congest.policy import BandwidthMode
 from repro.congest.rng import CounterRandom
 from repro.core.constants import Constants
@@ -115,16 +116,13 @@ from repro.core.reduce import (
     _TAG_COLOR_BACK2,
     _TAG_FORWARD,
     _TAG_FORWARD2,
-    _TAG_MEMBER_PROBE,
-    _TAG_MEMBER_REPLY,
-    _TAG_PATH_PROBE,
     _TAG_PATH_REPLY,
     _TAG_PROPOSALS,
     _TAG_PROPOSE,
-    _TAG_QREQ,
     _TAG_QUERY,
     REDUCE_PHASE_ROUNDS,
     ReduceStats,
+    query_rounds,
 )
 from repro.core import sampling
 from repro.core.sampling import _TAG_BEST, _TAG_TICKET
@@ -141,7 +139,7 @@ from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
-from repro.exec.reference import GeneratorLoop
+from repro.exec.reference import _EMPTY_INBOX, GeneratorLoop
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
 
@@ -1245,7 +1243,6 @@ def _color_reduction_kernel(network, plan, *, max_rounds, stop_when):
 #: Reduce-Phase payload sizes that do not depend on the values carried.
 _TICKET_BASE = bit_size((_TAG_TICKET, 0)) - 1
 _BEST_BASE = bit_size((_TAG_BEST, 0, 0)) - 2
-_QREQ_BITS = bit_size((_TAG_QREQ,))
 _IN_S_BITS = bit_size((_TAG_IN_S, True))
 _LIST_BASE = bit_size((_TAG_LIST,))  # + (2 + int_bits) per item
 
@@ -1256,19 +1253,6 @@ _FLOOD_BASE = bit_size((_TAG_FLOOD_COLOR, 0)) - 1
 _RELAY_HEAD = bit_size((_TAG_FLOOD_RELAY,))
 _FORWARD_HEAD = bit_size((_TAG_FINISH_FORWARD, False))
 
-#: Which fields of each routing message carry a node (sent as its
-#: label; the kernel carries dense indices).
-_NODE_FIELDS = {
-    _TAG_QUERY: (1,),
-    _TAG_PATH_PROBE: (1,),
-    _TAG_FORWARD: (1, 2),
-    _TAG_FORWARD2: (1, 2),
-    _TAG_MEMBER_PROBE: (1,),
-    _TAG_COLOR_BACK: (1, 2),
-    _TAG_COLOR_BACK2: (1,),
-    _TAG_PROPOSE: (1,),
-}
-
 #: Row of each :class:`ReduceStats` counter in the kernel's table.
 _STATS = (
     "queries_sent",
@@ -1278,7 +1262,8 @@ _STATS = (
     "proposals_made",
     "colored_in_reduce",
 )
-_SENT, _RECEIVED, _ACCEPTED, _PROPOSED_TO, _PROPOSED, _COLORED = range(6)
+_COLORED = _STATS.index("colored_in_reduce")
+_STAT_COUNTS = operator.attrgetter(*_STATS)
 
 
 def _pipeline_traffic(items, indptr, pm, rounds, deg, item_bits):
@@ -1360,10 +1345,11 @@ class _RandomizedRun:
     final-reduce forever), each from round ``self.r`` on.  Every draw
     goes to a copy of the plan's counters (committed only when the run
     is accepted) in each node's generator order: per Reduce-Phase the
-    activation ``random()`` while live, the lottery ticket, then —
-    only at nodes a query touches, replayed per node in Python — the
-    coins, choices, relay picks and proposal samples of
-    ``reduce_phase`` in source order; per finish phase the coin
+    activation ``random()`` while live and the lottery ticket as
+    arrays, then rounds 3–15 by the shared generator
+    :func:`~repro.core.reduce.query_rounds`, run only at the nodes a
+    query touches (:meth:`route_queries`), before the try window runs
+    on arrays again; per finish phase the coin
     ``random()`` while live, then the pick of a node whose coin came
     up.  Raises :class:`_Declined` before anything is written when it
     cannot replay a run.
@@ -1376,6 +1362,7 @@ class _RandomizedRun:
         self.n = n = csr.n
         self.order = csr.order
         self.labels = np.asarray(csr.order, dtype=np.int64)
+        self.delta = network.delta
         self.max_rounds = max_rounds
         self.check_stop = check_stop
         self.palette = palette
@@ -1402,8 +1389,10 @@ class _RandomizedRun:
         self.pending_colored = None
         #: ``(items, indptr)`` of every node's similarity set S_v.
         self.own_rows = None
-        self._nbrs = None
-        self._h_rows = ({}, {})
+        #: :class:`_HRows` of the similarity graphs, once computed.
+        self.h_rows = None
+        #: ``{dense node: _QueryView}`` of every node a query touched.
+        self._views = {}
         self.learn_config = learn_config
         # Every relay list holds at most Δ - 1 colors and every forward
         # queue at most Δ, so with flooding whose rounds fit the lists
@@ -1568,25 +1557,136 @@ class _RandomizedRun:
         common = _common_counts(csr, sample)
         self.h_entry = common >= cfg.threshold_h
         self.hh_entry = common >= cfg.threshold_hhat
+        self.h_rows = _HRows(csr, self.labels, self.h_entry, self.hh_entry)
         self._compile_lottery()
         return "done"
 
-    # -- H/Ĥ lookups ----------------------------------------------------
+    # -- the shared routing rounds -------------------------------------
 
-    def _h_row(self, which, a):
-        rows = self._h_rows[which]
-        row = rows.get(a)
-        if row is None:
-            lo, hi = self.csr.g2_indptr[a], self.csr.g2_indptr[a + 1]
-            flags = (self.h_entry, self.hh_entry)[which][lo:hi]
-            row = rows[a] = set(self.csr.g2_indices[lo:hi][flags].tolist())
-        return row
+    def route_queries(self, start, active, tickets, best, query_p):
+        """Rounds 3–14 of the phase from ``start`` and round 15's pick:
+        :func:`~repro.core.reduce.query_rounds` at every node a query
+        touches, resumed in ascending label order and metered as the
+        generator loop meters it.  An active node starts at round 3,
+        any other node in the round it first receives a message (it
+        sent and drew nothing before).  Returns the round-15
+        candidates (-1 = none), or None when ``max_rounds`` cuts the
+        phase first; counters and stats are written back either way."""
+        views, sizes = {}, []
+        nodes = []  # (dense index, view, resume), ascending once sorted
 
-    def is_h(self, a, b) -> bool:
-        return b in self._h_row(0, a)
+        def launch(i, is_active, sat_out=0):
+            view = self._views.get(i)
+            if view is None:
+                view = self._views[i] = _QueryView(self, i)
+            views[i] = view.load(self.draws.counters)
+            gen = query_rounds(
+                view, is_active, query_p,
+                functools.partial(self.next_ru, i, tickets, best),
+            )
+            outbox = next(gen)
+            for _ in range(sat_out):  # the rounds it received nothing
+                gen.send(_EMPTY_INBOX)
+            nodes.append((i, view, gen.send))
+            return view, outbox
 
-    def is_hhat(self, a, b) -> bool:
-        return b in self._h_row(1, a)
+        try:
+            outboxes = [launch(i, True) for i in active.tolist()]
+            for k in range(3, 15):
+                inbox = self.deliver(outboxes, sizes)
+                if start + k >= self.max_rounds:
+                    return None
+                fresh = inbox.keys() - views.keys()
+                if fresh:
+                    for i in fresh:
+                        launch(i, False, k - 3)
+                    nodes.sort(key=operator.itemgetter(0))
+                if k == 14:
+                    break
+                outboxes = []
+                for i, view, resume in nodes:
+                    outbox = resume(inbox.get(i, _EMPTY_INBOX))
+                    if outbox:
+                        outboxes.append((view, outbox))
+            cand = np.full(self.n, -1, dtype=np.int64)
+            for i, _view, resume in nodes:
+                try:
+                    resume(inbox.get(i, _EMPTY_INBOX))
+                except StopIteration as stop:
+                    if stop.value is not None:
+                        cand[i] = stop.value
+            return cand
+        finally:
+            self.traffic.add(
+                len(sizes),
+                np.array(sizes, dtype=np.int64)
+                if self.traffic.metered and sizes
+                else None,
+            )
+            counters, stats = self.draws.counters, self.stats
+            for i, view in views.items():
+                counters[i] = view.ctx.rng.counter
+                counts = _STAT_COUNTS(view.reduce_stats)
+                if any(counts):
+                    stats[:, i] += counts
+                    view.reduce_stats = ReduceStats()
+
+    def deliver(self, outboxes, sizes):
+        """One round's ``(view, outbox)`` pairs as inboxes, ``{dense
+        receiver: {sender label: payload}}``; appends each payload's
+        bit size (0 when unmetered) to ``sizes``, a broadcast once, as
+        the generator loop meters it."""
+        index, metered = self.csr.index, self.traffic.metered
+        inbox = {}
+        for view, outbox in outboxes:
+            sender = view.ctx.node
+            if isinstance(outbox, Broadcast):
+                payload = outbox.payload
+                sizes.append(bit_size(payload) if metered else 0)
+                for j in view.nbr_idx:
+                    inbox.setdefault(j, {})[sender] = payload
+                continue
+            for receiver, payload in outbox.items():
+                sizes.append(bit_size(payload) if metered else 0)
+                inbox.setdefault(index[receiver], {})[sender] = payload
+        return inbox
+
+    def next_ru(self, u, tickets, best):
+        """The lottery's pick ``(w, relay)`` at dense node u, as
+        labels, or None: direct H-neighbors first, then the middles'
+        forwards (``best``), each in ascending order; a strictly
+        smaller XOR replaces the best."""
+        g_indptr, g_indices = self.csr.g_indptr, self.csr.g_indices
+        labels, thr = self.labels, self.threshold
+        row = g_indices[g_indptr[u]:g_indptr[u + 1]]
+        h_row = self.h_rows.row(0, int(labels[u]))
+        pick = None
+        for w, label in zip(row.tolist(), labels[row].tolist()):
+            xored = int(tickets[u] ^ tickets[w])
+            if (
+                label in h_row
+                and xored < thr
+                and (pick is None or xored < pick[0])
+            ):
+                pick = (xored, w, w)
+        segs, fw, xr = best
+        if segs.size:
+            # Round 2's forward to u from each middle x: the (x, u) entry.
+            entries = np.array([
+                g_indptr[x] + np.searchsorted(
+                    g_indices[g_indptr[x]:g_indptr[x + 1]], u
+                )
+                for x in row.tolist()
+            ], dtype=np.int64)
+            at = np.minimum(np.searchsorted(segs, entries), segs.size - 1)
+            hit = segs[at] == entries
+            for x, k in zip(row[hit].tolist(), at[hit].tolist()):
+                w, xored = int(fw[k]), int(xr[k])
+                if w != u and (pick is None or xored < pick[0]):
+                    pick = (xored, w, x)
+        if pick is None:
+            return None
+        return int(labels[pick[1]]), int(labels[pick[2]])
 
     def _compile_lottery(self):
         """Per middle x, the H-adjacent pairs (u, w) of its neighbors,
@@ -1676,9 +1776,7 @@ class _RandomizedRun:
         self.r = start + 2
         if active.size == 0:
             return self.silent(REDUCE_PHASE_ROUNDS - 2)
-        self.stats[_SENT, active] += 1
-        traffic.add(active.size, _QREQ_BITS)
-        cand = _Routing(self, start, active, tickets, best, query_p).run()
+        cand = self.route_queries(start, active, tickets, best, query_p)
         if cand is None:
             self.r = self.max_rounds
             return "timeout"
@@ -1861,380 +1959,90 @@ class _RandomizedRun:
         hit = rows >= 0
         self.free[rows[hit], c[hit]] = False
 
-    # -- per-node views for the routing rounds -------------------------
 
-    def nbrs(self, i):
-        if self._nbrs is None:
-            g_indptr, g_indices = self.csr.g_indptr, self.csr.g_indices
-            self._nbrs = [
-                g_indices[g_indptr[j]:g_indptr[j + 1]].tolist()
-                for j in range(self.n)
-            ]
-            self._nbr_sets = [set(row) for row in self._nbrs]
-        return self._nbrs[i]
+class _HRows:
+    """The H (``which`` 0) and Ĥ (1) neighbors of each node, by label,
+    read off the node's G² row and its similarity flags on first use."""
 
-    def nbr_set(self, i):
-        self.nbrs(i)
-        return self._nbr_sets[i]
+    __slots__ = ("csr", "labels", "flags", "rows")
 
+    def __init__(self, csr, labels, h_entry, hh_entry):
+        self.csr, self.labels = csr, labels
+        self.flags = (h_entry, hh_entry)
+        self.rows = ({}, {})
 
-class _Routing:
-    """Rounds 4–15 of one Reduce-Phase (query routing, checks,
-    forwards, proposals and the proposal pick), replayed per node.
-
-    Only nodes a query reaches do anything here, so this runs in
-    Python on dense indices.  Each round's outboxes are delivered in
-    ascending sender order, as the generator loop delivers them, and
-    metered payload by payload (multiplexed collisions included; a
-    broadcast is one message).
-    Every draw is made on the node's :class:`CounterRandom` at the
-    kernel's counter, so words are consumed exactly as
-    ``reduce_phase`` consumes them.
-    """
-
-    def __init__(self, run, start, active, tickets, best, query_p):
-        self.kernel = run
-        self.start = start
-        self.active = active.tolist()
-        self.tickets = tickets
-        self.best = best
-        self.query_p = query_p
-        self.colors = run.st.colors
-        self.rngs = {}
-        self._forwards = None
-
-    def rng(self, i):
-        gen = self.rngs.get(i)
-        if gen is None:
-            draws = self.kernel.draws
-            gen = self.rngs[i] = CounterRandom(
-                int(draws.node_keys[i]), int(draws.counters[i])
+    def row(self, which, a):
+        """The labels of the H (``which`` 0) or Ĥ (1) neighbors of the
+        node labeled a."""
+        rows = self.rows[which]
+        row = rows.get(a)
+        if row is None:
+            csr = self.csr
+            i = csr.index[a]
+            lo, hi = csr.g2_indptr[i], csr.g2_indptr[i + 1]
+            flags = self.flags[which][lo:hi]
+            row = rows[a] = set(
+                self.labels[csr.g2_indices[lo:hi][flags]].tolist()
             )
-        return gen
+        return row
 
-    def color(self, i):
-        return int(self.colors[i])
+    def is_h(self, a, b) -> bool:
+        """H-adjacency of the nodes labeled a and b."""
+        return b in self.row(0, a)
 
-    def executes(self, offset) -> bool:
-        return self.start + offset < self.kernel.max_rounds
+    def is_hhat(self, a, b) -> bool:
+        """Ĥ-adjacency of the nodes labeled a and b."""
+        return b in self.row(1, a)
 
-    def deliver(self, out=None, bcast=None):
-        """Meter and deliver one round: ``out`` is ``{sender:
-        {receiver: [message, ...]}}`` (one payload per edge,
-        multiplexed when it holds several), ``bcast`` is ``{sender:
-        message}``.  Returns ``{receiver: [(sender, message), ...]}``
-        in inbox order."""
-        out = out or {}
-        bcast = bcast or {}
-        run = self.kernel
-        payloads = []
-        inbox = {}
-        for sender in sorted(set(out) | set(bcast)):
-            message = bcast.get(sender)
-            if message is not None:
-                payloads.append(message)
-                for receiver in run.nbrs(sender):
-                    inbox.setdefault(receiver, []).append((sender, message))
-                continue
-            for receiver, messages in out[sender].items():
-                payloads.append(
-                    messages[0]
-                    if len(messages) == 1
-                    else ("*",) + tuple(messages)
-                )
-                box = inbox.setdefault(receiver, [])
-                box.extend((sender, message) for message in messages)
-        run.traffic.add(
-            len(payloads),
-            np.array([self.size(p) for p in payloads], dtype=np.int64)
-            if run.traffic.metered and payloads
-            else None,
+
+class _QueryView:
+    """One node as :func:`~repro.core.reduce.query_rounds` sees it,
+    built from the kernel's arrays: its label, neighbor labels and
+    counter-hash ``rng``, its color (None while live) and its colored
+    neighbors' colors, the kernel's H/Ĥ lookups, and the Reduce
+    counters the kernel moves into its table after each phase.  A run
+    keeps one view per node a query touched; :meth:`load` sets it to
+    the kernel's counter and color before each phase."""
+
+    __slots__ = (
+        "i", "ctx", "color", "palette", "similarity", "reduce_stats",
+        "nbr_idx", "_colors",
+    )
+    broadcast = staticmethod(Broadcast)
+
+    def __init__(self, run, i):
+        csr = run.csr
+        row = csr.g_indices[csr.g_indptr[i]:csr.g_indptr[i + 1]]
+        self.i = i
+        self.nbr_idx = row.tolist()
+        self.ctx = NodeContext(
+            int(run.labels[i]), tuple(run.labels[row].tolist()), run.n,
+            run.delta, CounterRandom(int(run.draws.node_keys[i])),
         )
-        return inbox
+        self._colors = run.st.colors
+        self.palette = run.palette
+        self.similarity = run.h_rows
+        self.reduce_stats = ReduceStats()
 
-    def size(self, payload) -> int:
-        if payload[0] == "*":
-            return bit_size(
-                ("*",) + tuple(self.labeled(m) for m in payload[1:])
-            )
-        return bit_size(self.labeled(payload))
+    def load(self, counters):
+        i = self.i
+        self.ctx.rng.counter = int(counters[i])
+        own = int(self._colors[i])
+        self.color = None if own < 0 else own
+        return self
 
-    def labeled(self, message):
-        fields = _NODE_FIELDS.get(message[0])
-        if fields is None:
-            return message
-        order = self.kernel.order
-        return tuple(
-            order[value] if k in fields else value
-            for k, value in enumerate(message)
-        )
+    @property
+    def live(self) -> bool:
+        return self.color is None
 
-    @staticmethod
-    def carried(inbox, node, tag):
-        """The first field of every ``tag`` message ``node`` got."""
-        return [m[1] for _s, m in inbox.get(node, ()) if m[0] == tag]
-
-    @staticmethod
-    def send(out, sender, receiver, message):
-        out.setdefault(sender, {}).setdefault(receiver, []).append(message)
-
-    def next_ru(self, u):
-        """The lottery's pick ``(w, relay)`` at requester u, or None:
-        direct H-neighbors first, then the middles' forwards, each in
-        inbox order; a strictly smaller XOR replaces the best."""
-        run = self.kernel
-        t = self.tickets
-        thr = run.threshold
-        best = None
-        for w in run.nbrs(u):
-            if not run.is_h(u, w):
-                continue
-            xored = int(t[u] ^ t[w])
-            if xored < thr and (best is None or xored < best[0]):
-                best = (xored, w, w)
-        forwards = self.forwards()
-        g_indptr = run.csr.g_indptr
-        for x in run.nbrs(u):
-            entry = int(g_indptr[x]) + bisect.bisect_left(run.nbrs(x), u)
-            fwd = forwards.get(entry)
-            if fwd is None or fwd[0] == u:
-                continue
-            w, xored = fwd
-            if best is None or xored < best[0]:
-                best = (xored, w, x)
-        return None if best is None else best[1:]
-
-    def forwards(self):
-        """``{(x, u) entry: (w, xored)}`` of round 2's forwards."""
-        if self._forwards is None:
-            segs, w, xr = self.best
-            self._forwards = dict(
-                zip(segs.tolist(), zip(w.tolist(), xr.tolist()))
-            )
-        return self._forwards
-
-    def run(self):
-        """Returns the round-15 candidates (-1 = none), or None when
-        ``max_rounds`` cuts the phase before round 15."""
-        run = self.kernel
-        stats = run.stats
-        try:
-            return self._rounds(run, stats)
-        finally:
-            counters = run.draws.counters
-            for i, gen in self.rngs.items():
-                counters[i] = gen.counter
-
-    def _rounds(self, run, stats):
-        send = self.send
-        # round 3's query requests arrive; round 4: each middle flips a
-        # coin per 2-path and forwards <= 1 query per edge
-        if not self.executes(3):
-            return None
-        requesters = {}
-        for v in self.active:
-            for x in run.nbrs(v):
-                requesters.setdefault(x, []).append(v)
-        out = {}
-        for x, reqs in requesters.items():
-            gen = self.rng(x)
-            for u in run.nbrs(x):
-                fired = [
-                    v
-                    for v in reqs
-                    if v != u
-                    and run.is_hhat(v, u)
-                    and gen.random() < self.query_p
-                ]
-                if fired:
-                    send(out, x, u, (_TAG_QUERY, gen.choice(fired)))
-        inbox = self.deliver(out)
-
-        # round 5: U selects one query, broadcasts the path probe
-        if not self.executes(4):
-            return None
-        selected = {}
-        bcast = {}
-        for u, box in inbox.items():
-            arrivals = [(m[1], s) for s, m in box if m[0] == _TAG_QUERY]
-            stats[_RECEIVED, u] += len(arrivals)
-            if arrivals:
-                selected[u] = self.rng(u).choice(arrivals)
-                bcast[u] = (_TAG_PATH_PROBE, selected[u][0])
-        inbox = self.deliver(bcast=bcast)
-
-        # round 6: Y answers "is v my neighbor?"
-        if not self.executes(5):
-            return None
-        inbox = self.deliver(self._answer(inbox, _TAG_PATH_PROBE,
-                                          _TAG_PATH_REPLY))
-
-        # round 7: U checks a random color and forwards the query
-        if not self.executes(6):
-            return None
-        query_ok = [
-            u
-            for u in selected
-            if sum(self.carried(inbox, u, _TAG_PATH_REPLY)) == 1
-        ]
-        out = {}
-        check = {}
-        for u in query_ok:
-            stats[_ACCEPTED, u] += 1
-            own = self.color(u)
-            pick = self.rng(u).randrange(
-                run.palette - (1 if 0 <= own < run.palette else 0)
-            )
-            check[u] = pick + (1 if 0 <= own <= pick else 0)
-            for y in run.nbrs(u):
-                send(out, u, y, (_TAG_CHECK, check[u]))
-            ru = self.next_ru(u)
-            if ru is not None:
-                w, relay = ru
-                send(out, u, relay, (_TAG_FORWARD, selected[u][0], w))
-        inbox = self.deliver(out)
-
-        # round 8: Z answers checks; X relays <= 1 forward per W
-        if not self.executes(7):
-            return None
-        out = {}
-        seconds = {}
-        for z, box in inbox.items():
-            checks = []
-            relay_requests = {}
-            for s, m in box:
-                if m[0] == _TAG_CHECK:
-                    checks.append((s, m[1]))
-                elif m[0] == _TAG_FORWARD:
-                    v, w = m[1], m[2]
-                    if w == z:
-                        seconds.setdefault(z, []).append((v, s, None))
-                    else:
-                        relay_requests.setdefault(w, []).append((v, s))
-            own = self.color(z)
-            for asker, c in checks:
-                conflict = (own == c and run.is_h(asker, z)) or any(
-                    self.color(t) == c and run.is_h(asker, t)
-                    for t in run.nbrs(z)
-                )
-                send(out, z, asker, (_TAG_CHECK_REPLY, conflict))
-            for w, waiting in relay_requests.items():
-                v, origin = waiting[self.rng(z).randrange(len(waiting))]
-                send(out, z, w, (_TAG_FORWARD2, v, origin))
-        inbox = self.deliver(out)
-
-        # round 9: W selects one second query, probes d2-membership
-        if not self.executes(8):
-            return None
-        conflicted = {
-            u: any(self.carried(inbox, u, _TAG_CHECK_REPLY))
-            for u in query_ok
+    @property
+    def nbr_colors(self):
+        colors = self._colors
+        return {
+            label: int(colors[j])
+            for label, j in zip(self.ctx.neighbors, self.nbr_idx)
+            if colors[j] >= 0
         }
-        for w, box in inbox.items():
-            for s, m in box:
-                if m[0] == _TAG_FORWARD2:
-                    seconds.setdefault(w, []).append((m[1], m[2], s))
-        w_selected = {}
-        bcast = {}
-        for w, queries in seconds.items():
-            w_selected[w] = self.rng(w).choice(queries)
-            bcast[w] = (_TAG_MEMBER_PROBE, w_selected[w][0])
-        inbox = self.deliver(bcast=bcast)
-
-        # round 10: Y answers
-        if not self.executes(9):
-            return None
-        inbox = self.deliver(self._answer(inbox, _TAG_MEMBER_PROBE,
-                                          _TAG_MEMBER_REPLY))
-
-        # round 11: a colored W returns its color if v is no d2-neighbor
-        if not self.executes(10):
-            return None
-        out = {}
-        direct = {}
-        for w, (v, origin, relay) in w_selected.items():
-            own = self.color(w)
-            if own < 0:
-                continue
-            common = any(self.carried(inbox, w, _TAG_MEMBER_REPLY))
-            if common or v in run.nbr_set(w) or v == w:
-                continue
-            if relay is None:
-                direct[w] = (origin, v, own)
-            else:
-                send(out, w, relay, (_TAG_COLOR_BACK, v, origin, own))
-        inbox = self.deliver(out)
-
-        # round 12: X relays the color back to U
-        if not self.executes(11):
-            return None
-        out = {}
-        for x, box in inbox.items():
-            for _s, m in box:
-                if m[0] == _TAG_COLOR_BACK:
-                    send(out, x, m[2], (_TAG_COLOR_BACK2, m[1], m[3]))
-        for w, (origin, v, own) in direct.items():
-            send(out, w, origin, (_TAG_COLOR_BACK2, v, own))
-        inbox = self.deliver(out)
-
-        # round 13: U sends its proposals to M
-        if not self.executes(12):
-            return None
-        out = {}
-        for u in query_ok:
-            v, via = selected[u]
-            proposals = [] if conflicted[u] else [check[u]]
-            proposals += [
-                m[2]
-                for _s, m in inbox.get(u, ())
-                if m[0] == _TAG_COLOR_BACK2 and m[1] == v
-            ]
-            if proposals:
-                stats[_PROPOSED, u] += len(proposals)
-                send(out, u, via, (_TAG_PROPOSE, v) + tuple(proposals))
-        inbox = self.deliver(out)
-
-        # round 14: M relays proposals to V (packed, capped)
-        if not self.executes(13):
-            return None
-        out = {}
-        for x, box in inbox.items():
-            to_relay = {}
-            for _s, m in box:
-                if m[0] == _TAG_PROPOSE:
-                    to_relay.setdefault(m[1], []).extend(m[2:])
-            for v, colors in to_relay.items():
-                if v not in run.nbr_set(x):
-                    continue
-                if len(colors) > _PROPOSAL_CAP:
-                    colors = self.rng(x).sample(colors, _PROPOSAL_CAP)
-                send(out, x, v, (_TAG_PROPOSALS,) + tuple(colors))
-        inbox = self.deliver(out)
-
-        # round 15: an active live V picks one proposal to try
-        if not self.executes(14):
-            return None
-        cand = np.full(run.n, -1, dtype=np.int64)
-        active = set(self.active)
-        for v, box in inbox.items():
-            proposals = [
-                c for _s, m in box if m[0] == _TAG_PROPOSALS for c in m[1:]
-            ]
-            stats[_PROPOSED_TO, v] += len(proposals)
-            if proposals and v in active and self.color(v) < 0:
-                cand[v] = self.rng(v).choice(proposals)
-        return cand
-
-    def _answer(self, inbox, probe_tag, reply_tag):
-        """Every probed node answers each asker "is v my neighbor?"."""
-        run = self.kernel
-        out = {}
-        for y, box in inbox.items():
-            for s, m in box:
-                if m[0] == probe_tag:
-                    found = 1 if m[1] in run.nbr_set(y) else 0
-                    self.send(out, y, s, (reply_tag, found))
-        return out
 
 
 def _worst_payload_bits(run):

@@ -1283,9 +1283,9 @@ def e22_sharded_sweep(
         compile_manifest,
         grid_cells,
         merge_shards,
+        run_fleet,
         run_fleet_worker,
         run_shard,
-        run_sharded,
     )
     from repro.workloads import InstanceCache, get_workload
 
@@ -1323,7 +1323,7 @@ def e22_sharded_sweep(
         for k in (1, 2, num_shards):
             shard_dir = os.path.join(base, f"k{k}")
             t0 = time.perf_counter()
-            merged = run_sharded(cells, k, shard_dir)
+            merged = run_fleet(cells, k, shard_dir, num_workers=1)
             wall = (time.perf_counter() - t0) * 1000
             identical = merged.fingerprint() == fingerprint
             table.add_row(

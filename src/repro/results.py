@@ -116,9 +116,9 @@ class ArrayColoring(Mapping):
         return order, colors
 
     def distinct(self) -> int:
-        """How many distinct values ``values()`` holds (``None``
-        counts as one, as in a ``set``)."""
-        return count_distinct(self.colors)
+        """How many distinct colors ``values()`` holds; an uncolored
+        node (``None``) is no color."""
+        return count_distinct(self.colors[self.colors >= 0])
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -165,9 +165,13 @@ class ColoringResult:
 
     @property
     def colors_used(self) -> int:
+        """Distinct colors in the coloring; an uncolored node
+        (``None``) is no color, as in the checker."""
         if isinstance(self.coloring, ArrayColoring):
             return self.coloring.distinct()
-        return len(set(self.coloring.values()))
+        used = set(self.coloring.values())
+        used.discard(None)
+        return len(used)
 
     @property
     def complete(self) -> bool:

@@ -22,7 +22,7 @@ from repro.conformance import build_large_corpus, run_conformance
 from repro.exec import (
     SweepBackend,
     grid_cells,
-    run_sharded,
+    run_fleet,
 )
 
 pytestmark = pytest.mark.slow
@@ -76,7 +76,7 @@ def test_large_tier_through_shard_manifest(tmp_path):
     ]
     cells = grid_cells(specs=specs, scenarios=corpus, seeds=(SEED,))
     unsharded = SweepBackend(executor="serial").run_grid(cells)
-    merged = run_sharded(cells, 2, str(tmp_path))
+    merged = run_fleet(cells, 2, str(tmp_path), num_workers=1)
     assert merged.ok, [c.error for c in merged.failures]
     assert merged.fingerprint() == unsharded.fingerprint()
 

@@ -24,7 +24,8 @@ from repro.congest.rng import (
     randrange_array,
 )
 from repro.core.trying import all_colored
-from repro.results import ColoringResult
+from repro.results import ArrayColoring, ColoringResult
+from repro.verify.checker import check_d2_coloring
 
 # Label values of every shape the simulator actually derives streams
 # from: ints, strings, and tuples thereof.
@@ -423,6 +424,22 @@ class TestColoringResult:
 
     def test_colors_used(self):
         assert self._result().colors_used == 2
+
+    def test_colors_used_skips_uncolored_nodes(self):
+        # An uncolored node is no color, as in the checker's count.
+        result = self._result()
+        result.coloring[3] = None
+        assert result.colors_used == 2
+        arrays = ArrayColoring(
+            range(4), np.array([1, 2, 1, -1], dtype=np.int64),
+            {v: v for v in range(4)},
+        )
+        assert arrays[3] is None
+        assert arrays.distinct() == 2
+        result.coloring = arrays
+        assert result.colors_used == 2
+        report = check_d2_coloring(nx.empty_graph(4), dict(arrays))
+        assert report.colors_used == 2
 
     def test_complete(self):
         result = self._result()

@@ -1531,9 +1531,12 @@ _LADDER_CELLS = ladder_cells()
 _LADDER_DRIVERS = {"improved": improved_d2_color, "basic": basic_d2_color}
 
 
-def _ladder_recipe(variant, cell, policy=None):
-    """``(make_network, run kwargs)`` of a :func:`ladder_cells` run."""
+def _ladder_recipe(variant, cell, policy=None, relabel=None):
+    """``(make_network, run kwargs)`` of a :func:`ladder_cells` run
+    (on the graph relabeled by ``relabel`` when given)."""
     graph, seed, kwargs = _LADDER_CELLS[cell]
+    if relabel is not None:
+        graph = nx.relabel_nodes(graph, relabel)
     make = _recipe(
         lambda: _LADDER_DRIVERS[variant](
             graph, seed=seed, policy=policy, max_rounds=0, **kwargs
@@ -1660,10 +1663,24 @@ class TestReduceLadderKernel:
         _, run_kwargs = _ladder_recipe("improved", cell)
         _assert_randomized_parity(make, **run_kwargs)
 
-    @pytest.mark.parametrize("policy", ["strict", "unbounded"])
-    def test_policy_parity(self, policy):
+    @pytest.mark.parametrize(
+        "policy, cell, relabel",
+        [
+            pytest.param("strict", "pg7-short-s2", None, id="strict"),
+            pytest.param("unbounded", "pg7-short-s2", None, id="unbounded"),
+            # Labels 14..63, reversed: not the dense indices, but as wide
+            # as n = 50's, so every payload still fits the 192-bit
+            # budget.  Routing payloads carry labels and are metered as
+            # such.
+            pytest.param(
+                "track", "hs-s0", lambda v: 63 - v,
+                id="track-relabeled",
+            ),
+        ],
+    )
+    def test_policy_parity(self, policy, cell, relabel):
         make, run_kwargs = _ladder_recipe(
-            "improved", "pg7-short-s2", POLICIES[policy]
+            "improved", cell, POLICIES[policy], relabel
         )
         _assert_randomized_parity(make, **run_kwargs)
 

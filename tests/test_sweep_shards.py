@@ -34,8 +34,8 @@ from repro.exec import (
     compile_manifest,
     grid_cells,
     merge_shards,
+    run_fleet,
     run_shard,
-    run_sharded,
     shard_status,
 )
 from repro.exec.shards import (
@@ -77,8 +77,8 @@ class TestShardMergeEquivalence:
     def test_merge_is_byte_identical(
         self, tmp_path, unsharded, num_shards
     ):
-        merged = run_sharded(
-            small_grid(), num_shards, str(tmp_path)
+        merged = run_fleet(
+            small_grid(), num_shards, str(tmp_path), num_workers=1
         )
         assert merged.fingerprint() == unsharded.fingerprint()
         assert repr(merged.aggregate_metrics()) == repr(
@@ -162,7 +162,8 @@ class TestResume:
             scenarios=[get_workload("petersen")],
             seeds=(SEED,),
         )
-        run_sharded(other, 2, str(tmp_path))  # stale shard_*.jsonl
+        # Leaves stale shard_*.jsonl behind.
+        run_fleet(other, 2, str(tmp_path), num_workers=1)
 
         manifest = compile_manifest(small_grid(), 2)
         manifest.save(str(tmp_path))
@@ -506,7 +507,7 @@ class TestAttributeCarryingCells:
         pooled = SweepBackend(
             executor="process", max_workers=2
         ).run_grid(cells)
-        sharded = run_sharded(cells, 2, str(tmp_path))
+        sharded = run_fleet(cells, 2, str(tmp_path), num_workers=1)
         assert pooled.fingerprint() == serial.fingerprint()
         assert sharded.fingerprint() == serial.fingerprint()
         assert serial.ok, [c.error for c in serial.failures]
@@ -519,8 +520,9 @@ class TestVectorizedInner:
         """``inner="vectorized"`` shards merge byte-identical to the
         reference-inner unsharded run (the engines promise
         bit-identical metrics)."""
-        merged = run_sharded(
-            small_grid(), 2, str(tmp_path), inner="vectorized"
+        merged = run_fleet(
+            small_grid(), 2, str(tmp_path), num_workers=1,
+            inner="vectorized",
         )
         assert merged.fingerprint() == unsharded.fingerprint()
 
@@ -640,9 +642,9 @@ class TestDamagedStatus:
         assert not second.damaged and second.done == 0
 
 
-def test_run_sharded_writes_manifest_and_checkpoints(tmp_path):
+def test_one_worker_fleet_writes_manifest_and_checkpoints(tmp_path):
     cells = small_grid()[:6]
-    run_sharded(cells, 2, str(tmp_path))
+    run_fleet(cells, 2, str(tmp_path), num_workers=1)
     assert os.path.exists(os.path.join(str(tmp_path), "manifest.json"))
     manifest = ShardManifest.load(str(tmp_path))
     assert [
