@@ -9,6 +9,7 @@ slow strawman whose acceleration is the paper's main contribution.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional
 
 import networkx as nx
@@ -24,7 +25,8 @@ from repro.results import ColoringResult
 class TrialProgram(TryPhaseMixin, NodeProgram):
     """Try a uniform random palette color until colored.
 
-    ``ctx.data['palette']`` is the palette size; an optional
+    ``ctx.data['palette']`` is the palette size, an integer (a float
+    raises ``TypeError`` on every Python); an optional
     ``ctx.data['color']`` precolors the node.  Colored nodes keep
     serving verdicts for their neighbors (the simulation stops them
     globally once everyone is colored).
@@ -33,7 +35,7 @@ class TrialProgram(TryPhaseMixin, NodeProgram):
     def __init__(self, ctx: NodeContext):
         super().__init__(ctx)
         self.init_tracker(ctx.data.get("color"))
-        self.palette = ctx.data["palette"]
+        self.palette = operator.index(ctx.data["palette"])
         self.avoid_known = ctx.data.get("avoid_known", False)
         self.phases_tried = 0
 

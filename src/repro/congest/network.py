@@ -22,11 +22,12 @@ output.  The run ends when every program has halted, when the optional
 
 The round loop itself is pluggable: :meth:`Network.run` delegates to
 an execution backend from :mod:`repro.exec` — by default
-``reference``, whose :class:`~repro.exec.reference.GeneratorLoop`
+``reference``, whose :func:`~repro.exec.reference.run_generators`
 does the delivery and metering; ``vectorized`` replays whole program
 classes as array kernels.  Backends differ only in mechanics — the
 delivered messages, outputs, round counts and metrics are
-identical.
+identical.  A run executes wholly on one engine, and a network runs
+once: a second :meth:`Network.run` raises.
 
 Node materialization is *lazy*: building n ``NodeProgram`` objects and
 n generator frames is pure overhead for a run the vectorized backend
@@ -418,7 +419,8 @@ class Network:
         #: built later.
         self._end_state: Dict[str, Any] = {}
         self.outputs: Dict[int, Any] = {}
-        self._started = False
+        #: Set by the first :meth:`run`; a network runs once.
+        self._ran = False
 
     # -- lazy materialization ------------------------------------------
 
@@ -469,7 +471,9 @@ class Network:
         }
         for attr, value in self._end_state.items():
             for node, v in self._end_table(value).items():
-                # Each program owns its value: a resumed one may mutate it.
+                # Each program owns its value: a shared end-state
+                # value is one object, which a caller editing one
+                # program's attribute must not change for the others.
                 setattr(programs[node], attr, copy.copy(v))
 
     @property
@@ -573,9 +577,15 @@ class Network:
         ``stop_when`` is consulted before the ``max_rounds`` guard, so
         a monitor firing on the exact final admissible round reports
         ``stopped_early`` instead of a timeout.
+
+        A network runs once: its programs and plan counters hold the
+        end of the run, so a second call raises ``RuntimeError``.
         """
         from repro.exec import get_backend
 
+        if self._ran:
+            raise RuntimeError("a Network runs once; build a new one")
+        self._ran = True
         return get_backend(backend).execute(
             self,
             max_rounds=max_rounds,

@@ -46,16 +46,6 @@ class RandomizedD2Program(
 ):
     """One node of d2-Color / Improved-d2-Color."""
 
-    #: Set by the vectorized backend's kernel when it hands ``improved``
-    #: back to the generators after the ladder — only on the
-    #: LearnPalette handler path or with forward batches narrower than
-    #: Δ: how many leading sections of :meth:`_sections` it already
-    #: executed as array work.  The kernel has written their whole
-    #: footprint into the program (colors, neighbor tables, phase log,
-    #: similarity state, Reduce counters, RNG counters), so ``run``
-    #: starts at the next section.
-    _kernel_prefix = 0
-
     def __init__(self, ctx: NodeContext):
         super().__init__(ctx)
         data = ctx.data
@@ -159,7 +149,7 @@ class RandomizedD2Program(
     # ------------------------------------------------------------------
 
     def run(self):
-        for section in self._sections()[self._kernel_prefix:]:
+        for section in self._sections():
             yield from section()
 
 

@@ -6,7 +6,7 @@ it is executed.  Two engines ship by default:
 
 ``reference``
     The one generator round loop
-    (:class:`~repro.exec.reference.GeneratorLoop`, metering inlined);
+    (:func:`~repro.exec.reference.run_generators`, metering inlined);
     semantic ground truth.
 ``vectorized``
     Struct-of-arrays numpy kernels over CSR-form G/G² adjacency for

@@ -21,18 +21,14 @@ Python node object at all.  One contract covers every kernel:
 monitor the kernel replays, the plan, self-loops), calls
 ``kernel(network, plan, max_rounds=..., stop_when=...)`` and builds
 the ``RunResult``.  A kernel either raises :class:`_Declined` with
-its cause — ``execute`` emits ``kernel.decline`` and hands the run to
-the generator loop — or returns an :class:`_End`: its rounds, its
-traffic, how it ended and its end state, one ``{program attribute:
-int64 column | per-node callable | shared value}`` mapping that
-``Network.node_colors()``/``node_table()`` serve and that is written
-into the programs only if somebody later materializes them.  A halted
-run's ``outputs`` is its color table.  One kernel can hand a run over
-mid-way: ``improved-d2color`` on the LearnPalette handler path (or
-with forward batches narrower than Δ) runs its array sections, then
-materializes the programs with their end state and hands LearnPalette
-and finish to the :class:`~repro.exec.reference.GeneratorLoop`,
-returning that loop's ``RunResult``.
+its cause — ``execute`` emits ``kernel.decline`` and the generator
+loop replays the whole run — or returns an :class:`_End`: its rounds,
+its traffic, how it ended and its end state, one ``{program
+attribute: int64 column | per-node callable | shared value}`` mapping
+that ``Network.node_colors()``/``node_table()`` serve and that is
+written into the programs only if somebody later materializes them.
+A halted run's ``outputs`` is its color table.  Every run executes
+wholly on one engine.
 
 Coverage is per program class, not per call site:
 
@@ -53,11 +49,11 @@ Coverage is per program class, not per call site:
   and ``basic``'s final-reduce loop, XOR lottery included),
   LearnPalette by flooding and FinishColoring (Sec. 2.6).  Both
   ``basic-d2color`` and ``improved-d2color`` run with zero generator
-  programs; ``improved`` resumes the generators for LearnPalette and
-  finish only on the handler path (large Δ) or with forward batches
-  narrower than Δ.  Their Step-0 fallback is the ``deterministic-d2``
-  chain, so on low-Δ graphs they run with zero generator programs
-  too.
+  programs; an ``improved`` run that reaches LearnPalette on the
+  handler path (large Δ) or with forward batches narrower than Δ is
+  declined (cause ``learn-tail``) and replayed on the generator loop.
+  Their Step-0 fallback is the ``deterministic-d2`` chain, so on
+  low-Δ graphs they run with zero generator programs too.
 
 Kernels read their input from the plan only.  A network whose Python
 nodes already exist may hold program state no plan input describes,
@@ -66,10 +62,10 @@ so it goes straight to the generator loop (fallback cause
 ``stop_when`` monitors, ``avoid_known`` candidate selection, self-loop
 graphs, metered payloads that could exceed the budget, values that
 could leave int64, lottery tickets wider than 62 bits, dropped
-similarity items) is declined before anything is written and falls
-back to ``reference`` automatically, so ``backend="vectorized"`` is
-always safe to request.  The guarantees are enforced by
-``tests/test_backend_equivalence.py`` and
+similarity items, LearnPalette's handler path) is declined before
+anything is written and falls back to ``reference`` automatically,
+so ``backend="vectorized"`` is always safe to request.  The
+guarantees are enforced by ``tests/test_backend_equivalence.py`` and
 ``tests/test_exec_vectorized.py``.
 """
 
@@ -139,7 +135,7 @@ from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
-from repro.exec.reference import _EMPTY_INBOX, GeneratorLoop
+from repro.exec.reference import _EMPTY_INBOX
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
 
@@ -148,16 +144,14 @@ from repro.util.primes import is_prime
 _INT64_SAFE = 2**62
 
 #: Program class -> kernel: ``kernel(network, plan, *, max_rounds,
-#: stop_when)`` returns an :class:`_End` (or, handing the run to the
-#: generator loop mid-way, that loop's ``RunResult``) or raises
-#: :class:`_Declined`.
+#: stop_when)`` returns an :class:`_End` or raises :class:`_Declined`.
 KERNELS: Dict[Type, Callable] = {}
 
 #: Registry spec name -> the program class its hot network runs; the
 #: spec-name half of :func:`kernel_coverage`.  Coverage through this
-#: table may be partial per run: ``improved-d2color`` leaves
-#: LearnPalette and finish to the generators on the handler path or
-#: with forward batches narrower than Δ, and
+#: table may be partial per spec: ``improved-d2color`` declines a run
+#: that reaches LearnPalette on the handler path or with forward
+#: batches narrower than Δ, and
 #: ``deterministic-d2``/``eps-d2-coloring`` are listed
 #: under their locally-iterative stage although their Linial stage has
 #: a kernel too (so does ``deterministic-d2``'s color reduction, but
@@ -218,8 +212,6 @@ class VectorizedBackend(ExecutionBackend):
         kernel = KERNELS.get(factory) if isinstance(factory, type) else None
         if record_rounds:
             cause = "record-rounds"
-        elif network._started:
-            cause = "already-started"
         elif network.materialized:
             # Built programs may hold state no plan input describes.
             cause = "materialized"
@@ -322,9 +314,8 @@ class _End(NamedTuple):
 def _run_kernel(kernel, network, *, max_rounds, stop_when,
                 raise_on_timeout):
     """``kernel``'s run of ``network``: the prologue every kernel
-    shares, the kernel, and the ``RunResult`` (the network's
-    started flag and timeout raise mirror reference's).  Raises
-    :class:`_Declined`."""
+    shares, the kernel, and the ``RunResult`` (the timeout raise
+    mirrors reference's).  Raises :class:`_Declined`."""
     from repro.congest.network import RunResult
 
     if stop_when is not None and stop_when not in kernel.stops:
@@ -333,32 +324,26 @@ def _run_kernel(kernel, network, *, max_rounds, stop_when,
     if plan.csr.has_selfloops:
         raise _Declined("self-loops")
     end = kernel(network, plan, max_rounds=max_rounds, stop_when=stop_when)
-    if isinstance(end, RunResult):
-        result = end  # handed to the generator loop mid-run
-    else:
-        halted = end.status == "halted"
-        network._end_state = end.state
-        # Some resume executed: a round, or the halting one.
-        network._started = end.rounds > 0 or halted
-        traffic = end.traffic
-        result = RunResult(
-            outputs=network.node_colors() if halted else {},
-            metrics=RunMetrics(
-                rounds=end.rounds,
-                total_messages=traffic.messages,
-                total_bits=traffic.bits,
-                max_message_bits=traffic.max_bits,
-                budget_bits=network._budget,
-                violations=0,
-                worst_violation_bits=0,
-            ),
-            halted=halted,
-            stopped_early=end.status == "stopped",
-            programs=network.result_programs(),
-        )
-    if raise_on_timeout and not (result.halted or result.stopped_early):
+    network._end_state = end.state
+    halted = end.status == "halted"
+    if raise_on_timeout and not (halted or end.status == "stopped"):
         raise NonterminationError(max_rounds, set(network.graph.nodes))
-    return result
+    traffic = end.traffic
+    return RunResult(
+        outputs=network.node_colors() if halted else {},
+        metrics=RunMetrics(
+            rounds=end.rounds,
+            total_messages=traffic.messages,
+            total_bits=traffic.bits,
+            max_message_bits=traffic.max_bits,
+            budget_bits=network._budget,
+            violations=0,
+            worst_violation_bits=0,
+        ),
+        halted=halted,
+        stopped_early=end.status == "stopped",
+        programs=network.result_programs(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1236,9 +1221,8 @@ def _color_reduction_kernel(network, plan, *, max_rounds, stop_when):
 # ----------------------------------------------------------------------
 # randomized d2-color (improved + basic): the random trials, the
 # similarity graphs, every Reduce-Phase, LearnPalette by flooding and
-# finish run as arrays; ``improved`` hands LearnPalette and finish back
-# to the generators only on the handler path or with narrow forward
-# batches.
+# finish run as arrays; an ``improved`` run that reaches LearnPalette
+# on the handler path or with narrow forward batches is declined.
 
 #: Reduce-Phase payload sizes that do not depend on the values carried.
 _TICKET_BASE = bit_size((_TAG_TICKET, 0)) - 1
@@ -1340,8 +1324,8 @@ class _RandomizedRun:
     """One :class:`RandomizedD2Program` run on arrays.
 
     Sections execute in the variant's order (``improved``: trials,
-    similarity, ladder, then — when :attr:`tail` — LearnPalette and
-    finish forever; ``basic``: similarity, trials, ladder,
+    similarity, ladder, then — when :attr:`tail`, else the run ends
+    ``done`` and is declined — LearnPalette and finish forever; ``basic``: similarity, trials, ladder,
     final-reduce forever), each from round ``self.r`` on.  Every draw
     goes to a copy of the plan's counters (committed only when the run
     is accepted) in each node's generator order: per Reduce-Phase the
@@ -1398,8 +1382,8 @@ class _RandomizedRun:
         # queue at most Δ, so with flooding whose rounds fit the lists
         # and batches of at least Δ nothing is dropped and no Busy is
         # ever raised: the kernel can run LearnPalette and finish too.
-        # Otherwise (the handler path, narrow batches) the generators
-        # resume after the ladder.
+        # Otherwise (the handler path, narrow batches) a run that gets
+        # past the ladder is declined (``learn-tail``).
         self.max_deg = max_deg = int(csr.degrees.max(initial=0))
         self.tail = (
             variant == "improved"
@@ -1417,7 +1401,9 @@ class _RandomizedRun:
     # -- the schedule ---------------------------------------------------
 
     def run(self) -> str:
-        """Execute the kernel sections; the status at ``self.r``."""
+        """Execute the kernel sections; the status at ``self.r``
+        (``done``: the round LearnPalette starts in would execute, but
+        not as array work, see :attr:`tail`)."""
         if self.variant == "improved":
             steps = (self.run_trials, self.run_similarity, self.run_ladder)
             if self.tail:
@@ -2087,19 +2073,17 @@ def _randomized_d2_kernel(network, plan, *, max_rounds, stop_when):
 
     ``improved`` runs trials → similarity → ladder → LearnPalette →
     finish and ``basic`` similarity → trials → ladder → final-reduce,
-    with no generator at all.  Only on the LearnPalette handler path
-    (``small_delta`` False) or with forward batches narrower than Δ
-    does ``improved`` hand the generators LearnPalette and finish
-    after the ladder: the programs are materialized with the kernel's
-    end-state and ``_kernel_prefix = 3`` (the sections done), and the
-    :class:`GeneratorLoop` resumes at the next round with the kernel's
-    metering.  A run the stop monitor or ``max_rounds`` ends inside
-    the kernel leaves the state of exactly the resumes that executed.
+    with no generator at all.  A run the stop monitor or ``max_rounds``
+    ends inside the kernel leaves the state of exactly the resumes
+    that executed.
 
     Declines, before anything is written: non-uniform or invalid
     inputs, labels outside int64, lottery tickets wider than 62 bits
-    (n > 2¹⁵), a metered payload that could exceed the budget, and
-    similarity lists the pipelining bound would drop.
+    (n > 2¹⁵), a metered payload that could exceed the budget,
+    similarity lists the pipelining bound would drop, and an
+    ``improved`` run that reaches LearnPalette on the handler path
+    (``small_delta`` False) or with forward batches narrower than Δ
+    (``learn-tail``: the generator loop replays the whole run).
     """
     csr = plan.csr
     n = csr.n
@@ -2159,49 +2143,11 @@ def _randomized_d2_kernel(network, plan, *, max_rounds, stop_when):
     status = run.run()
     if run.traffic.metered and run.traffic.max_bits > network._budget:
         raise _Declined("budget")
-
-    handoff = variant == "improved" and status == "done"
-    # Resumes executed: on a handoff, the generators' first resume
-    # (round run.r) starts with the kernel's share of it — the last
-    # adopts recorded, the ladder logged — which the end state books.
-    resumes = run.r + 1 if handoff else run.r
+    if status == "done":
+        # LearnPalette is next, but not as array work (see ``tail``).
+        raise _Declined("learn-tail")
     plan.counters[:] = run.draws.counters
-    state = _randomized_state(run, resumes, handoff)
-    if not handoff:
-        return _End(state, run.r, run.traffic, status)
-
-    # --- hand LearnPalette and finish to the generators (handler path,
-    # narrow forward batches); ``execute`` raises on a timeout --------
-    network._end_state = state
-    loop = GeneratorLoop(network)  # materializes; applies the end state
-    loop.round_index = loop.rounds = run.r
-    loop.total_messages = run.traffic.messages
-    loop.total_bits = run.traffic.bits
-    loop.max_message_bits = run.traffic.max_bits
-    network._started = True
-    rec = obs_trace.recorder()
-    t0 = rec.clock() if rec is not None else 0.0
-    try:
-        loop.run(
-            max_rounds=max_rounds,
-            stop_when=stop_when,
-            raise_on_timeout=False,
-        )
-    finally:
-        if rec is not None:
-            rec.complete(
-                "exec.run",
-                t0,
-                {
-                    "backend": "vectorized",
-                    "start_round": run.r,
-                    "rounds": loop.rounds - run.r,
-                    "messages": loop.total_messages - run.traffic.messages,
-                    "bits": loop.total_bits - run.traffic.bits,
-                    "halted": not loop.running,
-                },
-            )
-    return loop.result()
+    return _End(_randomized_state(run), run.r, run.traffic, status)
 
 
 def _phase_state(run, resumes):
@@ -2218,12 +2164,13 @@ def _phase_state(run, resumes):
     return phase_log, (entered or [run.sections[0][0]])[-1]
 
 
-def _randomized_state(run, resumes, handoff):
-    """The program state after ``resumes`` resumes of the kernel's
-    sections: colors, neighbor tables, phase log and phase, Reduce
-    counters, similarity state, LearnPalette's free sets and drop
-    count, finish's phase count (RNG counters come from the plan)."""
-    csr, st = run.csr, run.st
+def _randomized_state(run):
+    """The program state after the ``run.r`` resumes the kernel's
+    sections executed: colors, neighbor tables, phase log and phase,
+    Reduce counters, similarity state, LearnPalette's free sets and
+    drop count, finish's phase count (RNG counters come from the
+    plan)."""
+    csr, st, resumes = run.csr, run.st, run.r
     phase_log, phase = _phase_state(run, resumes)
     done = {name for name, _rounds in phase_log}
     starts = {
@@ -2257,8 +2204,6 @@ def _randomized_state(run, resumes, handoff):
         state["finish_phases"] = -(
             -(resumes - starts["finish"]) // FINISH_PHASE_ROUNDS
         )
-    if handoff:
-        state["_kernel_prefix"] = len(run.sections)
     return state
 
 

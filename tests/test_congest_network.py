@@ -8,9 +8,16 @@ from repro.congest.errors import (
     NonterminationError,
     ProtocolViolationError,
 )
-from repro.congest.network import Network, log2_ceil, run_protocol
+from repro.baselines.trial import TrialProgram
+from repro.congest.network import (
+    Network,
+    UniformInputs,
+    log2_ceil,
+    run_protocol,
+)
 from repro.congest.node import FunctionProgram, NodeProgram
 from repro.congest.policy import BandwidthPolicy
+from repro.core.trying import all_colored
 
 from conftest import RecordingBackend
 
@@ -164,6 +171,41 @@ class TestTermination:
         net = Network(nx.path_graph(2), proto_factory(proto))
         result = net.run(stop_when=monitor, raise_on_timeout=False)
         assert result.stopped_early
+
+
+class TestOneRun:
+    """A network runs once: its programs and plan counters hold the end
+    of the first run, so a second ``run`` raises on every engine."""
+
+    @staticmethod
+    def _trial_network():
+        graph = nx.petersen_graph()
+        return Network(
+            graph, TrialProgram, seed=1,
+            inputs=UniformInputs(graph.nodes, {"palette": 10}),
+        )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_second_run_raises(self, backend):
+        net = self._trial_network()
+        first = net.run(
+            max_rounds=2, stop_when=all_colored, raise_on_timeout=False,
+            backend=backend,
+        )
+        assert first.metrics.rounds == 2
+        with pytest.raises(RuntimeError, match="runs once"):
+            net.run(
+                max_rounds=2, stop_when=all_colored,
+                raise_on_timeout=False, backend=backend,
+            )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_a_run_that_raised_still_counts(self, backend):
+        net = self._trial_network()
+        with pytest.raises(NonterminationError):
+            net.run(max_rounds=2, backend=backend)
+        with pytest.raises(RuntimeError, match="runs once"):
+            net.run(max_rounds=2, backend=backend)
 
 
 class TestStopWhenFinalRound:

@@ -5,11 +5,11 @@ conformance-corpus graph (seed 7, TRACK and STRICT), what the
 ``reference`` loop produced when per-round recording was forced on:
 the coloring, the run totals, the number of :meth:`Network.run` calls
 and a digest of every per-round record.  The fixture was first written
-by the two-loop engine that preceded the single ``GeneratorLoop`` (the
+by the two-loop engine that preceded the single generator loop (the
 per-message ``Network._deliver`` loop), so it is an independent check
 on the loop's delivery and metering — including per-round records,
 which no other test covers for whole registry pipelines.  The cells of
-seeded randomized specs were regenerated once, by ``GeneratorLoop``,
+seeded randomized specs were regenerated once, by the single loop,
 when per-node randomness moved to the counter hash of
 :mod:`repro.congest.rng`; the deterministic specs' cells are still the
 per-message loop's, byte for byte.

@@ -15,6 +15,7 @@ sweeps, shard merges and the ``cache`` span attrs, and the
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -735,9 +736,7 @@ class TestSweepCacheStats:
         for shard in (0, 1):
             run_shard(manifest, shard, str(tmp_path))
             sidecar = stats_path(str(tmp_path), shard)
-            data = json.loads(
-                open(sidecar, encoding="utf-8").read()
-            )
+            data = json.loads(Path(sidecar).read_text(encoding="utf-8"))
             assert all(
                 isinstance(v, int) and v >= 0 for v in data.values()
             )
@@ -750,15 +749,11 @@ class TestSweepCacheStats:
         manifest.save(str(tmp_path))
         run_shard(manifest, 0, str(tmp_path), max_cells=2)
         first = json.loads(
-            open(
-                stats_path(str(tmp_path), 0), encoding="utf-8"
-            ).read()
+            Path(stats_path(str(tmp_path), 0)).read_text(encoding="utf-8")
         )
         run_shard(manifest, 0, str(tmp_path))
         final = json.loads(
-            open(
-                stats_path(str(tmp_path), 0), encoding="utf-8"
-            ).read()
+            Path(stats_path(str(tmp_path), 0)).read_text(encoding="utf-8")
         )
         for key, value in first.items():
             assert final.get(key, 0) >= value
@@ -796,7 +791,7 @@ class TestSweepCacheStats:
         finally:
             disable()
         sidecar = json.loads(
-            open(stats_path(checkpoints, 0), encoding="utf-8").read()
+            Path(stats_path(checkpoints, 0)).read_text(encoding="utf-8")
         )
         assert sidecar["hits"] + sidecar["misses"] > 0
         assert self._cache_json(trace, capsys) == sidecar
